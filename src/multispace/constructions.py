@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import Component, MultiSpace, OpTable
+from .core import Component, MultiSpace, OpTable, classify_table, find_units
 from .errors import CapacityError, ContractError, InputError, PartitionError, ShapeError
 from .foundations import FiniteUniverse
 
@@ -335,8 +335,6 @@ def disjoint_cyclic_union(orders: Sequence[int]) -> MultiSpace:
 
 def shared_identity_union(tables: Sequence[OpTable]) -> MultiSpace:
     """Union of group tables overlapping in exactly one shared identity "e"."""
-    from .core import find_units
-
     labels = ["e"]
     rename_maps = []
     for i, t in enumerate(tables):
@@ -389,23 +387,31 @@ def _fan_entry(policy, h_idx, x, y, explicit, name):
 
 
 def fan_extension(
-    base: OpTable,
+    base: OpTable | tuple[OpTable, OpTable],
     new_symbols: Sequence[str],
     policy: str = ABSORB,
     explicit: Optional[Sequence[dict]] = None,
 ) -> MultiSpace:
-    """Extend one group by n fresh elements, one component and operation each.
+    """Extend one group, or one ring given as an ``(add, mul)`` pair, by n
+    fresh elements, one component each.
 
-    Every extension operation agrees with the base product on old pairs;
-    pairs involving the fresh element follow the chosen policy (EXPLICIT
-    grids map label pairs to a result label). The result is not completed
-    for n >= 2 (distinct fresh elements never multiply).
+    A group base gives each component one operation; a ring base gives it a
+    double (addition, multiplication) pair.  Every extension operation
+    agrees with the base product on old pairs; pairs involving the fresh
+    element follow the chosen policy (EXPLICIT grids, for group bases only,
+    map label pairs to a result label). The result is not completed for
+    n >= 2 (distinct fresh elements never multiply).
     """
-    from .core import classify_table
-
-    if not classify_table(base).is_group():
-        raise ContractError("fan extension needs a group table as its base")
-    base_labels = [base.universe.name(i) for i in base.domain]
+    ring = not isinstance(base, OpTable)
+    tables = tuple(base) if ring else (base,)
+    if ring and (len(tables) != 2 or tables[0].domain != tables[1].domain):
+        raise ContractError("ring base needs an (add, mul) pair with matching domains")
+    first = tables[0]
+    if not classify_table(first).is_group():
+        raise ContractError("fan extension needs a group table as its (additive) base")
+    if ring and policy == EXPLICIT:
+        raise InputError("the explicit policy takes a group base, not a ring base")
+    base_labels = [first.universe.name(i) for i in first.domain]
     for s in new_symbols:
         if s in base_labels:
             raise InputError(f"new symbol {s!r} collides with the base carrier")
@@ -413,8 +419,9 @@ def fan_extension(
         raise InputError("new symbols must be pairwise distinct")
     labels = base_labels + list(new_symbols)
     universe = FiniteUniverse.of(labels)
-    old = {i: universe.index(base.universe.name(i)) for i in base.domain}
+    old = {i: universe.index(label) for i, label in zip(first.domain, base_labels)}
     back = {v: k for k, v in old.items()}
+    markers = ("+", "*") if ring else ("x",)
     components = []
     ops = []
     for i, sym in enumerate(new_symbols):
@@ -428,52 +435,16 @@ def fan_extension(
                 (universe.index(a), universe.index(b)): None if v is None else universe.index(v)
                 for (a, b), v in explicit[i].items()
             }
+        names = tuple(f"{marker}{i + 1}" for marker in markers)
+        for name, t in zip(names, tables):
 
-        def entry(x: int, y: int, h=h, grid=grid) -> Optional[int]:
-            if x != h and y != h:
-                return old[base.apply(back[x], back[y])]
-            return _fan_entry(policy, h, x, y, grid, sym)
-
-        table = OpTable.from_function(f"x{i + 1}", universe, carrier, entry)
-        ops.append(table)
-        components.append(Component(f"F{i + 1}", carrier, (table.name,)))
-    return MultiSpace(universe, components, ops)
-
-
-def fan_extension_ring(
-    base_add: OpTable,
-    base_mul: OpTable,
-    new_symbols: Sequence[str],
-    policy: str = ABSORB,
-) -> MultiSpace:
-    """Ring-like fan: each fresh element extends both operations of the base."""
-    if base_add.domain != base_mul.domain:
-        raise ContractError("ring base needs matching add/mul domains")
-    base_labels = [base_add.universe.name(i) for i in base_add.domain]
-    for s in new_symbols:
-        if s in base_labels:
-            raise InputError(f"new symbol {s!r} collides with the base carrier")
-    labels = base_labels + list(new_symbols)
-    universe = FiniteUniverse.of(labels)
-    old = {i: universe.index(base_add.universe.name(i)) for i in base_add.domain}
-    back = {v: k for k, v in old.items()}
-    components = []
-    ops = []
-    for i, sym in enumerate(new_symbols):
-        h = universe.index(sym)
-        carrier = tuple(sorted(list(old.values()) + [h]))
-        tables = []
-        for marker, base in (("+", base_add), ("*", base_mul)):
-            def entry(x: int, y: int, h=h, base=base) -> Optional[int]:
+            def entry(x: int, y: int, h=h, t=t, grid=grid, sym=sym) -> Optional[int]:
                 if x != h and y != h:
-                    return old[base.apply(back[x], back[y])]
-                return _fan_entry(policy, h, x, y, None, sym)
+                    return old[t.apply(back[x], back[y])]
+                return _fan_entry(policy, h, x, y, grid, sym)
 
-            tables.append(OpTable.from_function(f"{marker}{i + 1}", universe, carrier, entry))
-        ops.extend(tables)
-        components.append(
-            Component(f"F{i + 1}", carrier, (tables[0].name, tables[1].name), double=True)
-        )
+            ops.append(OpTable.from_function(name, universe, carrier, entry))
+        components.append(Component(f"F{i + 1}", carrier, names, double=ring))
     return MultiSpace(universe, components, ops)
 
 

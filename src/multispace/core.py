@@ -399,11 +399,7 @@ def is_group_on(t: OpTable, subset: frozenset[int]) -> tuple[bool, Optional[dict
     for x, y, z in itertools.product(elems, repeat=3):
         if t.apply(t.apply(x, y), z) != t.apply(x, t.apply(y, z)):
             return False, {"kind": "associativity", "triple": (x, y, z)}
-    unit = None
-    for e in elems:
-        if all(t.apply(e, a) == a and t.apply(a, e) == a for a in elems):
-            unit = e
-            break
+    unit = group_identity_on(t, subset)
     if unit is None:
         return False, {"kind": "no_unit"}
     for a in elems:
@@ -412,19 +408,28 @@ def is_group_on(t: OpTable, subset: frozenset[int]) -> tuple[bool, Optional[dict
     return True, None
 
 
-def group_identity_on(t: OpTable, subset: frozenset[int]) -> int:
+def group_identity_on(t: OpTable, subset: frozenset[int]) -> Optional[int]:
+    """The first element of ``subset`` that is a two-sided unit of ``t`` on
+    it, or None."""
     for e in sorted(subset):
         if all(t.apply(e, a) == a and t.apply(a, e) == a for a in subset):
             return e
-    raise ContractError(f"no identity inside the given subset of {t.name!r}")
+    return None
 
 
-def group_inverse_on(t: OpTable, subset: frozenset[int], a: int) -> int:
+def group_inverses_on(t: OpTable, subset: frozenset[int]) -> dict[int, int]:
+    """The two-sided inverse of every element of ``subset`` inside it."""
     e = group_identity_on(t, subset)
-    for b in sorted(subset):
-        if t.apply(a, b) == e and t.apply(b, a) == e:
-            return b
-    raise ContractError(f"{a} has no inverse inside the given subset of {t.name!r}")
+    if e is None:
+        raise ContractError(f"no identity inside the given subset of {t.name!r}")
+    elems = sorted(subset)
+    out = {}
+    for a in elems:
+        b = next((b for b in elems if t.apply(a, b) == e and t.apply(b, a) == e), None)
+        if b is None:
+            raise ContractError(f"{a} has no inverse inside the given subset of {t.name!r}")
+        out[a] = b
+    return out
 
 
 def _op_profile(t: OpTable, x: int) -> tuple:

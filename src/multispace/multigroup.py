@@ -18,7 +18,7 @@ from .core import (
     UNDEFINED,
     classify_table,
     group_identity_on,
-    group_inverse_on,
+    group_inverses_on,
     is_group_on,
 )
 from .errors import (
@@ -302,6 +302,8 @@ def subgroups_of(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]
     that generating set, so such candidates are discarded.
     """
     e = group_identity_on(table, carrier)
+    if e is None:
+        raise ContractError(f"no identity inside the given subset of {table.name!r}")
     base = frozenset({e})
     found = {base}
     queue = [base]
@@ -316,12 +318,8 @@ def subgroups_of(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]
 
 
 def is_normal_subgroup(table: OpTable, carrier: frozenset[int], sub: frozenset[int]) -> bool:
-    for g in carrier:
-        ginv = group_inverse_on(table, carrier, g)
-        for h in sub:
-            if table.apply(table.apply(g, h), ginv) not in sub:
-                return False
-    return True
+    inverse = group_inverses_on(table, carrier)
+    return all(table.apply(table.apply(g, h), inverse[g]) in sub for g in carrier for h in sub)
 
 
 def maximal_normal_subgroups(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
@@ -370,8 +368,9 @@ def is_normal(sub: SubsetView) -> NormalReport:
         carrier = frozenset(ms.carriers_of_op(op_name))
         if not carrier:
             continue
+        inverse = group_inverses_on(table, carrier)
         for g in carrier:
-            ginv = group_inverse_on(table, carrier, g)
+            ginv = inverse[g]
             for h in sub.elements:
                 gh = table.apply(g, h)
                 if gh is UNDEFINED:
@@ -414,7 +413,8 @@ class SeriesResult:
 
 
 def _series_graph(ms: MultiSpace, orientation: Sequence[str], kind: str):
-    """Successors of a (level, op index) state under the series programming.
+    """Successors of a (level, op index) state under the series programming,
+    memoised per state.
 
     For the operation currently oriented, the level's part in that
     operation's carrier descends through each maximal normal subgroup (or
@@ -424,65 +424,71 @@ def _series_graph(ms: MultiSpace, orientation: Sequence[str], kind: str):
     """
     from . import multiring as _mr
 
-    def successors(level: frozenset, k: int):
+    memo: dict[tuple, list] = {}
+
+    def step(level: frozenset, k: int):
         while k < len(orientation):
             if kind == NORMAL_SERIES:
                 table = ms.op(orientation[k])
                 part = level & frozenset(ms.carriers_of_op(orientation[k]))
-                bottom = frozenset({group_identity_on(table, part)})
             else:
                 comp = ms.component(orientation[k])
                 part = level & frozenset(comp.carrier)
-                add = ms.op(comp.add_name)
-                bottom = frozenset({group_identity_on(add, part)})
-            if part == bottom:
+                table = ms.op(comp.add_name)
+            if part == frozenset({group_identity_on(table, part)}):
                 k += 1
                 continue
             if kind == NORMAL_SERIES:
                 subs = maximal_normal_subgroups(table, part)
             else:
-                subs = _mr.maximal_ideals(ms.op(comp.add_name), ms.op(comp.mul_name), part)
+                subs = _mr.maximal_ideals(table, ms.op(comp.mul_name), part)
             label = orientation[k]
             return [(level - (part - n), k, label) for n in subs]
         return []
 
+    def successors(level: frozenset, k: int):
+        key = (level, k)
+        if key not in memo:
+            memo[key] = step(level, k)
+        return memo[key]
+
     return successors
 
 
-def _run_series(ms: MultiSpace, orientation: Sequence[str], kind: str) -> SeriesResult:
+def _series_profile(ms: MultiSpace, orientation: Sequence[str], kind: str):
+    """(start level, memoised successors, sorted chain lengths, chain count),
+    by one memoised DP over the successor graph."""
     union = ms.element_union()
     if len(union) > SERIES_UNION_BOUND:
         raise SizeLimitError(
             f"series programming bounded at {SERIES_UNION_BOUND} elements; got {len(union)}"
         )
     successors = _series_graph(ms, orientation, kind)
-    start = frozenset(union)
+    memo: dict[tuple, tuple[frozenset, int]] = {}
 
-    length_memo: dict[tuple, frozenset] = {}
-    count_memo: dict[tuple, int] = {}
-
-    def lengths_from(level: frozenset, k: int) -> frozenset:
+    def solve(level: frozenset, k: int) -> tuple[frozenset, int]:
         key = (level, k)
-        if key not in length_memo:
+        if key not in memo:
             nexts = successors(level, k)
             if not nexts:
-                length_memo[key] = frozenset({0})
+                memo[key] = (frozenset({0}), 1)
             else:
-                out = set()
+                lengths: set[int] = set()
+                count = 0
                 for nxt, kk, _ in nexts:
-                    out.update(1 + l for l in lengths_from(nxt, kk))
-                length_memo[key] = frozenset(out)
-        return length_memo[key]
+                    sub_lengths, sub_count = solve(nxt, kk)
+                    lengths.update(1 + l for l in sub_lengths)
+                    count += sub_count
+                memo[key] = (frozenset(lengths), count)
+        return memo[key]
 
-    def count_from(level: frozenset, k: int) -> int:
-        key = (level, k)
-        if key not in count_memo:
-            nexts = successors(level, k)
-            count_memo[key] = 1 if not nexts else sum(count_from(n, kk) for n, kk, _ in nexts)
-        return count_memo[key]
+    start = frozenset(union)
+    lengths, count = solve(start, 0)
+    return start, successors, tuple(sorted(lengths)), count
 
-    lengths = tuple(sorted(lengths_from(start, 0)))
-    count = count_from(start, 0)
+
+def _run_series(ms: MultiSpace, orientation: Sequence[str], kind: str) -> SeriesResult:
+    start, successors, lengths, count = _series_profile(ms, orientation, kind)
     if count > SERIES_CHAIN_BOUND:
         raise SizeLimitError(
             f"{count} maximal chains exceed the materialisation bound; "
@@ -507,37 +513,8 @@ def series_length_profile(
     ms: MultiSpace, orientation: Sequence[str], kind: str = NORMAL_SERIES
 ) -> tuple[tuple[int, ...], int]:
     """Exhaustive chain-length set and chain count without materialising chains."""
-    union = ms.element_union()
-    if len(union) > SERIES_UNION_BOUND:
-        raise SizeLimitError(
-            f"series programming bounded at {SERIES_UNION_BOUND} elements; got {len(union)}"
-        )
-    successors = _series_graph(ms, orientation, kind)
-    start = frozenset(union)
-    length_memo: dict[tuple, frozenset] = {}
-    count_memo: dict[tuple, int] = {}
-
-    def lengths_from(level: frozenset, k: int) -> frozenset:
-        key = (level, k)
-        if key not in length_memo:
-            nexts = successors(level, k)
-            if not nexts:
-                length_memo[key] = frozenset({0})
-            else:
-                out = set()
-                for nxt, kk, _ in nexts:
-                    out.update(1 + l for l in lengths_from(nxt, kk))
-                length_memo[key] = frozenset(out)
-        return length_memo[key]
-
-    def count_from(level: frozenset, k: int) -> int:
-        key = (level, k)
-        if key not in count_memo:
-            nexts = successors(level, k)
-            count_memo[key] = 1 if not nexts else sum(count_from(n, kk) for n, kk, _ in nexts)
-        return count_memo[key]
-
-    return tuple(sorted(lengths_from(start, 0))), count_from(start, 0)
+    _, _, lengths, count = _series_profile(ms, orientation, kind)
+    return lengths, count
 
 
 def maximal_normal_series(ms: MultiSpace, orientation: Sequence[str]) -> SeriesResult:

@@ -8,14 +8,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Component, MultiSpace, OpTable, UNDEFINED, find_units, is_group_on
+from .core import Component, MultiSpace, OpTable, UNDEFINED, group_identity_on, is_group_on
 from .errors import ContractError, InternalCheckError
 from .multigroup import (
     IDEAL_CHAIN,
     SeriesResult,
     SubsetView,
+    SubStructureReport,
     _run_series,
-    group_identity_on,
     subgroups_of,
 )
 
@@ -56,7 +56,7 @@ def _ring_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> Optional
 def _field_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> bool:
     zero = group_identity_on(add, carrier)
     nonzero = carrier - {zero}
-    if not nonzero:
+    if zero is None or not nonzero:
         return False
     for x, y in itertools.combinations(carrier, 2):
         if mul.apply(x, y) != mul.apply(y, x):
@@ -67,6 +67,8 @@ def _field_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> bool:
 
 def _zero_divisors(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> tuple:
     zero = group_identity_on(add, carrier)
+    if zero is None:
+        return ()
     return tuple(
         (a, b)
         for a in sorted(carrier)
@@ -154,14 +156,6 @@ def _require_multiring(ms: MultiSpace) -> None:
         ms._multiring_report = report
     if not report.verdict:
         raise ContractError(f"parent is not a multi-ring: {report.witness}")
-
-
-@dataclass(frozen=True)
-class SubStructureReport:
-    verdict: bool
-    by_component: bool
-    by_closure: bool
-    witness: Optional[dict]
 
 
 def _sub_ops(sub: SubsetView) -> list[Component]:
@@ -391,7 +385,9 @@ def idempotents(ms: MultiSpace, component_name: str) -> IdempotentReport:
     add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
     carrier = frozenset(comp.carrier)
     zero = group_identity_on(add, carrier)
-    unit = find_units_on(mul, carrier)
+    if zero is None:
+        raise ContractError(f"no identity inside the given subset of {add.name!r}")
+    unit = group_identity_on(mul, carrier)
     idems = tuple(sorted(e for e in carrier if mul.apply(e, e) == e))
     matrix = tuple(tuple(mul.apply(a, b) for b in idems) for a in idems)
     families: list[tuple[int, ...]] = []
@@ -410,13 +406,6 @@ def idempotents(ms: MultiSpace, component_name: str) -> IdempotentReport:
                 if total == unit:
                     families.append(combo)
     return IdempotentReport(component_name, idems, matrix, zero, unit, tuple(families))
-
-
-def find_units_on(mul: OpTable, carrier: frozenset[int]) -> Optional[int]:
-    for e in sorted(carrier):
-        if all(mul.apply(e, a) == a and mul.apply(a, e) == a for a in carrier):
-            return e
-    return None
 
 
 @dataclass(frozen=True)
@@ -458,8 +447,8 @@ def decompose_artin(ms: MultiSpace) -> DecompositionReport:
     for comp in double_components(ms):
         add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
         carrier = frozenset(comp.carrier)
-        zero = group_identity_on(add, carrier)
         report = idempotents(ms, comp.name)
+        zero = report.zero
         if report.unit is None:
             raise ContractError(f"component {comp.name!r} has no multiplicative unit")
         families = sorted(report.orthogonal_unit_families, key=lambda f: (-len(f), f))

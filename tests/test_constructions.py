@@ -10,7 +10,6 @@ from multispace.constructions import (
     disjoint_cyclic_union,
     enumerate_latin_squares,
     fan_extension,
-    fan_extension_ring,
     gen_latin_squares,
     latin_lower_bound,
     latin_multispace,
@@ -180,7 +179,7 @@ class TestFanExtensions:
 
     def test_ring_fan(self):
         _, add, mul = zn_ring_tables(4)
-        ms = fan_extension_ring(add, mul, ["r1", "r2"], policy="absorb")
+        ms = fan_extension((add, mul), ["r1", "r2"], policy="absorb")
         assert len(ms.components) == 2
         assert all(c.double for c in ms.components)
         for comp in ms.components:
@@ -192,6 +191,31 @@ class TestFanExtensions:
                     yi = ms.universe.index(str(y))
                     assert ms.universe.name(plus.apply(xi, yi)) == str((x + y) % 4)
                     assert ms.universe.name(times.apply(xi, yi)) == str((x * y) % 4)
+
+    def test_ring_fan_duplicate_symbols(self):
+        _, add, mul = zn_ring_tables(4)
+        with pytest.raises(InputError):
+            fan_extension((add, mul), ["r", "r"])
+
+    def test_ring_fan_non_group_additive_base(self):
+        from multispace.core import OpTable
+
+        u, _, mul = zn_ring_tables(4)
+        add = OpTable.from_function("+", u, range(4), lambda x, y: 1)
+        with pytest.raises(ContractError):
+            fan_extension((add, mul), ["r"])
+
+    def test_ring_fan_mismatched_domains(self):
+        _, add, _ = zn_ring_tables(4)
+        _, _, mul = zn_ring_tables(3)
+        with pytest.raises(ContractError):
+            fan_extension((add, mul), ["r"])
+
+    def test_ring_fan_rejects_explicit_policy(self):
+        _, add, mul = zn_ring_tables(2)
+        grid = {("r", "r"): "0", ("r", "0"): "r", ("0", "r"): "r", ("r", "1"): "r", ("1", "r"): "r"}
+        with pytest.raises(InputError, match="ring base"):
+            fan_extension((add, mul), ["r"], policy="explicit", explicit=[grid])
 
 
 class TestPartitionCyclic:

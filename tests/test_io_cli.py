@@ -97,6 +97,21 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(FIXTURES / "two_component.metric.json"), "--level", "multigroup")
         assert code == 2
 
+    def test_ring_addition_without_identity_exit_one(self, tmp_path, capsys):
+        from multispace.constructions import zn_ring_tables
+        from multispace.core import Component, MultiSpace, OpTable
+
+        u, _, mul = zn_ring_tables(4)
+        add = OpTable.from_function("+", u, range(4), lambda x, y: 1)
+        ms = MultiSpace(u, [Component("R1", tuple(range(4)), ("+", "*"), double=True)], [add, mul])
+        path = tmp_path / "constant_add.mspace.json"
+        path.write_text(io.render(io.space_to_dict(ms)))
+        code, out, _ = run(capsys, "--json", "check", str(path), "--level", "multiring")
+        assert code == 1
+        report = json.loads(out)
+        assert report["witness"] == {"component": "R1", "kind": "no_unit"}
+        assert not report["multifield"]
+
     def test_json_report_carries_numbers(self, capsys):
         code, out, _ = run(capsys, "--json", "check", str(FIXTURES / "latin3.mspace.json"))
         report = json.loads(out)

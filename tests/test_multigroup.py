@@ -193,6 +193,11 @@ class TestLagrange:
         with pytest.raises(ContractError):
             lagrange_check(paper_latin_space.op("x2"))
 
+    def test_subgroups_of_subset_without_identity_rejected(self):
+        _, t = cyclic_group_table(6)
+        with pytest.raises(ContractError):
+            subgroups_of(t, frozenset({1, 2}))
+
 
 class TestNormality:
     def test_abelian_subgroups_normal(self):

@@ -34,6 +34,13 @@ def zn_ideals(n):
     }
 
 
+def constant_addition_z4():
+    """Z4 with x + y = 1: closed and associative, but no additive identity."""
+    u, _, mul = zn_ring_tables(4)
+    add = OpTable.from_function("+", u, range(4), lambda x, y: 1)
+    return MultiSpace(u, [Component("R1", tuple(range(4)), ("+", "*"), double=True)], [add, mul])
+
+
 class TestIsMultiring:
     def test_z6_ring_not_field(self):
         report = is_multiring(zn_ring_space(6))
@@ -63,6 +70,14 @@ class TestIsMultiring:
         ms = MultiSpace(u, [Component("R1", (0, 1), ("+", "*"), double=True)], [add, bad_mul])
         report = is_multiring(ms)
         assert not report.verdict
+
+    def test_addition_without_identity_reports_witness(self):
+        ms = constant_addition_z4()
+        report = is_multiring(ms)
+        assert not report.verdict
+        assert report.witness == {"component": "R1", "kind": "no_unit"}
+        assert not report.multifield
+        assert report.zero_divisors == (("R1", ()),)
 
 
 class TestSubMultiring:
@@ -217,6 +232,11 @@ class TestIdempotents:
     def test_field_only_trivial(self):
         report = idempotents(zn_ring_space(7), "R1")
         assert report.elements == (0, 1)
+
+    def test_addition_without_identity_rejected(self):
+        ms = constant_addition_z4()
+        with pytest.raises(ContractError):
+            idempotents(ms, "R1")
 
 
 class TestDecomposition:
