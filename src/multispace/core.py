@@ -27,28 +27,44 @@ AUTOMORPHISM_BOUND = 12
 class OpTable:
     """A partial binary operation on a subset (the domain) of a universe.
 
-    ``entries[i][j]`` holds the universe index of ``domain[i] * domain[j]``,
-    or ``None`` when the product is undefined.
+    The constructor takes ``entries[i][j]``, the universe index of
+    ``domain[i] * domain[j]`` or ``None`` when the product is undefined.  The
+    table is stored as ``grid[x][y]``, indexed by universe position: every
+    row has |U| slots, ``None`` outside the domain, and the rows of elements
+    outside the domain are one shared all-``None`` row.
     """
 
     def __init__(self, name: str, universe: FiniteUniverse, domain: Sequence[int], entries):
         self.name = name
         self.universe = universe
         self.domain = tuple(domain)
+        rows = tuple(tuple(row) for row in entries)
+        n, d = len(universe), len(self.domain)
+        indices = (*self.domain, *(v for row in rows for v in row if v is not None))
+        if not set(map(type, indices)) <= {int} or not set(indices) <= set(range(n)):
+            bad = next(v for v in indices if type(v) is not int or not 0 <= v < n)
+            raise ContractError(f"operation {name!r}: index {bad!r} is not an int in the universe")
         if list(self.domain) != sorted(set(self.domain)):
             raise ContractError(f"operation {name!r}: domain must be sorted and duplicate-free")
-        for idx in self.domain:
-            if not 0 <= idx < len(universe):
-                raise ContractError(f"operation {name!r}: domain index {idx} out of universe")
-        self.entries = tuple(tuple(row) for row in entries)
-        d = len(self.domain)
-        if len(self.entries) != d or any(len(row) != d for row in self.entries):
+        if len(rows) != d or any(len(row) != d for row in rows):
             raise ContractError(f"operation {name!r}: entries must be a {d}x{d} grid")
-        for row in self.entries:
-            for v in row:
-                if v is not None and not 0 <= v < len(universe):
-                    raise ContractError(f"operation {name!r}: entry {v} out of universe")
-        self._pos = {u: i for i, u in enumerate(self.domain)}
+        self._blank = (None,) * n
+        grid = [self._blank] * n
+        for x, row in zip(self.domain, rows):
+            grid[x] = tuple(map(dict(zip(self.domain, row)).get, range(n)))
+        self.grid = tuple(grid)
+
+    @property
+    def entries(self) -> tuple[tuple[Optional[int], ...], ...]:
+        """The domain-by-domain view of the grid, in constructor form."""
+        return tuple(tuple(self.grid[x][y] for y in self.domain) for x in self.domain)
+
+    def in_domain(self, x) -> bool:
+        """True iff ``x`` is a domain element; False for any other value."""
+        try:
+            return x >= 0 and self.grid[x] is not self._blank
+        except (TypeError, IndexError):
+            return False
 
     @classmethod
     def from_function(
@@ -63,20 +79,21 @@ class OpTable:
         return cls(name, universe, domain, entries)
 
     def apply(self, x: int, y: int) -> Optional[int]:
-        i = self._pos.get(x)
-        j = self._pos.get(y)
-        if i is None or j is None:
-            return UNDEFINED
-        return self.entries[i][j]
+        try:
+            if x >= 0 and y >= 0:
+                return self.grid[x][y]
+        except (TypeError, IndexError):
+            pass
+        return UNDEFINED
 
     def defined_pairs(self):
-        for i, x in enumerate(self.domain):
-            for j, y in enumerate(self.domain):
-                if self.entries[i][j] is not None:
-                    yield x, y, self.entries[i][j]
+        for x in self.domain:
+            for y in self.domain:
+                if self.grid[x][y] is not None:
+                    yield x, y, self.grid[x][y]
 
     def is_total_on_domain(self) -> bool:
-        return all(v is not None for row in self.entries for v in row)
+        return all(self.grid[x][y] is not None for x in self.domain for y in self.domain)
 
     def __repr__(self) -> str:
         return f"OpTable({self.name!r}, domain={self.universe.names(self.domain)})"
@@ -131,6 +148,8 @@ class MultiSpace:
         names = [t.name for t in self.ops]
         if len(set(names)) != len(names):
             raise ContractError("operation names must be unique")
+        if any(t.universe != universe for t in self.ops):
+            raise ContractError("every operation must be over the space's universe")
         self._op_map = {t.name: t for t in self.ops}
         for comp in self.components:
             for op_name in comp.op_names:
@@ -225,12 +244,9 @@ def find_units(t: OpTable) -> UnitReport:
     Whenever both a left and a right unit exist they are equal, so both
     returned sets are then singletons.
     """
-    lefts = tuple(
-        e for e in t.domain if all(t.apply(e, a) == a for a in t.domain)
-    )
-    rights = tuple(
-        e for e in t.domain if all(t.apply(a, e) == a for a in t.domain)
-    )
+    grid = t.grid
+    lefts = tuple(e for e in t.domain if all(grid[e][a] == a for a in t.domain))
+    rights = tuple(e for e in t.domain if all(grid[a][e] == a for a in t.domain))
     unit = None
     if lefts and rights:
         unit = lefts[0]
@@ -249,10 +265,11 @@ def find_inverses(t: OpTable, unit: int) -> dict[int, InverseReport]:
     """Left/right inverse sets for every domain element, w.r.t. a two-sided unit."""
     if any(t.apply(unit, a) != a or t.apply(a, unit) != a for a in t.domain):
         raise ContractError(f"{t.universe.name(unit)!r} is not a two-sided unit of {t.name!r}")
+    grid = t.grid
     out = {}
     for a in t.domain:
-        lefts = tuple(b for b in t.domain if t.apply(b, a) == unit)
-        rights = tuple(b for b in t.domain if t.apply(a, b) == unit)
+        lefts = tuple(b for b in t.domain if grid[b][a] == unit)
+        rights = tuple(b for b in t.domain if grid[a][b] == unit)
         two_sided = [b for b in lefts if b in rights]
         out[a] = InverseReport(a, lefts, rights, two_sided[0] if two_sided else None)
     return out
@@ -346,20 +363,21 @@ def classify_table(t: OpTable) -> Classification:
     """
     if not t.is_total_on_domain():
         raise ContractError(f"classification needs a total table; {t.name!r} is partial")
+    grid = t.grid
     for x in t.domain:
         for y in t.domain:
-            if t.apply(x, y) not in t._pos:
+            if not t.in_domain(grid[x][y]):
                 return Classification(
-                    "magma", None, {"kind": "closure", "pair": (x, y), "result": t.apply(x, y)}
+                    "magma", None, {"kind": "closure", "pair": (x, y), "result": grid[x][y]}
                 )
     assoc_witness = None
     for x, y, z in itertools.product(t.domain, repeat=3):
-        if t.apply(t.apply(x, y), z) != t.apply(x, t.apply(y, z)):
+        if grid[grid[x][y]][z] != grid[x][grid[y][z]]:
             assoc_witness = (x, y, z)
             break
     comm_witness = None
     for x, y in itertools.combinations(t.domain, 2):
-        if t.apply(x, y) != t.apply(y, x):
+        if grid[x][y] != grid[y][x]:
             comm_witness = (x, y)
             break
     if assoc_witness is not None:
@@ -389,21 +407,28 @@ def is_group_on(t: OpTable, subset: frozenset[int]) -> tuple[bool, Optional[dict
     if not elems:
         return False, {"kind": "empty"}
     for x in elems:
-        if x not in t._pos:
+        if not t.in_domain(x):
             return False, {"kind": "outside_domain", "element": x}
+    grid = t.grid
     for x in elems:
+        row = grid[x]
         for y in elems:
-            v = t.apply(x, y)
+            v = row[y]
             if v is UNDEFINED or v not in subset:
                 return False, {"kind": "closure", "pair": (x, y), "result": v}
-    for x, y, z in itertools.product(elems, repeat=3):
-        if t.apply(t.apply(x, y), z) != t.apply(x, t.apply(y, z)):
-            return False, {"kind": "associativity", "triple": (x, y, z)}
+    # closed: every product below is defined and lies in the subset
+    for x in elems:
+        row = grid[x]
+        for y in elems:
+            xy, y_row = grid[row[y]], grid[y]
+            for z in elems:
+                if xy[z] != row[y_row[z]]:
+                    return False, {"kind": "associativity", "triple": (x, y, z)}
     unit = group_identity_on(t, subset)
     if unit is None:
         return False, {"kind": "no_unit"}
     for a in elems:
-        if not any(t.apply(a, b) == unit and t.apply(b, a) == unit for b in elems):
+        if not any(grid[a][b] == unit and grid[b][a] == unit for b in elems):
             return False, {"kind": "missing_inverse", "element": a}
     return True, None
 
@@ -411,8 +436,12 @@ def is_group_on(t: OpTable, subset: frozenset[int]) -> tuple[bool, Optional[dict
 def group_identity_on(t: OpTable, subset: frozenset[int]) -> Optional[int]:
     """The first element of ``subset`` that is a two-sided unit of ``t`` on
     it, or None."""
+    if not all(map(t.in_domain, subset)):
+        return None
+    grid = t.grid
     for e in sorted(subset):
-        if all(t.apply(e, a) == a and t.apply(a, e) == a for a in subset):
+        row = grid[e]
+        if all(row[a] == a and grid[a][e] == a for a in subset):
             return e
     return None
 
@@ -422,10 +451,11 @@ def group_inverses_on(t: OpTable, subset: frozenset[int]) -> dict[int, int]:
     e = group_identity_on(t, subset)
     if e is None:
         raise ContractError(f"no identity inside the given subset of {t.name!r}")
+    grid = t.grid
     elems = sorted(subset)
     out = {}
     for a in elems:
-        b = next((b for b in elems if t.apply(a, b) == e and t.apply(b, a) == e), None)
+        b = next((b for b in elems if grid[a][b] == e and grid[b][a] == e), None)
         if b is None:
             raise ContractError(f"{a} has no inverse inside the given subset of {t.name!r}")
         out[a] = b
@@ -434,7 +464,7 @@ def group_inverses_on(t: OpTable, subset: frozenset[int]) -> dict[int, int]:
 
 def _op_profile(t: OpTable, x: int) -> tuple:
     """Automorphism-invariant fingerprint of an element under one table."""
-    if x not in t._pos:
+    if not t.in_domain(x):
         return ("out",)
     row = [t.apply(x, a) for a in t.domain]
     col = [t.apply(a, x) for a in t.domain]

@@ -105,21 +105,25 @@ class MultiGroupReport:
 def _distributes_over(ms: MultiSpace, f: OpTable, g: OpTable) -> Optional[tuple]:
     """First triple violating "f distributes over g" where all products exist."""
     union = ms.element_union()
-    for x, y, z in itertools.product(union, repeat=3):
-        yz = g.apply(y, z)
-        if yz is not UNDEFINED:
-            lhs = f.apply(x, yz)
-            xy, xz = f.apply(x, y), f.apply(x, z)
-            if lhs is not UNDEFINED and xy is not UNDEFINED and xz is not UNDEFINED:
-                rhs = g.apply(xy, xz)
-                if rhs is not UNDEFINED and lhs != rhs:
-                    return (x, y, z, "left")
-            lhs = f.apply(yz, x)
-            yx, zx = f.apply(y, x), f.apply(z, x)
-            if lhs is not UNDEFINED and yx is not UNDEFINED and zx is not UNDEFINED:
-                rhs = g.apply(yx, zx)
-                if rhs is not UNDEFINED and lhs != rhs:
-                    return (x, y, z, "right")
+    F, G = f.grid, g.grid
+    for x in union:
+        fx = F[x]
+        for y in union:
+            xy, yx, gy = fx[y], F[y][x], G[y]
+            for z in union:
+                yz = gy[z]
+                if yz is UNDEFINED:
+                    continue
+                lhs, xz = fx[yz], fx[z]
+                if lhs is not UNDEFINED and xy is not UNDEFINED and xz is not UNDEFINED:
+                    rhs = G[xy][xz]
+                    if rhs is not UNDEFINED and lhs != rhs:
+                        return (x, y, z, "left")
+                lhs, zx = F[yz][x], F[z][x]
+                if lhs is not UNDEFINED and yx is not UNDEFINED and zx is not UNDEFINED:
+                    rhs = G[yx][zx]
+                    if rhs is not UNDEFINED and lhs != rhs:
+                        return (x, y, z, "right")
     return None
 
 
@@ -216,17 +220,16 @@ def is_submultigroup(sub: SubsetView) -> SubStructureReport:
         stray = sorted(sub.elements - covered)[0]
         witness_a = witness_a or {"kind": "uncovered_element", "element": stray}
 
-    by_closure = True
     witness_b: Optional[dict] = None
+    allowed = sub.elements | {UNDEFINED}
     for op_name in sub.op_names:
-        table = ms.op(op_name)
-        for x in sub.elements:
-            for y in sub.elements:
-                v = table.apply(x, y)
-                if v is not UNDEFINED and v not in sub.elements:
-                    by_closure = False
-                    if witness_b is None:
-                        witness_b = {"kind": "closure", "op": op_name, "pair": (x, y), "result": v}
+        grid = ms.op(op_name).grid
+        products = ((x, y, grid[x][y]) for x in sub.elements for y in sub.elements)
+        bad = next((p for p in products if p[2] not in allowed), None)
+        if bad is not None:
+            witness_b = {"kind": "closure", "op": op_name, "pair": bad[:2], "result": bad[2]}
+            break
+    by_closure = witness_b is None
     if by_component != by_closure:
         raise InternalCheckError(
             f"sub-multi-group criteria disagree: componentwise={by_component} "
@@ -283,12 +286,16 @@ def coset_partition(sub: SubsetView) -> tuple[frozenset[int], ...]:
 def subgroup_closure(table: OpTable, seed: frozenset[int]) -> frozenset[int]:
     """Closure of a seed under the product; in a finite group this is the
     generated subgroup."""
+    if not all(map(table.in_domain, seed)):
+        raise ContractError(f"the seed is not inside the domain of {table.name!r}")
+    grid = table.grid
     out = set(seed)
     frontier = list(seed)
     while frontier:
         x = frontier.pop()
+        row = grid[x]
         for y in list(out):
-            for v in (table.apply(x, y), table.apply(y, x)):
+            for v in (row[y], grid[y][x]):
                 if v is not UNDEFINED and v not in out:
                     out.add(v)
                     frontier.append(v)
@@ -319,12 +326,30 @@ def subgroups_of(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]
 
 def is_normal_subgroup(table: OpTable, carrier: frozenset[int], sub: frozenset[int]) -> bool:
     inverse = group_inverses_on(table, carrier)
-    return all(table.apply(table.apply(g, h), inverse[g]) in sub for g in carrier for h in sub)
+    inside = all(map(table.in_domain, sub))
+    return inside and _conjugate_escape(table.grid, carrier, inverse, sub, sub) is None
+
+
+def _conjugate_escape(grid, carrier, inverse: dict, elements, allowed) -> Optional[tuple]:
+    """First (g, h, g h g^-1) with g in the group ``carrier``, h in
+    ``elements`` (universe indices) and the conjugate not in ``allowed``;
+    an undefined conjugate is ``UNDEFINED``."""
+    for g in carrier:
+        row, ginv = grid[g], inverse[g]
+        for h in elements:
+            gh = row[h]
+            v = UNDEFINED if gh is UNDEFINED else grid[gh][ginv]
+            if v not in allowed:
+                return g, h, v
+    return None
 
 
 def maximal_normal_subgroups(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
     subs = subgroups_of(table, carrier)
-    normal = [s for s in subs if s != carrier and is_normal_subgroup(table, carrier, s)]
+    grid, inverse = table.grid, group_inverses_on(table, carrier)
+    normal = [
+        s for s in subs if s != carrier and not _conjugate_escape(grid, carrier, inverse, s, s)
+    ]
     return [s for s in normal if not any(s < t for t in normal)]
 
 
@@ -361,27 +386,16 @@ def is_normal(sub: SubsetView) -> NormalReport:
         raise ContractError(f"not a sub-multi-group: {report.witness}")
     ms = sub.parent
 
-    direct = True
     witness = None
     for op_name in sub.op_names:
-        table = ms.op(op_name)
-        carrier = frozenset(ms.carriers_of_op(op_name))
-        if not carrier:
-            continue
-        inverse = group_inverses_on(table, carrier)
-        for g in carrier:
-            ginv = inverse[g]
-            for h in sub.elements:
-                gh = table.apply(g, h)
-                if gh is UNDEFINED:
-                    continue
-                v = table.apply(gh, ginv)
-                if v is UNDEFINED:
-                    continue
-                if v not in sub.elements:
-                    direct = False
-                    if witness is None:
-                        witness = {"op": op_name, "g": g, "h": h, "conjugate": v}
+        table, carrier = ms.op(op_name), frozenset(ms.carriers_of_op(op_name))
+        if carrier:
+            inverse, allowed = group_inverses_on(table, carrier), sub.elements | {UNDEFINED}
+            bad = _conjugate_escape(table.grid, carrier, inverse, sub.elements, allowed)
+            if bad is not None:
+                witness = {"op": op_name, "g": bad[0], "h": bad[1], "conjugate": bad[2]}
+                break
+    direct = witness is None
 
     componentwise = True
     for comp, op_name in group_bindings(ms):

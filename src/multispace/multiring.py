@@ -30,25 +30,28 @@ def double_components(ms: MultiSpace) -> list[Component]:
 
 
 def _ring_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> Optional[dict]:
-    """None when (carrier; add, mul) is a ring, else a witness."""
+    """None when (carrier; add, mul) is a ring, else a witness.  The carrier
+    is a component's, so it lies inside both domains."""
     ok, w = is_group_on(add, carrier)
     if not ok:
         return {"kind": "additive_group", **(w or {})}
+    A, M = add.grid, mul.grid
     for x, y in itertools.combinations(carrier, 2):
-        if add.apply(x, y) != add.apply(y, x):
+        if A[x][y] != A[y][x]:
             return {"kind": "additive_commutativity", "pair": (x, y)}
     for x in carrier:
         for y in carrier:
-            v = mul.apply(x, y)
-            if v is UNDEFINED or v not in carrier:
+            if M[x][y] not in carrier:
                 return {"kind": "multiplicative_closure", "pair": (x, y)}
+    # the carrier is an additive group closed under mul, so every product
+    # below is defined and lies in it
     for x, y, z in itertools.product(carrier, repeat=3):
-        if mul.apply(mul.apply(x, y), z) != mul.apply(x, mul.apply(y, z)):
+        if M[M[x][y]][z] != M[x][M[y][z]]:
             return {"kind": "multiplicative_associativity", "triple": (x, y, z)}
     for x, y, z in itertools.product(carrier, repeat=3):
-        if mul.apply(x, add.apply(y, z)) != add.apply(mul.apply(x, y), mul.apply(x, z)):
+        if M[x][A[y][z]] != A[M[x][y]][M[x][z]]:
             return {"kind": "left_distributivity", "triple": (x, y, z)}
-        if mul.apply(add.apply(x, y), z) != add.apply(mul.apply(x, z), mul.apply(y, z)):
+        if M[A[x][y]][z] != A[M[x][z]][M[y][z]]:
             return {"kind": "right_distributivity", "triple": (x, y, z)}
     return None
 
@@ -106,31 +109,10 @@ def is_multiring(ms: MultiSpace) -> MultiRingReport:
     union = ms.element_union()
     cross_witness = None
     for ci, cj in itertools.permutations(comps, 2):
-        addi, muli = ms.op(ci.add_name), ms.op(ci.mul_name)
-        addj, mulj = ms.op(cj.add_name), ms.op(cj.mul_name)
-        for x, y, z in itertools.product(union, repeat=3):
-            checks = (
-                (addj.apply(addi.apply(x, y), z), addi.apply(x, addj.apply(y, z)), "mixed_add_assoc"),
-                (mulj.apply(muli.apply(x, y), z), muli.apply(x, mulj.apply(y, z)), "mixed_mul_assoc"),
-                (
-                    muli.apply(x, addj.apply(y, z)),
-                    addj.apply(muli.apply(x, y), muli.apply(x, z)),
-                    "mixed_left_distrib",
-                ),
-                (
-                    muli.apply(addj.apply(y, z), x),
-                    addj.apply(muli.apply(y, x), muli.apply(z, x)),
-                    "mixed_right_distrib",
-                ),
-            )
-            for lhs, rhs, label in checks:
-                if lhs is not UNDEFINED and rhs is not UNDEFINED and lhs != rhs:
-                    cross_witness = cross_witness or {
-                        "kind": label,
-                        "pair": (ci.name, cj.name),
-                        "triple": (x, y, z),
-                    }
-        if cross_witness:
+        grids = [ms.op(name).grid for c in (ci, cj) for name in (c.add_name, c.mul_name)]
+        found = _cross_violation(*grids, union)
+        if found:
+            cross_witness = {"kind": found[0], "pair": (ci.name, cj.name), "triple": found[1]}
             break
     if cross_witness and witness is None:
         witness = cross_witness
@@ -146,6 +128,36 @@ def is_multiring(ms: MultiSpace) -> MultiRingReport:
     return MultiRingReport(
         verdict, tuple(ring_checks), ms.is_completed(), cross_witness, multifield, divisors, witness
     )
+
+
+_CROSS_LABELS = ("mixed_add_assoc", "mixed_mul_assoc", "mixed_left_distrib", "mixed_right_distrib")
+
+
+def _cross_violation(ai, mi, aj, mj, union) -> Optional[tuple]:
+    """First (label, triple) at which a mixed associativity or distribution
+    law between the rings (ai, mi) and (aj, mj) fails with both sides
+    defined; the arguments are grids, and products are checked before use."""
+    N = UNDEFINED
+    for x in union:
+        aix, mix = ai[x], mi[x]
+        for y in union:
+            aixy, mixy, ajy, mjy, miyx = aix[y], mix[y], aj[y], mj[y], mi[y][x]
+            if aixy is N and mixy is N and miyx is N:
+                continue  # every law below has an undefined side
+            for z in union:
+                ajyz, mjyz, mixz, mizx = ajy[z], mjy[z], mix[z], mi[z][x]
+                if ajyz is N and mjyz is N:
+                    continue
+                sides = (
+                    (N if aixy is N else aj[aixy][z], N if ajyz is N else aix[ajyz]),
+                    (N if mixy is N else mj[mixy][z], N if mjyz is N else mix[mjyz]),
+                    (N if ajyz is N else mix[ajyz], N if N in (mixy, mixz) else aj[mixy][mixz]),
+                    (N if ajyz is N else mi[ajyz][x], N if N in (miyx, mizx) else aj[miyx][mizx]),
+                )
+                for label, (lhs, rhs) in zip(_CROSS_LABELS, sides):
+                    if lhs is not N and rhs is not N and lhs != rhs:
+                        return label, (x, y, z)
+    return None
 
 
 def _require_multiring(ms: MultiSpace) -> None:
@@ -246,57 +258,40 @@ def is_multiideal(sub: SubsetView) -> SubStructureReport:
         raise ContractError("the empty subset is not a multi-ideal candidate")
     comps = _sub_ops(sub)
 
-    by_component = True
+    covered = {x for comp in comps for x in comp.carrier}
     witness_a = None
-    covered: set[int] = set()
     for comp in comps:
-        covered.update(comp.carrier)
         carrier = frozenset(comp.carrier)
         meet = sub.elements & carrier
         if not meet:
             continue
-        add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
-        ok, w = is_group_on(add, meet)
+        ok, w = is_group_on(ms.op(comp.add_name), meet)
         if not ok:
-            by_component = False
-            witness_a = witness_a or {"component": comp.name, "kind": "additive", **(w or {})}
-            continue
-        for r in carrier:
-            for a in meet:
-                if mul.apply(r, a) not in meet or mul.apply(a, r) not in meet:
-                    by_component = False
-                    witness_a = witness_a or {
-                        "component": comp.name,
-                        "kind": "absorption",
-                        "pair": (r, a),
-                    }
-    if not sub.elements <= covered:
-        by_component = False
-        witness_a = witness_a or {"kind": "uncovered_element"}
+            witness_a = {"component": comp.name, "kind": "additive", **(w or {})}
+            break
+        pair = _absorption_escape(ms.op(comp.mul_name).grid, carrier, meet, meet)
+        if pair is not None:
+            witness_a = {"component": comp.name, "kind": "absorption", "pair": pair}
+            break
+    if witness_a is None and not sub.elements <= covered:
+        witness_a = {"kind": "uncovered_element"}
+    by_component = witness_a is None
 
-    by_direct = True
     witness_b = None
     union = ms.element_union()
+    inside = sub.elements | {UNDEFINED}
     for comp in comps:
-        add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
         meet = sub.elements & frozenset(comp.carrier)
         if meet:
-            ok, w = is_group_on(add, meet)
+            ok, w = is_group_on(ms.op(comp.add_name), meet)
             if not ok:
-                by_direct = False
-                witness_b = witness_b or {"kind": "additive", **(w or {})}
-        for r in union:
-            for a in sub.elements:
-                for v in (mul.apply(r, a), mul.apply(a, r)):
-                    if v is not UNDEFINED and v not in sub.elements:
-                        by_direct = False
-                        witness_b = witness_b or {
-                            "kind": "absorption",
-                            "op": comp.mul_name,
-                            "pair": (r, a),
-                        }
-    if not sub.elements <= covered:
-        by_direct = False
+                witness_b = {"kind": "additive", **(w or {})}
+                break
+        pair = _absorption_escape(ms.op(comp.mul_name).grid, union, sub.elements, inside)
+        if pair is not None:
+            witness_b = {"kind": "absorption", "op": comp.mul_name, "pair": pair}
+            break
+    by_direct = witness_b is None and sub.elements <= covered
 
     if by_component != by_direct:
         raise InternalCheckError(
@@ -311,15 +306,19 @@ def is_multiideal(sub: SubsetView) -> SubStructureReport:
 def ideals_of(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
     """Every ideal of the finite ring (carrier; add, mul): additive subgroups
     absorbing multiplication by the whole carrier on both sides."""
-    out = []
-    for sub in subgroups_of(add, carrier):
-        if all(
-            mul.apply(r, a) in sub and mul.apply(a, r) in sub
-            for r in carrier
-            for a in sub
-        ):
-            out.append(sub)
-    return out
+    subs = subgroups_of(add, carrier)
+    if not all(map(mul.in_domain, carrier)):
+        return []
+    return [s for s in subs if not _absorption_escape(mul.grid, carrier, s, s)]
+
+
+def _absorption_escape(M, rs, elements, allowed) -> Optional[tuple]:
+    """First (r, a), r in ``rs`` and a in ``elements`` (universe indices), with
+    ``M[r][a]`` or ``M[a][r]`` not in ``allowed``; ``M`` is a mul grid."""
+    return next(
+        ((r, a) for r in rs for a in elements if M[r][a] not in allowed or M[a][r] not in allowed),
+        None,
+    )
 
 
 def maximal_ideals(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
@@ -499,10 +498,4 @@ def decompose_artin(ms: MultiSpace) -> DecompositionReport:
 
 def _piece_is_ideal(add: OpTable, mul: OpTable, carrier: frozenset[int], piece: frozenset[int]) -> bool:
     ok, _ = is_group_on(add, piece)
-    if not ok:
-        return False
-    return all(
-        mul.apply(r, a) in piece and mul.apply(a, r) in piece
-        for r in carrier
-        for a in piece
-    )
+    return ok and _absorption_escape(mul.grid, carrier, piece, piece) is None

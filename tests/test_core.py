@@ -12,6 +12,7 @@ from multispace.constructions import (
     zn_ring_tables,
 )
 from multispace.core import (
+    Component,
     Equation,
     ExprChain,
     HOLE,
@@ -53,6 +54,27 @@ class TestOpTable:
         u = FiniteUniverse.of(["a", "b"])
         with pytest.raises(ContractError):
             OpTable("f", u, [0, 1], [[0, 5], [0, 0]])
+
+    def test_rejects_non_int_entry(self):
+        # a float entry used to pass and classify as an abelian group
+        u = FiniteUniverse.of(["a", "b"])
+        with pytest.raises(ContractError):
+            OpTable("x", u, [0, 1], [[0, 1.0], [1.0, 0]])
+        with pytest.raises(ContractError):
+            OpTable("x", u, [0, 1], [[0, True], [True, 0]])
+
+    def test_rejects_non_int_domain_index(self):
+        u = FiniteUniverse.of(["a", "b"])
+        with pytest.raises(ContractError):
+            OpTable("x", u, [0, 1.0], [[0, 1], [1, 0]])
+        with pytest.raises(ContractError):
+            OpTable("x", u, [False, 1], [[0, 1], [1, 0]])
+
+    def test_space_rejects_table_over_another_universe(self):
+        u, v = FiniteUniverse.of(["a", "b"]), FiniteUniverse.of(["a", "b", "c"])
+        t = OpTable("f", v, [0, 1], [[0, 1], [1, 0]])
+        with pytest.raises(ContractError):
+            MultiSpace(u, [Component("C", (0, 1), ("f",))], [t])
 
     def test_apply_outside_domain_is_undefined(self):
         u = FiniteUniverse.of(["a", "b", "c"])
