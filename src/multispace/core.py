@@ -466,15 +466,16 @@ def _op_profile(t: OpTable, x: int) -> tuple:
     """Automorphism-invariant fingerprint of an element under one table."""
     if not t.in_domain(x):
         return ("out",)
-    row = [t.apply(x, a) for a in t.domain]
-    col = [t.apply(a, x) for a in t.domain]
+    grid = t.grid
+    row = [grid[x][a] for a in t.domain]
+    col = [grid[a][x] for a in t.domain]
     return (
         "in",
-        t.apply(x, x) == x,
+        grid[x][x] == x,
         sum(v is not None for v in row),
         sum(v is not None for v in col),
-        all(t.apply(x, a) == a for a in t.domain),
-        all(t.apply(a, x) == a for a in t.domain),
+        row == list(t.domain),
+        col == list(t.domain),
         row.count(x),
         col.count(x),
     )
@@ -532,11 +533,11 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
 
         def consistent(x: int, y: int) -> bool:
             for t in tables:
-                img = images[t.name]
+                grid, img = t.grid, images[t.name].grid
                 for a, fa in sigma.items():
                     for (p, q), (fp, fq) in (((x, a), (y, fa)), ((a, x), (fa, y))):
-                        v = t.apply(p, q)
-                        w = img.apply(fp, fq)
+                        v = grid[p][q]
+                        w = img[fp][fq]
                         if (v is UNDEFINED) != (w is UNDEFINED):
                             return False
                         if v is not UNDEFINED:
@@ -545,8 +546,8 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
                                 fv = y
                             if fv is not None and fv != w:
                                 return False
-                v = t.apply(x, x)
-                w = img.apply(y, y)
+                v = grid[x][x]
+                w = img[y][y]
                 if (v is UNDEFINED) != (w is UNDEFINED):
                     return False
                 if v is not UNDEFINED:
@@ -559,7 +560,7 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
             for t in tables:
                 img = images[t.name]
                 for x, y, v in t.defined_pairs():
-                    if img.apply(mapping[x], mapping[y]) != mapping[v]:
+                    if img.grid[mapping[x]][mapping[y]] != mapping[v]:
                         return False
                 if sum(1 for _ in t.defined_pairs()) != sum(1 for _ in img.defined_pairs()):
                     return False

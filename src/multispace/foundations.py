@@ -102,23 +102,19 @@ def check_boolean_laws(universe: FiniteUniverse) -> LawReport:
         raise SizeLimitError(
             f"boolean law check enumerates 2^|U| subsets; |U| = {n} exceeds bound {BOOLEAN_LAW_BOUND}"
         )
-    full = frozenset(range(n))
-    subsets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
-
-    def comp(s: frozenset) -> frozenset:
-        return full - s
-
+    full = (1 << n) - 1
+    subsets = [
+        sum(1 << i for i in c) for r in range(n + 1) for c in itertools.combinations(range(n), r)
+    ]
     results = []
 
     def run(law: str, name: str, arity: int, pred) -> None:
         witness = None
-        ok = True
         for combo in itertools.product(subsets, repeat=arity):
             if not pred(*combo):
-                ok = False
-                witness = combo
+                witness = tuple(frozenset(i for i in range(n) if m >> i & 1) for m in combo)
                 break
-        results.append(LawResult(law, name, ok, witness))
+        results.append(LawResult(law, name, witness is None, witness))
 
     run("L1", "idempotent", 1, lambda a: a | a == a and a & a == a)
     run("L2", "commutative", 2, lambda a, b: a | b == b | a and a & b == b & a)
@@ -139,12 +135,9 @@ def check_boolean_laws(universe: FiniteUniverse) -> LawReport:
         "L6",
         "universal bound",
         1,
-        lambda a: frozenset() & a == frozenset()
-        and frozenset() | a == a
-        and full & a == a
-        and full | a == full,
+        lambda a: 0 & a == 0 and 0 | a == a and full & a == a and full | a == full,
     )
-    run("L7", "unary complement", 1, lambda a: a & comp(a) == frozenset() and a | comp(a) == full)
+    run("L7", "unary complement", 1, lambda a: a & (full ^ a) == 0 and a | (full ^ a) == full)
     return LawReport(universe, tuple(results))
 
 

@@ -208,28 +208,22 @@ def is_submultiring(sub: SubsetView) -> SubStructureReport:
             "element": sorted(sub.elements - covered)[0],
         }
 
-    by_closure = True
     witness_b = None
+    allowed = sub.elements | {UNDEFINED}
     for comp in comps:
-        add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
         meet = sub.elements & frozenset(comp.carrier)
         if meet:
-            ok, w = is_group_on(add, meet)
+            ok, w = is_group_on(ms.op(comp.add_name), meet)
             if not ok:
-                by_closure = False
-                witness_b = witness_b or {"component": comp.name, "kind": "additive", **(w or {})}
-        for x in sub.elements:
-            for y in sub.elements:
-                v = mul.apply(x, y)
-                if v is not UNDEFINED and v not in sub.elements:
-                    by_closure = False
-                    witness_b = witness_b or {
-                        "kind": "mul_closure",
-                        "op": comp.mul_name,
-                        "pair": (x, y),
-                    }
-    if not sub.elements <= covered:
-        by_closure = False
+                witness_b = {"component": comp.name, "kind": "additive", **(w or {})}
+                break
+        grid = ms.op(comp.mul_name).grid
+        pairs = ((x, y) for x in sub.elements for y in sub.elements)
+        pair = next((p for p in pairs if grid[p[0]][p[1]] not in allowed), None)
+        if pair is not None:
+            witness_b = {"kind": "mul_closure", "op": comp.mul_name, "pair": pair}
+            break
+    by_closure = witness_b is None and sub.elements <= covered
 
     if by_component != by_closure:
         raise InternalCheckError(
@@ -243,9 +237,10 @@ def _subring_witness(add: OpTable, mul: OpTable, subset: frozenset[int]) -> Opti
     ok, w = is_group_on(add, subset)
     if not ok:
         return {"kind": "additive_subgroup", **(w or {})}
+    grid = mul.grid
     for x in subset:
         for y in subset:
-            if mul.apply(x, y) not in subset:
+            if grid[x][y] not in subset:
                 return {"kind": "mul_closure", "pair": (x, y)}
     return None
 

@@ -3,11 +3,14 @@ import itertools
 import pytest
 
 from multispace.constructions import (
+    UNDEFINED_FILL,
     all_groups_up_to_8,
     cyclic_group_table,
     disjoint_cyclic_union,
+    fan_extension,
     latin_multispace,
     LatinSquare,
+    shared_identity_union,
     single_component_space,
     zn_ring_tables,
 )
@@ -383,6 +386,24 @@ class TestAutomorphisms:
     @pytest.mark.parametrize("permute_ops", [True, False])
     def test_pruned_search_matches_naive_oracle(self, orders, permute_ops):
         ms = disjoint_cyclic_union(orders)
+        assert automorphisms(ms, permute_ops=permute_ops) == self.naive_automorphisms(
+            ms, permute_ops
+        )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda z2, z3: fan_extension(z2, ["h"], UNDEFINED_FILL),
+            lambda z2, z3: fan_extension(z3, ["h"], UNDEFINED_FILL),
+            lambda z2, z3: shared_identity_union([z2, z3]),
+        ],
+        ids=["fan-z2-undefined", "fan-z3-undefined", "shared-z2-z3"],
+    )
+    @pytest.mark.parametrize("permute_ops", [True, False])
+    def test_pruned_search_matches_naive_oracle_on_partial_tables(self, build, permute_ops):
+        ms = build(cyclic_group_table(2)[1], cyclic_group_table(3)[1])
+        # Some union pair has no product, so the search meets the grid's None cells.
+        assert not ms.is_completed()
         assert automorphisms(ms, permute_ops=permute_ops) == self.naive_automorphisms(
             ms, permute_ops
         )

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from multispace.errors import ContractError, SizeLimitError
 from multispace.foundations import (
     BinaryRelation,
     FiniteUniverse,
+    LawReport,
+    LawResult,
     NeutrosophicComponent,
     check_boolean_laws,
     equivalence_classes,
@@ -28,7 +31,45 @@ def rel_from_pred(names, pred):
     return BinaryRelation(u, pairs)
 
 
+def reference_boolean_laws(universe):
+    """The frozenset power-set check that the bitmask version replaced."""
+    n = len(universe)
+    full = frozenset(range(n))
+    empty = frozenset()
+    subsets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+    laws = [
+        ("L1", "idempotent", 1, lambda a: a | a == a and a & a == a),
+        ("L2", "commutative", 2, lambda a, b: a | b == b | a and a & b == b & a),
+        ("L3", "associative", 3,
+         lambda a, b, c: a | (b | c) == (a | b) | c and a & (b & c) == (a & b) & c),
+        ("L4", "absorption", 2, lambda a, b: a & (a | b) == a and a | (a & b) == a),
+        ("L5", "distributive", 3,
+         lambda a, b, c: a | (b & c) == (a | b) & (a | c) and a & (b | c) == (a & b) | (a & c)),
+        ("L6", "universal bound", 1,
+         lambda a: empty & a == empty and empty | a == a and full & a == a and full | a == full),
+        ("L7", "unary complement", 1, lambda a: a & (full - a) == empty and a | (full - a) == full),
+    ]
+    results = []
+    for law, name, arity, pred in laws:
+        combos = itertools.product(subsets, repeat=arity)
+        witness = next((c for c in combos if not pred(*c)), None)
+        results.append(LawResult(law, name, witness is None, witness))
+    return LawReport(universe, tuple(results))
+
+
 class TestBooleanLaws:
+    @pytest.mark.parametrize("size", range(6))
+    def test_matches_frozenset_reference(self, size):
+        u = FiniteUniverse.of([f"e{i}" for i in range(size)])
+        assert check_boolean_laws(u) == reference_boolean_laws(u)
+
+    def test_runtime_budget_at_bound(self):
+        u = FiniteUniverse.of([f"e{i}" for i in range(6)])
+        started = time.perf_counter()
+        assert check_boolean_laws(u).all_pass
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.6, f"check_boolean_laws at |U| = 6 took {elapsed:.2f}s, budget 0.6s"
+
     @pytest.mark.parametrize("size", range(7))
     def test_all_pass(self, size):
         u = FiniteUniverse.of([f"e{i}" for i in range(size)])

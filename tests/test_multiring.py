@@ -105,6 +105,39 @@ class TestSubMultiring:
                 # either route may reject; InternalCheckError would mean disagreement
                 is_submultiring(SubsetView(ms, frozenset(combo), ("+", "*")))
 
+    def test_shared_zero_union_count_matches_product_oracle(self):
+        # every additive subgroup of Z_n is an ideal, so the sub-multi-rings of
+        # a shared-zero union are the unions of one ideal per component; the
+        # closure route meets the undefined cross-component products
+        ms = shared_zero_ring_union([4, 6])
+        union = list(ms.element_union())
+        found = 0
+        for r in range(1, len(union) + 1):
+            for combo in itertools.combinations(union, r):
+                sub = SubsetView(ms, frozenset(combo), tuple(t.name for t in ms.ops))
+                found += is_submultiring(sub).verdict
+        assert found == len(zn_ideals(4)) * len(zn_ideals(6))
+
+    def test_additive_subgroup_not_closed_under_mul(self):
+        # GF(4) as bit pairs: + is xor, * is carry-less product mod x^2 + x + 1
+        def mul(x, y):
+            r = (x if y & 1 else 0) ^ (x << 1 if y & 2 else 0)
+            return r ^ 0b111 if r & 4 else r
+
+        u = FiniteUniverse.of(["0", "1", "a", "a+1"])
+        add_t = OpTable.from_function("+", u, range(4), lambda x, y: x ^ y)
+        mul_t = OpTable.from_function("*", u, range(4), mul)
+        ms = MultiSpace(u, [Component("F", (0, 1, 2, 3), ("+", "*"), double=True)], [add_t, mul_t])
+        report = is_submultiring(SubsetView(ms, frozenset({0, 2}), ("+", "*")))
+        assert not report.verdict
+        assert report.witness == {"component": "F", "kind": "mul_closure", "pair": (2, 2)}
+
+    def test_element_outside_the_kept_components_is_uncovered(self):
+        ms = shared_zero_ring_union([2, 3])
+        report = is_submultiring(SubsetView(ms, frozenset(ms.element_union()), ("+1", "*1")))
+        assert not report.verdict and not report.by_closure
+        assert report.witness == {"kind": "uncovered_element", "element": 2}
+
 
 class TestMultiIdeal:
     def test_z6_ideals(self):
