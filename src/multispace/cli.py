@@ -66,7 +66,7 @@ def _names(ms: MultiSpace, indices) -> list[str]:
 
 # -- check -----------------------------------------------------------------
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, bool]:
     data = io.load_path(args.path)
     kind = data["kind"]
     level = args.level
@@ -88,8 +88,7 @@ def cmd_check(args) -> int:
                 "operations": len(ms.ops),
                 "completed": ms.is_completed(),
             }
-            _emit(report, args.json)
-            return EXIT_HOLDS
+            return report, True
         if level == "multigroup":
             result = multigroup.is_multigroup(ms)
             report = {
@@ -105,8 +104,7 @@ def cmd_check(args) -> int:
                 ],
                 "witness": _witness(ms, result.witness),
             }
-            _emit(report, args.json)
-            return EXIT_HOLDS if result.verdict else EXIT_FAILS
+            return report, result.verdict
         result = multiring.is_multiring(ms)
         report = {
             "level": "multiring",
@@ -122,8 +120,7 @@ def cmd_check(args) -> int:
             ],
             "witness": _witness(ms, result.witness),
         }
-        _emit(report, args.json)
-        return EXIT_HOLDS if result.verdict else EXIT_FAILS
+        return report, result.verdict
 
     if level == "multivector":
         mvs = io.vector_space_from_dict(_load_kind(args.path, "multivector"))
@@ -135,8 +132,7 @@ def cmd_check(args) -> int:
             "ambient_dimension": mvs.ambient.n,
             "component_dims": dims,
         }
-        _emit(report, args.json)
-        return EXIT_HOLDS
+        return report, True
 
     if level == "multimetric":
         tables = io.metric_components_from_dict(_load_kind(args.path, "multimetric"))
@@ -149,8 +145,7 @@ def cmd_check(args) -> int:
                 for t, v in zip(tables, verdicts)
             ],
         }
-        _emit(report, args.json)
-        return EXIT_HOLDS if report["verdict"] else EXIT_FAILS
+        return report, report["verdict"]
 
     raise MultiSpaceError(f"unknown check level {level!r}")
 
@@ -171,7 +166,7 @@ def _witness(ms: MultiSpace, w):
 
 # -- construct ---------------------------------------------------------------
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[dict, bool]:
     params = _parse_params(args.params)
     seed = int(params.get("seed", args.seed))
     kind = args.kind
@@ -223,8 +218,7 @@ def cmd_construct(args) -> int:
         "completed": reparsed.is_completed(),
         "round_trip": io.render(io.space_to_dict(reparsed, recipe)) == io.render(data),
     }
-    _emit(report, args.json)
-    return EXIT_HOLDS
+    return report, True
 
 
 # -- analyze -----------------------------------------------------------------
@@ -237,7 +231,7 @@ def _subset_from_args(ms: MultiSpace, args) -> multigroup.SubsetView:
     return multigroup.SubsetView.of_names(ms, names, op_names)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[dict, bool]:
     sub = args.subcommand
     if sub in ("cosets", "series", "ideal-chain", "decompose", "automorphisms"):
         ms, _ = io.space_from_dict(_load_kind(args.path, "multispace"))
@@ -250,22 +244,17 @@ def cmd_analyze(args) -> int:
                 "cosets": [_names(ms, c) for c in cosets],
                 "count": len(cosets),
             }
-            _emit(report, args.json)
-            return EXIT_HOLDS
+            return report, True
         if sub == "series":
             orientation = args.orientation.split(",") if args.orientation else [t.name for t in ms.ops]
             result = multigroup.maximal_normal_series(ms, orientation)
-            report = _series_report("series", ms, orientation, result)
-            _emit(report, args.json)
-            return EXIT_HOLDS if result.invariant else EXIT_FAILS
+            return _series_report("series", ms, orientation, result), result.invariant
         if sub == "ideal-chain":
             orientation = (
                 args.orientation.split(",") if args.orientation else [c.name for c in ms.components]
             )
             result = multiring.multiideal_chain(ms, orientation)
-            report = _series_report("ideal-chain", ms, orientation, result)
-            _emit(report, args.json)
-            return EXIT_HOLDS if result.invariant else EXIT_FAILS
+            return _series_report("ideal-chain", ms, orientation, result), result.invariant
         if sub == "decompose":
             result = multiring.decompose_artin(ms)
             report = {
@@ -285,8 +274,7 @@ def cmd_analyze(args) -> int:
                     for c in result.components
                 ],
             }
-            _emit(report, args.json)
-            return EXIT_HOLDS if result.all_valid else EXIT_FAILS
+            return report, result.all_valid
         maps = automorphisms(ms, permute_ops=not args.no_permute_ops)
         union = ms.element_union()
         report = {
@@ -295,8 +283,7 @@ def cmd_analyze(args) -> int:
             "elements": _names(ms, union),
             "maps": [[ms.universe.name(union[i]) for i in sigma] for sigma in maps],
         }
-        _emit(report, args.json)
-        return EXIT_HOLDS
+        return report, True
 
     if sub == "dim":
         mvs = io.vector_space_from_dict(_load_kind(args.path, "multivector"))
@@ -310,8 +297,7 @@ def cmd_analyze(args) -> int:
                 {"components": list(combo), "dim": d} for combo, d in result.intersection_dims
             ],
         }
-        _emit(report, args.json)
-        return EXIT_HOLDS
+        return report, True
 
     if sub in ("fixed-point", "sequence"):
         tables = io.metric_components_from_dict(_load_kind(args.path, "multimetric"))
@@ -331,9 +317,7 @@ def cmd_analyze(args) -> int:
                 "bound_ok": result.bound_ok,
                 "orbits_ok": result.orbits_ok,
             }
-            _emit(report, args.json)
-            ok = result.bound_ok is not False and result.orbits_ok is not False
-            return EXIT_HOLDS if ok else EXIT_FAILS
+            return report, result.bound_ok is not False and result.orbits_ok is not False
         spec = SequenceSpec(
             tuple(args.prefix.split(",")) if args.prefix else (),
             args.tail_kind,
@@ -347,8 +331,7 @@ def cmd_analyze(args) -> int:
             "cauchy": result.cauchy,
             "tail_component": result.tail_component,
         }
-        _emit(report, args.json)
-        return EXIT_HOLDS
+        return report, True
 
     raise MultiSpaceError(f"unknown analysis {sub!r}")
 
@@ -432,7 +415,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = {"check": cmd_check, "construct": cmd_construct, "analyze": cmd_analyze}[args.command]
     try:
-        return handler(args)
+        report, holds = handler(args)
+        _emit(report, args.json)
+        return EXIT_HOLDS if holds else EXIT_FAILS
     except ContractError as exc:
         print(f"prerequisite failed: {exc}", file=sys.stderr)
         return EXIT_FAILS

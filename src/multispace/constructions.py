@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import Component, MultiSpace, OpTable, classify_table, find_units
+from .core import Component, MultiSpace, OpTable, classify_table, group_identity_on
 from .errors import CapacityError, ContractError, InputError, PartitionError, ShapeError
 from .foundations import FiniteUniverse
 
@@ -338,7 +338,7 @@ def shared_identity_union(tables: Sequence[OpTable]) -> MultiSpace:
     labels = ["e"]
     rename_maps = []
     for i, t in enumerate(tables):
-        unit = find_units(t).unit
+        unit = group_identity_on(t, frozenset(t.domain))
         if unit is None:
             raise ContractError(f"table {t.name!r} has no two-sided unit")
         rename = {}
@@ -359,7 +359,7 @@ def shared_identity_union(tables: Sequence[OpTable]) -> MultiSpace:
             f"+{i + 1}",
             universe,
             carrier,
-            lambda x, y, t=t, rename=rename, back=back: rename[t.apply(back[x], back[y])],
+            lambda x, y, g=t.grid, rename=rename, back=back: rename[g[back[x]][back[y]]],
         )
         ops.append(table)
         components.append(Component(f"C{i + 1}", carrier, (table.name,)))
@@ -440,7 +440,7 @@ def fan_extension(
 
             def entry(x: int, y: int, h=h, t=t, grid=grid, sym=sym) -> Optional[int]:
                 if x != h and y != h:
-                    return old[t.apply(back[x], back[y])]
+                    return old[t.grid[back[x]][back[y]]]
                 return _fan_entry(policy, h, x, y, grid, sym)
 
             ops.append(OpTable.from_function(name, universe, carrier, entry))

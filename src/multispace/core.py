@@ -184,9 +184,10 @@ class MultiSpace:
     def is_completed(self) -> bool:
         """True iff every pair from the carrier union has some defined product."""
         union = self.element_union()
+        grids = [t.grid for t in self.ops]
         for x in union:
             for y in union:
-                if all(t.apply(x, y) is UNDEFINED for t in self.ops):
+                if all(grid[x][y] is UNDEFINED for grid in grids):
                     return False
         return True
 
@@ -263,8 +264,9 @@ class InverseReport:
 
 def find_inverses(t: OpTable, unit: int) -> dict[int, InverseReport]:
     """Left/right inverse sets for every domain element, w.r.t. a two-sided unit."""
-    if any(t.apply(unit, a) != a or t.apply(a, unit) != a for a in t.domain):
-        raise ContractError(f"{t.universe.name(unit)!r} is not a two-sided unit of {t.name!r}")
+    if unit is None or unit != group_identity_on(t, frozenset(t.domain)):
+        label = repr(t.universe.name(unit)) if t.in_domain(unit) else repr(unit)
+        raise ContractError(f"{label} is not a two-sided unit of {t.name!r}")
     grid = t.grid
     out = {}
     for a in t.domain:
@@ -283,12 +285,12 @@ def is_faithful(t: OpTable, side: str) -> tuple[bool, Optional[tuple[int, int]]]
     """
     if side not in ("left", "right"):
         raise ContractError("side must be 'left' or 'right'")
-    seen: dict[tuple, int] = {}
+    grid, seen = t.grid, {}
     for g in t.domain:
         if side == "left":
-            translation = tuple(t.apply(g, a) for a in t.domain)
+            translation = tuple(grid[g][a] for a in t.domain)
         else:
-            translation = tuple(t.apply(a, g) for a in t.domain)
+            translation = tuple(grid[a][g] for a in t.domain)
         if translation in seen:
             return False, (seen[translation], g)
         seen[translation] = g
@@ -302,8 +304,9 @@ def solve_equation(ms: MultiSpace, a: int, b: int) -> tuple[tuple[str, int], ...
         raise ContractError("both sides of the equation must lie in some carrier")
     out = []
     for table in ms.ops:
+        row = table.grid[a]
         for x in table.domain:
-            if table.apply(a, x) == b:
+            if row[x] == b:
                 out.append((table.name, x))
     return tuple(out)
 
@@ -359,45 +362,24 @@ def classify_table(t: OpTable) -> Classification:
     """Strongest of magma/semigroup/abelian_semigroup/group/abelian_group.
 
     Exhaustive over pairs and triples of the domain; the table must be
-    total on its domain.
+    total on its domain.  The group test on the whole domain decides the
+    label: a closure or associativity witness means a magma, a missing unit
+    or inverse a semigroup.
     """
     if not t.is_total_on_domain():
         raise ContractError(f"classification needs a total table; {t.name!r} is partial")
-    grid = t.grid
-    for x in t.domain:
-        for y in t.domain:
-            if not t.in_domain(grid[x][y]):
-                return Classification(
-                    "magma", None, {"kind": "closure", "pair": (x, y), "result": grid[x][y]}
-                )
-    assoc_witness = None
-    for x, y, z in itertools.product(t.domain, repeat=3):
-        if grid[grid[x][y]][z] != grid[x][grid[y][z]]:
-            assoc_witness = (x, y, z)
-            break
-    comm_witness = None
-    for x, y in itertools.combinations(t.domain, 2):
-        if grid[x][y] != grid[y][x]:
-            comm_witness = (x, y)
-            break
-    if assoc_witness is not None:
-        return Classification("magma", None, {"kind": "associativity", "triple": assoc_witness})
-    units = find_units(t)
-    if units.unit is not None:
-        inverses = find_inverses(t, units.unit)
-        missing = [a for a, rep in inverses.items() if rep.inverse is None]
-        if not missing:
-            if comm_witness is None:
-                return Classification("abelian_group", units.unit, None)
-            return Classification(
-                "group", units.unit, {"kind": "commutativity", "pair": comm_witness}
-            )
-        witness = {"kind": "missing_inverse", "element": missing[0]}
-    else:
-        witness = {"kind": "no_unit"}
-    if comm_witness is None:
-        return Classification("abelian_semigroup", units.unit, witness)
-    return Classification("semigroup", units.unit, witness)
+    domain = frozenset(t.domain)
+    ok, witness = is_group_on(t, domain) if domain else (False, {"kind": "no_unit"})
+    if witness is not None and witness["kind"] in ("closure", "associativity"):
+        return Classification("magma", None, witness)
+    grid, pairs = t.grid, itertools.combinations(t.domain, 2)
+    comm = next(((x, y) for x, y in pairs if grid[x][y] != grid[y][x]), None)
+    unit = group_identity_on(t, domain)
+    if ok:
+        if comm is None:
+            return Classification("abelian_group", unit, None)
+        return Classification("group", unit, {"kind": "commutativity", "pair": comm})
+    return Classification("abelian_semigroup" if comm is None else "semigroup", unit, witness)
 
 
 def is_group_on(t: OpTable, subset: frozenset[int]) -> tuple[bool, Optional[dict]]:
@@ -494,6 +476,9 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
     different operation named by an induced permutation of the operation set,
     so e.g. componentwise-identical components may be swapped; with
     ``permute_ops=False`` each named operation must be preserved individually.
+    Undefined is a value: a bijection must carry each operation's domain onto
+    its image's domain and undefined products to undefined ones, so elements
+    whose products are all undefined are still told apart by their domains.
     Results are canonical: tuples aligned with ``ms.element_union()``, sorted.
     """
     union = ms.element_union()

@@ -177,14 +177,24 @@ class SubStructureReport:
     witness: Optional[dict]
 
 
-def _require_multigroup(ms: MultiSpace) -> None:
-    # values are immutable after construction, so the verdict may be cached
-    report = getattr(ms, "_multigroup_report", None)
-    if report is None:
-        report = is_multigroup(ms)
-        ms._multigroup_report = report
-    if not report.verdict:
-        raise ContractError(f"parent is not a multi-group: {report.witness}")
+def _require(ms: MultiSpace, verifier, what: str) -> None:
+    """Raise ContractError unless ``verifier(ms)`` holds; the report is cached
+    on the space, whose values are immutable after construction."""
+    reports = vars(ms).setdefault("_prerequisites", {})
+    if what not in reports:
+        reports[what] = verifier(ms)
+    if not reports[what].verdict:
+        raise ContractError(f"parent is not a {what}: {reports[what].witness}")
+
+
+def _agree(what, by_component, witness_a, route, by_route, witness_b) -> SubStructureReport:
+    """The report of a dual-route test; InternalCheckError if the routes disagree."""
+    if by_component != by_route:
+        raise InternalCheckError(
+            f"{what} criteria disagree: componentwise={by_component} "
+            f"({witness_a}), {route}={by_route} ({witness_b})"
+        )
+    return SubStructureReport(by_component, by_component, by_route, witness_a or witness_b)
 
 
 def is_submultigroup(sub: SubsetView) -> SubStructureReport:
@@ -196,7 +206,7 @@ def is_submultigroup(sub: SubsetView) -> SubStructureReport:
     operations wherever they are defined.  The two verdicts must agree.
     """
     ms = sub.parent
-    _require_multigroup(ms)
+    _require(ms, is_multigroup, "multi-group")
     if not sub.elements:
         raise ContractError("the empty subset is not a sub-multi-group candidate")
 
@@ -230,24 +240,17 @@ def is_submultigroup(sub: SubsetView) -> SubStructureReport:
             witness_b = {"kind": "closure", "op": op_name, "pair": bad[:2], "result": bad[2]}
             break
     by_closure = witness_b is None
-    if by_component != by_closure:
-        raise InternalCheckError(
-            f"sub-multi-group criteria disagree: componentwise={by_component} "
-            f"({witness_a}), closure={by_closure} ({witness_b})"
-        )
-    return SubStructureReport(by_component, by_component, by_closure, witness_a or witness_b)
+    return _agree("sub-multi-group", by_component, witness_a, "closure", by_closure, witness_b)
 
 
 def coset_of(sub: SubsetView, x: int) -> frozenset[int]:
     """x(sub) = every defined x op h with h in the subset, over the sub's ops."""
-    ms = sub.parent
     out = set()
     for op_name in sub.op_names:
-        table = ms.op(op_name)
-        for h in sub.elements:
-            v = table.apply(x, h)
-            if v is not UNDEFINED:
-                out.add(v)
+        table = sub.parent.op(op_name)
+        if table.in_domain(x):
+            row = table.grid[x]
+            out.update(row[h] for h in sub.elements if row[h] is not UNDEFINED)
     return frozenset(out)
 
 
@@ -537,7 +540,7 @@ def maximal_normal_series(ms: MultiSpace, orientation: Sequence[str]) -> SeriesR
     Every chain is materialised; the report records whether all chains share
     one length (the invariant the theory predicts).
     """
-    _require_multigroup(ms)
+    _require(ms, is_multigroup, "multi-group")
     bound_ops = {name for _, name in group_bindings(ms)}
     if set(orientation) != bound_ops or len(orientation) != len(bound_ops):
         raise ContractError("orientation must list each bound operation exactly once")

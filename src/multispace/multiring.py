@@ -9,12 +9,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import Component, MultiSpace, OpTable, UNDEFINED, group_identity_on, is_group_on
-from .errors import ContractError, InternalCheckError
+from .errors import ContractError
 from .multigroup import (
     IDEAL_CHAIN,
     SeriesResult,
     SubsetView,
     SubStructureReport,
+    _agree,
+    _require,
     _run_series,
     subgroups_of,
 )
@@ -61,9 +63,9 @@ def _field_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> bool:
     nonzero = carrier - {zero}
     if zero is None or not nonzero:
         return False
-    for x, y in itertools.combinations(carrier, 2):
-        if mul.apply(x, y) != mul.apply(y, x):
-            return False
+    M = mul.grid
+    if any(M[x][y] != M[y][x] for x, y in itertools.combinations(carrier, 2)):
+        return False
     ok, _ = is_group_on(mul, nonzero)
     return ok
 
@@ -76,7 +78,7 @@ def _zero_divisors(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> tuple
         (a, b)
         for a in sorted(carrier)
         for b in sorted(carrier)
-        if a != zero and b != zero and mul.apply(a, b) == zero
+        if a != zero and b != zero and mul.grid[a][b] == zero
     )
 
 
@@ -160,16 +162,6 @@ def _cross_violation(ai, mi, aj, mj, union) -> Optional[tuple]:
     return None
 
 
-def _require_multiring(ms: MultiSpace) -> None:
-    # values are immutable after construction, so the verdict may be cached
-    report = getattr(ms, "_multiring_report", None)
-    if report is None:
-        report = is_multiring(ms)
-        ms._multiring_report = report
-    if not report.verdict:
-        raise ContractError(f"parent is not a multi-ring: {report.witness}")
-
-
 def _sub_ops(sub: SubsetView) -> list[Component]:
     """Double components of the parent whose both op names the subset keeps."""
     out = []
@@ -184,7 +176,7 @@ def _sub_ops(sub: SubsetView) -> list[Component]:
 def is_submultiring(sub: SubsetView) -> SubStructureReport:
     """Dual-route sub-multi-ring test (componentwise subring vs. closure)."""
     ms = sub.parent
-    _require_multiring(ms)
+    _require(ms, is_multiring, "multi-ring")
     if not sub.elements:
         raise ContractError("the empty subset is not a sub-multi-ring candidate")
     comps = _sub_ops(sub)
@@ -224,13 +216,7 @@ def is_submultiring(sub: SubsetView) -> SubStructureReport:
             witness_b = {"kind": "mul_closure", "op": comp.mul_name, "pair": pair}
             break
     by_closure = witness_b is None and sub.elements <= covered
-
-    if by_component != by_closure:
-        raise InternalCheckError(
-            f"sub-multi-ring criteria disagree: componentwise={by_component} "
-            f"({witness_a}), closure={by_closure} ({witness_b})"
-        )
-    return SubStructureReport(by_component, by_component, by_closure, witness_a or witness_b)
+    return _agree("sub-multi-ring", by_component, witness_a, "closure", by_closure, witness_b)
 
 
 def _subring_witness(add: OpTable, mul: OpTable, subset: frozenset[int]) -> Optional[dict]:
@@ -248,7 +234,7 @@ def _subring_witness(add: OpTable, mul: OpTable, subset: frozenset[int]) -> Opti
 def is_multiideal(sub: SubsetView) -> SubStructureReport:
     """Dual-route multi-ideal test: componentwise ideals vs. direct absorption."""
     ms = sub.parent
-    _require_multiring(ms)
+    _require(ms, is_multiring, "multi-ring")
     if not sub.elements:
         raise ContractError("the empty subset is not a multi-ideal candidate")
     comps = _sub_ops(sub)
@@ -287,13 +273,7 @@ def is_multiideal(sub: SubsetView) -> SubStructureReport:
             witness_b = {"kind": "absorption", "op": comp.mul_name, "pair": pair}
             break
     by_direct = witness_b is None and sub.elements <= covered
-
-    if by_component != by_direct:
-        raise InternalCheckError(
-            f"multi-ideal criteria disagree: componentwise={by_component} "
-            f"({witness_a}), direct={by_direct} ({witness_b})"
-        )
-    return SubStructureReport(by_component, by_component, by_direct, witness_a or witness_b)
+    return _agree("multi-ideal", by_component, witness_a, "direct", by_direct, witness_b)
 
 
 # -- ideal machinery -------------------------------------------------------
@@ -324,7 +304,7 @@ def maximal_ideals(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> list[
 def multiideal_chain(ms: MultiSpace, orientation: Sequence[str]) -> SeriesResult:
     """All maximal multi-ideal chains under an oriented double-operation
     sequence; the orientation lists component names, one double op each."""
-    _require_multiring(ms)
+    _require(ms, is_multiring, "multi-ring")
     names = {c.name for c in double_components(ms)}
     if set(orientation) != names or len(orientation) != len(names):
         raise ContractError("orientation must list each double-operation component exactly once")
@@ -341,7 +321,7 @@ class ArtinReport:
 def is_artin(ms: MultiSpace) -> ArtinReport:
     """Finite multi-rings are always Artin; the report carries, per component,
     the (finite) maximal ideal-chain length found by exhaustive descent."""
-    _require_multiring(ms)
+    _require(ms, is_multiring, "multi-ring")
     per_component = []
     for comp in double_components(ms):
         add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
@@ -382,22 +362,20 @@ def idempotents(ms: MultiSpace, component_name: str) -> IdempotentReport:
     if zero is None:
         raise ContractError(f"no identity inside the given subset of {add.name!r}")
     unit = group_identity_on(mul, carrier)
-    idems = tuple(sorted(e for e in carrier if mul.apply(e, e) == e))
-    matrix = tuple(tuple(mul.apply(a, b) for b in idems) for a in idems)
+    A, M = add.grid, mul.grid
+    idems = tuple(sorted(e for e in carrier if M[e][e] == e))
+    matrix = tuple(tuple(M[a][b] for b in idems) for a in idems)
     families: list[tuple[int, ...]] = []
     if unit is not None:
         nonzero = [e for e in idems if e != zero]
         for r in range(1, len(nonzero) + 1):
             for combo in itertools.combinations(nonzero, r):
                 if any(
-                    mul.apply(a, b) != zero or mul.apply(b, a) != zero
+                    M[a][b] != zero or M[b][a] != zero
                     for a, b in itertools.combinations(combo, 2)
                 ):
                     continue
-                total = combo[0]
-                for e in combo[1:]:
-                    total = add.apply(total, e)
-                if total == unit:
+                if _sum(A, combo) == unit:
                     families.append(combo)
     return IdempotentReport(component_name, idems, matrix, zero, unit, tuple(families))
 
@@ -436,11 +414,11 @@ def decompose_artin(ms: MultiSpace) -> DecompositionReport:
     each piece is an ideal.  e*R is compared against R*e and any asymmetry
     (possible for non-commutative components) is flagged.
     """
-    _require_multiring(ms)
+    _require(ms, is_multiring, "multi-ring")
     out = []
     for comp in double_components(ms):
         add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
-        carrier = frozenset(comp.carrier)
+        A, M, carrier = add.grid, mul.grid, frozenset(comp.carrier)
         report = idempotents(ms, comp.name)
         zero = report.zero
         if report.unit is None:
@@ -448,12 +426,8 @@ def decompose_artin(ms: MultiSpace) -> DecompositionReport:
         families = sorted(report.orthogonal_unit_families, key=lambda f: (-len(f), f))
         family = families[0] if families else (report.unit,)
 
-        right_pieces = tuple(
-            frozenset(mul.apply(r, e) for r in sorted(carrier)) for e in family
-        )
-        left_pieces = tuple(
-            frozenset(mul.apply(e, r) for r in sorted(carrier)) for e in family
-        )
+        right_pieces = tuple(frozenset(M[r][e] for r in sorted(carrier)) for e in family)
+        left_pieces = tuple(frozenset(M[e][r] for r in sorted(carrier)) for e in family)
         symmetric = right_pieces == left_pieces
         pieces = right_pieces
 
@@ -462,20 +436,11 @@ def decompose_artin(ms: MultiSpace) -> DecompositionReport:
             for i in range(len(pieces))
             for j in range(i + 1, len(pieces))
         )
-        reconstruction = True
-        for r in carrier:
-            total = None
-            for e in family:
-                term = mul.apply(r, e)
-                total = term if total is None else add.apply(total, term)
-            if total != r:
-                reconstruction = False
+        reconstruction = all(_sum(A, [M[r][e] for e in family]) == r for r in carrier)
         sums = {}
         unique = True
         for combo in itertools.product(*pieces):
-            total = combo[0]
-            for term in combo[1:]:
-                total = add.apply(total, term)
+            total = _sum(A, combo)
             if total in sums:
                 unique = False
             sums[total] = combo
@@ -489,6 +454,15 @@ def decompose_artin(ms: MultiSpace) -> DecompositionReport:
             )
         )
     return DecompositionReport(tuple(out))
+
+
+def _sum(A, terms) -> Optional[int]:
+    """Left fold of ``terms`` under the addition grid ``A``; UNDEFINED from
+    the first undefined term or partial sum on."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = UNDEFINED if UNDEFINED in (total, term) else A[total][term]
+    return total
 
 
 def _piece_is_ideal(add: OpTable, mul: OpTable, carrier: frozenset[int], piece: frozenset[int]) -> bool:

@@ -158,8 +158,14 @@ class TestUnitsAndInverses:
 
     def test_wrong_unit_is_contract_error(self):
         _, t = cyclic_group_table(4)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^'2' is not"):
             find_inverses(t, 2)
+        # outside the domain: named by repr, never wrapped round or indexed
+        for bad in (99, None, -1):
+            with pytest.raises(ContractError, match=f"^{bad} is not a two-sided unit"):
+                find_inverses(t, bad)
+        with pytest.raises(ContractError, match="^None is not"):
+            find_inverses(table_on(["a", "b"], lambda x, y: y), None)
 
     def test_left_right_units_coincide_across_corpus(self):
         tables = [t for _, _, t in all_groups_up_to_8()]
@@ -352,7 +358,9 @@ class TestAutomorphisms:
 
     @staticmethod
     def naive_automorphisms(ms, permute_ops):
-        """Independent oracle: try every element bijection (and op bijection)."""
+        """Independent oracle: try every element bijection (and op bijection)
+        that carries each domain onto its image's domain and each defined
+        product onto a defined product."""
         union = ms.element_union()
         n = len(union)
         tables = list(ms.ops)
@@ -368,7 +376,9 @@ class TestAutomorphisms:
                 for idx, t in enumerate(tables):
                     img = tables[op_perm[idx]]
                     pairs = list(t.defined_pairs())
-                    if len(pairs) != sum(1 for _ in img.defined_pairs()):
+                    if len(pairs) != sum(1 for _ in img.defined_pairs()) or any(
+                        (x in t.domain) != (mapping[x] in img.domain) for x in union
+                    ):
                         ok = False
                         break
                     for x, y, v in pairs:
@@ -396,8 +406,13 @@ class TestAutomorphisms:
             lambda z2, z3: fan_extension(z2, ["h"], UNDEFINED_FILL),
             lambda z2, z3: fan_extension(z3, ["h"], UNDEFINED_FILL),
             lambda z2, z3: shared_identity_union([z2, z3]),
+            lambda z2, z3: fan_extension(z2, ["h1", "h2"], UNDEFINED_FILL),
+            lambda z2, z3: fan_extension(z3, ["h1", "h2"], UNDEFINED_FILL),
         ],
-        ids=["fan-z2-undefined", "fan-z3-undefined", "shared-z2-z3"],
+        ids=[
+            "fan-z2-undefined", "fan-z3-undefined", "shared-z2-z3",
+            "fan2-z2-undefined", "fan2-z3-undefined",
+        ],
     )
     @pytest.mark.parametrize("permute_ops", [True, False])
     def test_pruned_search_matches_naive_oracle_on_partial_tables(self, build, permute_ops):
@@ -407,6 +422,13 @@ class TestAutomorphisms:
         assert automorphisms(ms, permute_ops=permute_ops) == self.naive_automorphisms(
             ms, permute_ops
         )
+
+    def test_fresh_undefined_elements_told_apart_by_domain(self):
+        # h1 and h2 multiply to nothing, but each lies in one operation's
+        # domain only, so only a swap of the operations may swap them
+        ms = fan_extension(cyclic_group_table(3)[1], ["h1", "h2"], UNDEFINED_FILL)
+        assert len(automorphisms(ms, permute_ops=False)) == 2
+        assert len(automorphisms(ms, permute_ops=True)) == 4
 
     def test_pruned_search_matches_naive_on_latin_space(self, paper_latin_space):
         ms = paper_latin_space

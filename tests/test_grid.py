@@ -3,21 +3,50 @@
 Kernels read ``t.grid[x][y]`` directly instead of calling ``t.apply``.  These
 properties run random partial tables whose universe is larger than the
 domain through the grid and through short ``apply``-based references, and
-require the same verdicts and witnesses.
+require the same verdicts and witnesses.  ``classify_table`` is checked
+against its former stand-alone scans.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multispace.core import Component, MultiSpace, OpTable, UNDEFINED, is_group_on
+from multispace.constructions import (
+    ABSORB,
+    UNDEFINED_FILL,
+    all_groups_up_to_8,
+    cyclic_group_table,
+    fan_extension,
+    shared_zero_ring_union,
+    symmetric_table,
+    zn_ring_tables,
+)
+from multispace.core import (
+    Component,
+    MultiSpace,
+    OpTable,
+    UNDEFINED,
+    classify_table,
+    is_faithful,
+    is_group_on,
+    solve_equation,
+)
 from multispace.errors import ContractError
 from multispace.foundations import FiniteUniverse
 from multispace.io import space_from_dict, space_to_dict
 from multispace.multigroup import SubsetView, is_multigroup, subgroups_of
-from multispace.multiring import is_multiideal, is_multiring
+from multispace.multiring import (
+    ComponentDecomposition,
+    DecompositionReport,
+    IdempotentReport,
+    decompose_artin,
+    idempotents,
+    is_multiideal,
+    is_multiring,
+)
 
 SMALL = settings(max_examples=200, deadline=None)
 
@@ -176,6 +205,137 @@ def ref_is_multiideal(ms, elements, kept):
     return witness is None, witness, direct
 
 
+def reference_classify(t):
+    """The former ``classify_table``, with its own closure, associativity,
+    unit and inverse scans: (label, unit, witness)."""
+    d = t.domain
+    for x, y in itertools.product(d, repeat=2):
+        if t.apply(x, y) not in d:
+            return "magma", None, {"kind": "closure", "pair": (x, y), "result": t.apply(x, y)}
+    for x, y, z in itertools.product(d, repeat=3):
+        if t.apply(t.apply(x, y), z) != t.apply(x, t.apply(y, z)):
+            return "magma", None, {"kind": "associativity", "triple": (x, y, z)}
+    pairs = itertools.combinations(d, 2)
+    comm = next(((x, y) for x, y in pairs if t.apply(x, y) != t.apply(y, x)), None)
+    lefts = [e for e in d if all(t.apply(e, a) == a for a in d)]
+    rights = [e for e in d if all(t.apply(a, e) == a for a in d)]
+    unit = lefts[0] if lefts and rights else None
+    if unit is None:
+        witness = {"kind": "no_unit"}
+    else:
+        no_inverse = (a for a in d if not any(t.apply(a, b) == unit == t.apply(b, a) for b in d))
+        missing = next(no_inverse, None)
+        if missing is None:
+            if comm is None:
+                return "abelian_group", unit, None
+            return "group", unit, {"kind": "commutativity", "pair": comm}
+        witness = {"kind": "missing_inverse", "element": missing}
+    return ("abelian_semigroup" if comm is None else "semigroup"), unit, witness
+
+
+def ref_is_completed(ms):
+    pairs = itertools.product(ms.element_union(), repeat=2)
+    return all(any(t.apply(x, y) is not UNDEFINED for t in ms.ops) for x, y in pairs)
+
+
+def ref_is_faithful(t, side):
+    seen = {}
+    for g in t.domain:
+        translation = tuple(t.apply(g, a) if side == "left" else t.apply(a, g) for a in t.domain)
+        if translation in seen:
+            return False, (seen[translation], g)
+        seen[translation] = g
+    return True, None
+
+
+def ref_solve_equation(ms, a, b):
+    return tuple((t.name, x) for t in ms.ops for x in t.domain if t.apply(a, x) == b)
+
+
+def ref_identity(t, subset):
+    units = (e for e in sorted(subset) if all(t.apply(e, a) == a == t.apply(a, e) for a in subset))
+    return next(units, None)
+
+
+def ref_field_check(add, mul, carrier):
+    zero = ref_identity(add, carrier)
+    if zero is None or carrier == {zero}:
+        return False
+    pairs = itertools.combinations(carrier, 2)
+    if any(mul.apply(x, y) != mul.apply(y, x) for x, y in pairs):
+        return False
+    return ref_is_group_on(mul, carrier - {zero})[0]
+
+
+def ref_zero_divisors(add, mul, carrier):
+    zero = ref_identity(add, carrier)
+    if zero is None:
+        return ()
+    pairs = itertools.product(sorted(carrier), repeat=2)
+    return tuple((a, b) for a, b in pairs if zero not in (a, b) and mul.apply(a, b) == zero)
+
+
+def ref_sum(add, terms):
+    total = terms[0]
+    for term in terms[1:]:
+        total = add.apply(total, term)
+    return total
+
+
+def ref_idempotents(ms, name):
+    comp = ms.component(name)
+    add, mul, carrier = ms.op(comp.add_name), ms.op(comp.mul_name), frozenset(comp.carrier)
+    zero, unit = ref_identity(add, carrier), ref_identity(mul, carrier)
+    if zero is None:
+        raise ContractError("no additive identity")
+    idems = tuple(e for e in sorted(carrier) if mul.apply(e, e) == e)
+    matrix = tuple(tuple(mul.apply(a, b) for b in idems) for a in idems)
+    families = []
+    nonzero = [e for e in idems if e != zero]
+    for r in range(1, len(nonzero) + 1):
+        for combo in itertools.combinations(nonzero, r):
+            pairs = itertools.combinations(combo, 2)
+            orthogonal = all(mul.apply(a, b) == zero == mul.apply(b, a) for a, b in pairs)
+            if unit is not None and orthogonal and ref_sum(add, combo) == unit:
+                families.append(combo)
+    return IdempotentReport(name, idems, matrix, zero, unit, tuple(families))
+
+
+def ref_decompose_artin(ms):
+    if not is_multiring(ms).verdict:
+        raise ContractError("not a multi-ring")
+    out = []
+    for comp in ms.components:
+        add, mul, carrier = ms.op(comp.add_name), ms.op(comp.mul_name), frozenset(comp.carrier)
+        idem = ref_idempotents(ms, comp.name)
+        if idem.unit is None:
+            raise ContractError("no multiplicative unit")
+        families = idem.orthogonal_unit_families
+        family = min(families, key=lambda f: (-len(f), f), default=(idem.unit,))
+        right = tuple(frozenset(mul.apply(r, e) for r in carrier) for e in family)
+        left = tuple(frozenset(mul.apply(e, r) for r in carrier) for e in family)
+        sums = [ref_sum(add, combo) for combo in itertools.product(*right)]
+        out.append(ComponentDecomposition(
+            comp.name,
+            family,
+            right,
+            all(p & q == {idem.zero} for p, q in itertools.combinations(right, 2)),
+            all(ref_sum(add, [mul.apply(r, e) for e in family]) == r for r in carrier),
+            len(set(sums)) == len(sums) and set(sums) == carrier,
+            all(ref_is_group_on(add, p)[0] and not ref_absorption(mul, carrier, p, p) for p in right),
+            right == left,
+        ))
+    return DecompositionReport(tuple(out))
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or ContractError if it raises one."""
+    try:
+        return fn(*args)
+    except ContractError:
+        return ContractError
+
+
 # -- the grid itself --------------------------------------------------------
 
 class TestGridMatchesApply:
@@ -225,12 +385,21 @@ class TestGridMatchesApply:
         assert report.witness == (failed[0] if failed else None)
 
 
-# Rings on positions 0..m-1 of a carrier, position 0 the zero: Z_m, and the
+def upper_triangular(i, j):
+    """Product of GF(2) matrices [[a, b], [0, c]] at positions 4a + 2b + c."""
+    a, b, c, x, y, z = i >> 2, i >> 1 & 1, i & 1, j >> 2, j >> 1 & 1, j & 1
+    return (a & x) << 2 | ((a & y) ^ (b & z)) << 1 | (c & z)
+
+
+# Rings on positions 0..m-1 of a carrier, position 0 the zero: Z_m, the
 # non-commutative ring T of GF(2) matrices [[a, b], [0, 0]], where position
-# 2a + b stands for (a, b) and (a, b)(c, d) = (ac, ad).
+# 2a + b stands for (a, b) and (a, b)(c, d) = (ac, ad), and the unital
+# non-commutative ring U of upper triangular GF(2) matrices, whose pieces
+# R*e and e*R differ.
 RINGS = {
     **{f"Z{m}": (m, lambda i, j, m=m: (i + j) % m, lambda i, j, m=m: i * j % m) for m in range(1, 5)},
     "T": (4, lambda i, j: i ^ j, lambda i, j: (i & j & 2) | (i >> 1 & j & 1)),
+    "U": (8, lambda i, j: i ^ j, upper_triangular),
 }
 
 
@@ -345,3 +514,110 @@ class TestOutsideDomain:
         assert t.grid[2] is t.grid[3]
         assert t.grid[2] == (None,) * 4
         assert t.grid[0] == (0, 1, None, None)
+
+
+# -- classification on the group kernel -------------------------------------
+
+def classified(t):
+    c = classify_table(t)
+    return c.label, c.unit, c.witness
+
+
+class TestClassifyMatchesReference:
+    def test_every_total_table_on_three_elements(self):
+        u = universe_of(3)
+        for cells in itertools.product(range(3), repeat=9):
+            t = OpTable("*", u, [0, 1, 2], [cells[0:3], cells[3:6], cells[6:9]])
+            assert classified(t) == reference_classify(t), cells
+
+    def test_two_element_tables_escaping_the_domain(self):
+        u = universe_of(3)
+        for domain in ([0, 1], [0, 2], [1, 2]):
+            for cells in itertools.product(range(3), repeat=4):
+                t = OpTable("*", u, domain, [cells[:2], cells[2:]])
+                assert classified(t) == reference_classify(t), (domain, cells)
+
+    def test_perturbed_corpus_groups(self):
+        rng = random.Random(6)
+        for name, u, g in all_groups_up_to_8():
+            assert classified(g) == reference_classify(g)
+            for _ in range(30):
+                rows = [list(row) for row in g.entries]
+                for _ in range(rng.randint(1, 3)):
+                    rows[rng.randrange(len(rows))][rng.randrange(len(rows))] = rng.randrange(len(u))
+                t = OpTable(g.name, u, g.domain, rows)
+                assert classified(t) == reference_classify(t), (name, rows)
+
+    def test_empty_domain(self):
+        t = OpTable("*", universe_of(2), [], [])
+        expected = ("abelian_semigroup", None, {"kind": "no_unit"})
+        assert classified(t) == reference_classify(t) == expected
+
+
+# -- space and ring helpers on shared-zero unions and fans -------------------
+
+def fan_spaces():
+    (_, z2), (_, z3), (_, add, mul) = cyclic_group_table(2), cyclic_group_table(3), zn_ring_tables(4)
+    return [
+        fan_extension(base, symbols, policy)
+        for base in (z2, z3, (add, mul))
+        for symbols in (["h"], ["h1", "h2"])
+        for policy in (UNDEFINED_FILL, ABSORB)
+    ]
+
+
+def check_space_helpers(ms):
+    assert ms.is_completed() == ref_is_completed(ms)
+    for t in ms.ops:
+        for side in ("left", "right"):
+            assert is_faithful(t, side) == ref_is_faithful(t, side)
+    for a, b in itertools.product(ms.element_union(), repeat=2):
+        assert solve_equation(ms, a, b) == ref_solve_equation(ms, a, b)
+
+
+def check_ring_helpers(ms):
+    report = is_multiring(ms)
+    fields, divisors = [], []
+    for c in ms.components:
+        add, mul, carrier = ms.op(c.add_name), ms.op(c.mul_name), frozenset(c.carrier)
+        fields.append(ref_field_check(add, mul, carrier))
+        divisors.append((c.name, ref_zero_divisors(add, mul, carrier)))
+        assert outcome(idempotents, ms, c.name) == outcome(ref_idempotents, ms, c.name)
+    assert report.multifield == all(fields)
+    assert report.zero_divisors == tuple(divisors)
+    assert outcome(decompose_artin, ms) == outcome(ref_decompose_artin, ms)
+
+
+class TestHelpersMatchApply:
+    @given(shared_zero_rings())
+    @SMALL
+    def test_shared_zero_rings(self, ms):
+        check_space_helpers(ms)
+        check_ring_helpers(ms)
+
+    def test_nonabelian_units_are_no_field(self):
+        # 0 absorbs and the non-zero elements form S3 under *, so only the
+        # commutativity scan keeps this component from being a field
+        _, s3 = symmetric_table(3)
+        u = universe_of(7)
+        add = OpTable.from_function("+", u, range(7), lambda x, y: (x + y) % 7)
+        mul = OpTable.from_function(
+            "*", u, range(7), lambda x, y: 0 if 0 in (x, y) else 1 + s3.grid[x - 1][y - 1]
+        )
+        ms = MultiSpace(u, [Component("R", tuple(range(7)), ("+", "*"), double=True)], [add, mul])
+        check_ring_helpers(ms)
+        assert not is_multiring(ms).multifield
+
+    @pytest.mark.parametrize("moduli", [[2, 3], [4, 6], [2, 2, 2]])
+    def test_shared_zero_ring_unions(self, moduli):
+        ms = shared_zero_ring_union(moduli)
+        check_space_helpers(ms)
+        check_ring_helpers(ms)
+        assert decompose_artin(ms).all_valid
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_fans(self, index):
+        ms = fan_spaces()[index]
+        check_space_helpers(ms)
+        if ms.components[0].double:
+            check_ring_helpers(ms)

@@ -20,6 +20,7 @@ from multispace.multigroup import (
     NORMAL_SERIES,
     SubsetView,
     composition_series,
+    coset_of,
     coset_partition,
     is_multigroup,
     is_normal,
@@ -128,6 +129,15 @@ class TestSubMultigroup:
 
 
 class TestCosets:
+    def test_coset_of_pinned(self):
+        # an element outside the domain, in the universe or not, has no coset;
+        # -1 must not wrap round to the last element
+        _, t = cyclic_group_table(4)
+        view = SubsetView(single_component_space(t), frozenset({0, 2}), ("+",))
+        assert coset_of(view, 1) == {1, 3}
+        assert coset_of(view, 0) == {0, 2}
+        assert coset_of(view, 99) == coset_of(view, -1) == coset_of(view, None) == frozenset()
+
     def test_z6_mod_three_element_subgroup(self):
         _, t = cyclic_group_table(6)
         ms = single_component_space(t)

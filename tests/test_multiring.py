@@ -1,15 +1,19 @@
 import itertools
+import re
 
 import pytest
 
+from multispace import multigroup, multiring
 from multispace.constructions import (
+    cyclic_group_table,
     disjoint_cyclic_union,
     shared_zero_ring_union,
+    single_component_space,
     zn_ring_space,
     zn_ring_tables,
 )
 from multispace.core import Component, MultiSpace, OpTable
-from multispace.errors import ContractError
+from multispace.errors import ContractError, InternalCheckError
 from multispace.foundations import FiniteUniverse
 from multispace.multigroup import IDEAL_CHAIN, SubsetView
 from multispace.multiring import (
@@ -311,3 +315,30 @@ class TestDecomposition:
         assert result.all_valid
         z6_piece_sets = set(result.components[0].pieces)
         assert len(z6_piece_sets) == 2
+
+
+def test_dual_route_disagreement_messages(monkeypatch):
+    # force one route of each dual-route test to fail on a true
+    # sub-structure; the first call caches the parent's prerequisite verdict
+    group_view = SubsetView(single_component_space(cyclic_group_table(4)[1]), frozenset({0, 2}), ("+",))
+    ring_view = SubsetView(zn_ring_space(4), frozenset({0, 2}), ("+", "*"))
+    assert multigroup.is_submultigroup(group_view).verdict
+    assert is_submultiring(ring_view).verdict and is_multiideal(ring_view).verdict
+    monkeypatch.setattr(multigroup, "is_group_on", lambda t, s: (False, {"kind": "forced"}))
+    monkeypatch.setattr(multiring, "_subring_witness", lambda add, mul, s: {"kind": "forced"})
+    monkeypatch.setattr(  # only the componentwise route passes an ``allowed`` without None
+        multiring, "_absorption_escape", lambda M, rs, els, allowed: None if None in allowed else (0, 0)
+    )
+    for check, message in (
+        (lambda: multigroup.is_submultigroup(group_view),
+         "sub-multi-group criteria disagree: componentwise=False "
+         "({'component': 'G', 'op': '+', 'kind': 'forced'}), closure=True (None)"),
+        (lambda: is_submultiring(ring_view),
+         "sub-multi-ring criteria disagree: componentwise=False "
+         "({'component': 'R1', 'kind': 'forced'}), closure=True (None)"),
+        (lambda: is_multiideal(ring_view),
+         "multi-ideal criteria disagree: componentwise=False "
+         "({'component': 'R1', 'kind': 'absorption', 'pair': (0, 0)}), direct=True (None)"),
+    ):
+        with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+            check()
