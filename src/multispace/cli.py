@@ -53,8 +53,10 @@ def _parse_params(tokens: list[str]) -> dict[str, str]:
     return params
 
 
-def _load_kind(path: str, expected: str) -> dict:
-    data = io.load_path(path)
+def _load_kind(path: str, expected: str, data: dict | None = None) -> dict:
+    """The parsed file at ``path``, read unless given as ``data``, of kind ``expected``."""
+    if data is None:
+        data = io.load_path(path)
     if data["kind"] != expected:
         raise MultiSpaceError(f"{path} holds a {data['kind']!r} file; expected {expected!r}")
     return data
@@ -123,7 +125,7 @@ def cmd_check(args) -> tuple[dict, bool]:
         return report, result.verdict
 
     if level == "multivector":
-        mvs = io.vector_space_from_dict(_load_kind(args.path, "multivector"))
+        mvs = io.vector_space_from_dict(_load_kind(args.path, "multivector", data))
         dims = [multivector.rank(mvs.ambient, c.vectors) for c in mvs.components]
         report = {
             "level": "multivector",
@@ -135,7 +137,7 @@ def cmd_check(args) -> tuple[dict, bool]:
         return report, True
 
     if level == "multimetric":
-        tables = io.metric_components_from_dict(_load_kind(args.path, "multimetric"))
+        tables = io.metric_components_from_dict(_load_kind(args.path, "multimetric", data))
         verdicts = [multimetric.validate_metric(t) for t in tables]
         report = {
             "level": "multimetric",
@@ -318,6 +320,8 @@ def cmd_analyze(args) -> tuple[dict, bool]:
                 "orbits_ok": result.orbits_ok,
             }
             return report, result.bound_ok is not False and result.orbits_ok is not False
+        if not args.tail:
+            raise MultiSpaceError("sequence needs --tail with a comma list of tail points")
         spec = SequenceSpec(
             tuple(args.prefix.split(",")) if args.prefix else (),
             args.tail_kind,

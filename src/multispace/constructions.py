@@ -335,9 +335,18 @@ def disjoint_cyclic_union(orders: Sequence[int]) -> MultiSpace:
 
 def shared_identity_union(tables: Sequence[OpTable]) -> MultiSpace:
     """Union of group tables overlapping in exactly one shared identity "e"."""
-    labels = ["e"]
+    return _shared_union([(t,) for t in tables], "e", "C")
+
+
+def _shared_union(bases: Sequence[tuple[OpTable, ...]], shared: str, prefix: str) -> MultiSpace:
+    """Copies of each base, a group table ``(t,)`` or a ring ``(add, mul)``,
+    glued at the unit of its first table, which becomes the one element
+    ``shared``; component i is named ``prefix`` + i and its operations
+    ``+i`` (and ``*i``)."""
+    labels = [shared]
     rename_maps = []
-    for i, t in enumerate(tables):
+    for i, base in enumerate(bases):
+        t = base[0]
         unit = group_identity_on(t, frozenset(t.domain))
         if unit is None:
             raise ContractError(f"table {t.name!r} has no two-sided unit")
@@ -352,17 +361,15 @@ def shared_identity_union(tables: Sequence[OpTable]) -> MultiSpace:
     universe = FiniteUniverse.of(labels)
     components = []
     ops = []
-    for i, (t, rename) in enumerate(zip(tables, rename_maps)):
+    for i, (base, rename) in enumerate(zip(bases, rename_maps)):
         carrier = tuple(sorted(rename.values()))
         back = {v: k for k, v in rename.items()}
-        table = OpTable.from_function(
-            f"+{i + 1}",
-            universe,
-            carrier,
-            lambda x, y, g=t.grid, rename=rename, back=back: rename[g[back[x]][back[y]]],
-        )
-        ops.append(table)
-        components.append(Component(f"C{i + 1}", carrier, (table.name,)))
+        names = tuple(f"{marker}{i + 1}" for marker in "+*"[: len(base)])
+        for name, t in zip(names, base):
+            ops.append(OpTable.from_function(
+                name, universe, carrier, lambda x, y, g=t.grid, r=rename, b=back: r[g[b[x]][b[y]]]
+            ))
+        components.append(Component(f"{prefix}{i + 1}", carrier, names, double=len(base) == 2))
     return MultiSpace(universe, components, ops)
 
 
@@ -518,34 +525,6 @@ def zn_ring_space(n: int) -> MultiSpace:
 
 def shared_zero_ring_union(moduli: Sequence[int]) -> MultiSpace:
     """Z_n ring components overlapping in one shared zero element "0"."""
-    labels = ["0"]
-    spans = []
-    for i, n in enumerate(moduli):
-        if n < 1:
-            raise ContractError("moduli must be >= 1")
-        start = len(labels)
-        labels.extend(f"c{i + 1}_{j}" for j in range(1, n))
-        spans.append((start, n))
-    universe = FiniteUniverse.of(labels)
-    components = []
-    ops = []
-    for i, (start, n) in enumerate(spans):
-        carrier = tuple([0] + list(range(start, start + n - 1)))
-        to_resident = {0: 0}
-        to_resident.update({start + j - 1: j for j in range(1, n)})
-        to_index = {v: k for k, v in to_resident.items()}
-        add = OpTable.from_function(
-            f"+{i + 1}",
-            universe,
-            carrier,
-            lambda x, y, m=n, f=to_resident, g=to_index: g[(f[x] + f[y]) % m],
-        )
-        mul = OpTable.from_function(
-            f"*{i + 1}",
-            universe,
-            carrier,
-            lambda x, y, m=n, f=to_resident, g=to_index: g[(f[x] * f[y]) % m],
-        )
-        ops.extend([add, mul])
-        components.append(Component(f"R{i + 1}", carrier, (add.name, mul.name), double=True))
-    return MultiSpace(universe, components, ops)
+    if any(n < 1 for n in moduli):
+        raise ContractError("moduli must be >= 1")
+    return _shared_union([zn_ring_tables(n)[1:] for n in moduli], "0", "R")

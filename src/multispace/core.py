@@ -489,6 +489,9 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
         )
     pos = {x: i for i, x in enumerate(union)}
     tables = list(ms.ops)
+    for t in tables:
+        if not pos.keys() >= set(t.domain) or any(v not in pos for _, _, v in t.defined_pairs()):
+            raise ContractError(f"operation {t.name!r} leaves the carrier union")
     if permute_ops:
         sig = {t.name: _table_signature(t) for t in tables}
         candidates = [
@@ -547,8 +550,6 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
                 for x, y, v in t.defined_pairs():
                     if img.grid[mapping[x]][mapping[y]] != mapping[v]:
                         return False
-                if sum(1 for _ in t.defined_pairs()) != sum(1 for _ in img.defined_pairs()):
-                    return False
             return True
 
         def search(i: int) -> None:

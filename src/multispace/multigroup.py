@@ -197,6 +197,36 @@ def _agree(what, by_component, witness_a, route, by_route, witness_b) -> SubStru
     return SubStructureReport(by_component, by_component, by_route, witness_a or witness_b)
 
 
+def _componentwise(sub: SubsetView, parts, test) -> Optional[dict]:
+    """Route A of the dual-route tests.  Each part is ``(name, carrier,
+    *tables)`` with a frozenset carrier; ``test(*tables, carrier, meet)``
+    gives a witness or None for each non-empty meet of the subset with a
+    carrier.  The first failing part's witness, else the least subset
+    element outside every carrier, else None."""
+    for name, carrier, *tables in parts:
+        meet = sub.elements & carrier
+        if meet:
+            w = test(*tables, carrier, meet)
+            if w is not None:
+                return {"component": name, **w}
+    stray = sub.elements.difference(*(carrier for _, carrier, *_ in parts))
+    return {"kind": "uncovered_element", "element": min(stray)} if stray else None
+
+
+def _group_parts(sub: SubsetView) -> list[tuple]:
+    """(component, carrier, table) for each group binding the subset keeps."""
+    return [
+        (comp.name, frozenset(comp.carrier), sub.parent.op(op_name))
+        for comp, op_name in group_bindings(sub.parent)
+        if op_name in sub.op_names
+    ]
+
+
+def _subgroup_witness(table: OpTable, carrier, meet) -> Optional[dict]:
+    ok, w = is_group_on(table, meet)
+    return None if ok else {"op": table.name, **w}
+
+
 def is_submultigroup(sub: SubsetView) -> SubStructureReport:
     """Dual-route sub-multi-group test.
 
@@ -210,25 +240,8 @@ def is_submultigroup(sub: SubsetView) -> SubStructureReport:
     if not sub.elements:
         raise ContractError("the empty subset is not a sub-multi-group candidate")
 
-    witness_a: Optional[dict] = None
-    covered: set[int] = set()
-    by_component = True
-    for comp, op_name in group_bindings(ms):
-        if op_name not in sub.op_names:
-            continue
-        covered.update(comp.carrier)
-        meet = sub.elements & frozenset(comp.carrier)
-        if not meet:
-            continue
-        ok, w = is_group_on(ms.op(op_name), meet)
-        if not ok:
-            by_component = False
-            if witness_a is None:
-                witness_a = {"component": comp.name, "op": op_name, **(w or {})}
-    if not sub.elements <= covered:
-        by_component = False
-        stray = sorted(sub.elements - covered)[0]
-        witness_a = witness_a or {"kind": "uncovered_element", "element": stray}
+    witness_a = _componentwise(sub, _group_parts(sub), _subgroup_witness)
+    by_component = witness_a is None
 
     witness_b: Optional[dict] = None
     allowed = sub.elements | {UNDEFINED}
@@ -376,14 +389,8 @@ def lagrange_check(table: OpTable) -> LagrangeReport:
     )
 
 
-@dataclass(frozen=True)
-class NormalReport:
-    verdict: bool
-    witness: Optional[dict]
-
-
-def is_normal(sub: SubsetView) -> NormalReport:
-    """Dual-route normality: conjugation scan vs. componentwise normal subgroups."""
+def is_normal(sub: SubsetView) -> SubStructureReport:
+    """Dual-route normality: componentwise normal subgroups vs. conjugation scan."""
     report = is_submultigroup(sub)
     if not report.verdict:
         raise ContractError(f"not a sub-multi-group: {report.witness}")
@@ -398,21 +405,11 @@ def is_normal(sub: SubsetView) -> NormalReport:
             if bad is not None:
                 witness = {"op": op_name, "g": bad[0], "h": bad[1], "conjugate": bad[2]}
                 break
-    direct = witness is None
 
-    componentwise = True
-    for comp, op_name in group_bindings(ms):
-        if op_name not in sub.op_names:
-            continue
-        meet = sub.elements & frozenset(comp.carrier)
-        if meet and not is_normal_subgroup(ms.op(op_name), frozenset(comp.carrier), meet):
-            componentwise = False
-
-    if direct != componentwise:
-        raise InternalCheckError(
-            f"normality criteria disagree: direct={direct}, componentwise={componentwise}"
-        )
-    return NormalReport(direct, witness)
+    componentwise = None is _componentwise(
+        sub, _group_parts(sub), lambda t, carrier, meet: None if is_normal_subgroup(t, carrier, meet) else {}
+    )
+    return _agree("normality", componentwise, None, "direct", witness is None, witness)
 
 
 # -- the oriented series programming --------------------------------------
@@ -429,59 +426,36 @@ class SeriesResult:
         return self.lengths[0] if self.invariant else None
 
 
-def _series_graph(ms: MultiSpace, orientation: Sequence[str], kind: str):
-    """Successors of a (level, op index) state under the series programming,
-    memoised per state.
-
-    For the operation currently oriented, the level's part in that
-    operation's carrier descends through each maximal normal subgroup (or
-    maximal ideal, for ideal chains); the rest of the level rides along
-    untouched.  When the part bottoms out at the trivial subgroup the next
-    operation takes over.
-    """
-    from . import multiring as _mr
-
-    memo: dict[tuple, list] = {}
-
-    def step(level: frozenset, k: int):
-        while k < len(orientation):
-            if kind == NORMAL_SERIES:
-                table = ms.op(orientation[k])
-                part = level & frozenset(ms.carriers_of_op(orientation[k]))
-            else:
-                comp = ms.component(orientation[k])
-                part = level & frozenset(comp.carrier)
-                table = ms.op(comp.add_name)
-            if part == frozenset({group_identity_on(table, part)}):
-                k += 1
-                continue
-            if kind == NORMAL_SERIES:
-                subs = maximal_normal_subgroups(table, part)
-            else:
-                subs = _mr.maximal_ideals(table, ms.op(comp.mul_name), part)
-            label = orientation[k]
-            return [(level - (part - n), k, label) for n in subs]
-        return []
-
-    def successors(level: frozenset, k: int):
-        key = (level, k)
-        if key not in memo:
-            memo[key] = step(level, k)
-        return memo[key]
-
-    return successors
-
-
-def _series_profile(ms: MultiSpace, orientation: Sequence[str], kind: str):
+def _series_profile(ms: MultiSpace, steps):
     """(start level, memoised successors, sorted chain lengths, chain count),
-    by one memoised DP over the successor graph."""
+    by one memoised DP over the series programming.
+
+    ``steps`` holds one ``(label, carrier, table, maximal)`` per oriented
+    step.  A level's part in the step's carrier descends through each
+    sub-structure in ``maximal(part)`` (maximal normal subgroups, or maximal
+    ideals for ideal chains); the rest of the level rides along untouched.
+    When the part bottoms out at the identity of ``table`` the next step
+    takes over.
+    """
     union = ms.element_union()
     if len(union) > SERIES_UNION_BOUND:
         raise SizeLimitError(
             f"series programming bounded at {SERIES_UNION_BOUND} elements; got {len(union)}"
         )
-    successors = _series_graph(ms, orientation, kind)
+    graph: dict[tuple, list] = {}
     memo: dict[tuple, tuple[frozenset, int]] = {}
+
+    def successors(level: frozenset, k: int) -> list:
+        key = (level, k)
+        if key not in graph:
+            graph[key] = []
+            for j in range(k, len(steps)):
+                label, carrier, table, maximal = steps[j]
+                part = level & carrier
+                if part != frozenset({group_identity_on(table, part)}):
+                    graph[key] = [(level - (part - n), j, label) for n in maximal(part)]
+                    break
+        return graph[key]
 
     def solve(level: frozenset, k: int) -> tuple[frozenset, int]:
         key = (level, k)
@@ -504,8 +478,18 @@ def _series_profile(ms: MultiSpace, orientation: Sequence[str], kind: str):
     return start, successors, tuple(sorted(lengths)), count
 
 
-def _run_series(ms: MultiSpace, orientation: Sequence[str], kind: str) -> SeriesResult:
-    start, successors, lengths, count = _series_profile(ms, orientation, kind)
+def _normal_steps(ms: MultiSpace, orientation: Sequence[str]) -> list[tuple]:
+    """One series step per operation: the carriers bound to it, descending
+    through maximal normal subgroups."""
+    return [
+        (name, frozenset(ms.carriers_of_op(name)), ms.op(name),
+         lambda part, table=ms.op(name): maximal_normal_subgroups(table, part))
+        for name in orientation
+    ]
+
+
+def _run_series(ms: MultiSpace, steps, kind: str) -> SeriesResult:
+    start, successors, lengths, count = _series_profile(ms, steps)
     if count > SERIES_CHAIN_BOUND:
         raise SizeLimitError(
             f"{count} maximal chains exceed the materialisation bound; "
@@ -526,11 +510,9 @@ def _run_series(ms: MultiSpace, orientation: Sequence[str], kind: str) -> Series
     return SeriesResult(tuple(chains), lengths, len(lengths) == 1, count)
 
 
-def series_length_profile(
-    ms: MultiSpace, orientation: Sequence[str], kind: str = NORMAL_SERIES
-) -> tuple[tuple[int, ...], int]:
+def series_length_profile(ms: MultiSpace, orientation: Sequence[str]) -> tuple[tuple[int, ...], int]:
     """Exhaustive chain-length set and chain count without materialising chains."""
-    _, _, lengths, count = _series_profile(ms, orientation, kind)
+    _, _, lengths, count = _series_profile(ms, _normal_steps(ms, orientation))
     return lengths, count
 
 
@@ -544,7 +526,7 @@ def maximal_normal_series(ms: MultiSpace, orientation: Sequence[str]) -> SeriesR
     bound_ops = {name for _, name in group_bindings(ms)}
     if set(orientation) != bound_ops or len(orientation) != len(bound_ops):
         raise ContractError("orientation must list each bound operation exactly once")
-    return _run_series(ms, orientation, NORMAL_SERIES)
+    return _run_series(ms, _normal_steps(ms, orientation), NORMAL_SERIES)
 
 
 def composition_series(table: OpTable) -> SeriesResult:
@@ -554,4 +536,4 @@ def composition_series(table: OpTable) -> SeriesResult:
     if not classify_table(table).is_group():
         raise ContractError(f"{table.name!r} is not a group table")
     ms = single_component_space(table)
-    return _run_series(ms, (table.name,), NORMAL_SERIES)
+    return _run_series(ms, _normal_steps(ms, (table.name,)), NORMAL_SERIES)

@@ -16,8 +16,10 @@ from .multigroup import (
     SubsetView,
     SubStructureReport,
     _agree,
+    _componentwise,
     _require,
     _run_series,
+    _series_profile,
     subgroups_of,
 )
 
@@ -36,7 +38,7 @@ def _ring_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> Optional
     is a component's, so it lies inside both domains."""
     ok, w = is_group_on(add, carrier)
     if not ok:
-        return {"kind": "additive_group", **(w or {})}
+        return w
     A, M = add.grid, mul.grid
     for x, y in itertools.combinations(carrier, 2):
         if A[x][y] != A[y][x]:
@@ -162,12 +164,14 @@ def _cross_violation(ai, mi, aj, mj, union) -> Optional[tuple]:
     return None
 
 
-def _sub_ops(sub: SubsetView) -> list[Component]:
-    """Double components of the parent whose both op names the subset keeps."""
-    out = []
-    for comp in double_components(sub.parent):
-        if comp.add_name in sub.op_names and comp.mul_name in sub.op_names:
-            out.append(comp)
+def _ring_parts(sub: SubsetView) -> list[tuple]:
+    """(component, carrier, add, mul) for each double component of the
+    parent whose both op names the subset keeps."""
+    out = [
+        (comp.name, frozenset(comp.carrier), sub.parent.op(comp.add_name), sub.parent.op(comp.mul_name))
+        for comp in double_components(sub.parent)
+        if comp.add_name in sub.op_names and comp.mul_name in sub.op_names
+    ]
     if not out:
         raise ContractError("the subset keeps no complete double operation")
     return out
@@ -179,50 +183,32 @@ def is_submultiring(sub: SubsetView) -> SubStructureReport:
     _require(ms, is_multiring, "multi-ring")
     if not sub.elements:
         raise ContractError("the empty subset is not a sub-multi-ring candidate")
-    comps = _sub_ops(sub)
-
-    by_component = True
-    witness_a = None
-    covered: set[int] = set()
-    for comp in comps:
-        covered.update(comp.carrier)
-        meet = sub.elements & frozenset(comp.carrier)
-        if not meet:
-            continue
-        w = _subring_witness(ms.op(comp.add_name), ms.op(comp.mul_name), meet)
-        if w is not None:
-            by_component = False
-            witness_a = witness_a or {"component": comp.name, **w}
-    if not sub.elements <= covered:
-        by_component = False
-        witness_a = witness_a or {
-            "kind": "uncovered_element",
-            "element": sorted(sub.elements - covered)[0],
-        }
+    parts = _ring_parts(sub)
+    witness_a = _componentwise(sub, parts, lambda add, mul, carrier, meet: _subring_witness(add, mul, meet))
 
     witness_b = None
     allowed = sub.elements | {UNDEFINED}
-    for comp in comps:
-        meet = sub.elements & frozenset(comp.carrier)
+    for name, carrier, add, mul in parts:
+        meet = sub.elements & carrier
         if meet:
-            ok, w = is_group_on(ms.op(comp.add_name), meet)
+            ok, w = is_group_on(add, meet)
             if not ok:
-                witness_b = {"component": comp.name, "kind": "additive", **(w or {})}
+                witness_b = {"component": name, **w}
                 break
-        grid = ms.op(comp.mul_name).grid
+        grid = mul.grid
         pairs = ((x, y) for x in sub.elements for y in sub.elements)
         pair = next((p for p in pairs if grid[p[0]][p[1]] not in allowed), None)
         if pair is not None:
-            witness_b = {"kind": "mul_closure", "op": comp.mul_name, "pair": pair}
+            witness_b = {"kind": "mul_closure", "op": mul.name, "pair": pair}
             break
-    by_closure = witness_b is None and sub.elements <= covered
-    return _agree("sub-multi-ring", by_component, witness_a, "closure", by_closure, witness_b)
+    by_closure = witness_b is None and sub.elements <= frozenset().union(*(c for _, c, *_ in parts))
+    return _agree("sub-multi-ring", witness_a is None, witness_a, "closure", by_closure, witness_b)
 
 
 def _subring_witness(add: OpTable, mul: OpTable, subset: frozenset[int]) -> Optional[dict]:
     ok, w = is_group_on(add, subset)
     if not ok:
-        return {"kind": "additive_subgroup", **(w or {})}
+        return w
     grid = mul.grid
     for x in subset:
         for y in subset:
@@ -231,49 +217,41 @@ def _subring_witness(add: OpTable, mul: OpTable, subset: frozenset[int]) -> Opti
     return None
 
 
+def _ideal_witness(add: OpTable, mul: OpTable, carrier: frozenset[int], piece: frozenset[int]) -> Optional[dict]:
+    """None when ``piece`` is an ideal of the ring (carrier; add, mul), else
+    the additive-subgroup witness or the first escaping absorption pair."""
+    ok, w = is_group_on(add, piece)
+    if not ok:
+        return w
+    pair = _absorption_escape(mul.grid, carrier, piece, piece)
+    return None if pair is None else {"kind": "absorption", "pair": pair}
+
+
 def is_multiideal(sub: SubsetView) -> SubStructureReport:
     """Dual-route multi-ideal test: componentwise ideals vs. direct absorption."""
     ms = sub.parent
     _require(ms, is_multiring, "multi-ring")
     if not sub.elements:
         raise ContractError("the empty subset is not a multi-ideal candidate")
-    comps = _sub_ops(sub)
-
-    covered = {x for comp in comps for x in comp.carrier}
-    witness_a = None
-    for comp in comps:
-        carrier = frozenset(comp.carrier)
-        meet = sub.elements & carrier
-        if not meet:
-            continue
-        ok, w = is_group_on(ms.op(comp.add_name), meet)
-        if not ok:
-            witness_a = {"component": comp.name, "kind": "additive", **(w or {})}
-            break
-        pair = _absorption_escape(ms.op(comp.mul_name).grid, carrier, meet, meet)
-        if pair is not None:
-            witness_a = {"component": comp.name, "kind": "absorption", "pair": pair}
-            break
-    if witness_a is None and not sub.elements <= covered:
-        witness_a = {"kind": "uncovered_element"}
-    by_component = witness_a is None
+    parts = _ring_parts(sub)
+    witness_a = _componentwise(sub, parts, _ideal_witness)
 
     witness_b = None
     union = ms.element_union()
     inside = sub.elements | {UNDEFINED}
-    for comp in comps:
-        meet = sub.elements & frozenset(comp.carrier)
+    for _, carrier, add, mul in parts:
+        meet = sub.elements & carrier
         if meet:
-            ok, w = is_group_on(ms.op(comp.add_name), meet)
+            ok, w = is_group_on(add, meet)
             if not ok:
-                witness_b = {"kind": "additive", **(w or {})}
+                witness_b = w
                 break
-        pair = _absorption_escape(ms.op(comp.mul_name).grid, union, sub.elements, inside)
+        pair = _absorption_escape(mul.grid, union, sub.elements, inside)
         if pair is not None:
-            witness_b = {"kind": "absorption", "op": comp.mul_name, "pair": pair}
+            witness_b = {"kind": "absorption", "op": mul.name, "pair": pair}
             break
-    by_direct = witness_b is None and sub.elements <= covered
-    return _agree("multi-ideal", by_component, witness_a, "direct", by_direct, witness_b)
+    by_direct = witness_b is None and sub.elements <= frozenset().union(*(c for _, c, *_ in parts))
+    return _agree("multi-ideal", witness_a is None, witness_a, "direct", by_direct, witness_b)
 
 
 # -- ideal machinery -------------------------------------------------------
@@ -308,7 +286,20 @@ def multiideal_chain(ms: MultiSpace, orientation: Sequence[str]) -> SeriesResult
     names = {c.name for c in double_components(ms)}
     if set(orientation) != names or len(orientation) != len(names):
         raise ContractError("orientation must list each double-operation component exactly once")
-    return _run_series(ms, orientation, IDEAL_CHAIN)
+    return _run_series(ms, _ideal_steps(ms, orientation), IDEAL_CHAIN)
+
+
+def _ideal_steps(ms: MultiSpace, names: Sequence[str]) -> list[tuple]:
+    """One series step per double component: its carrier, descending
+    through maximal ideals."""
+    steps = []
+    for name in names:
+        comp = ms.component(name)
+        add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
+        steps.append(
+            (name, frozenset(comp.carrier), add, lambda part, add=add, mul=mul: maximal_ideals(add, mul, part))
+        )
+    return steps
 
 
 @dataclass(frozen=True)
@@ -320,22 +311,13 @@ class ArtinReport:
 
 def is_artin(ms: MultiSpace) -> ArtinReport:
     """Finite multi-rings are always Artin; the report carries, per component,
-    the (finite) maximal ideal-chain length found by exhaustive descent."""
+    the longest maximal ideal chain found by the series programming."""
     _require(ms, is_multiring, "multi-ring")
-    per_component = []
-    for comp in double_components(ms):
-        add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
-        carrier = frozenset(comp.carrier)
-        memo: dict[frozenset, int] = {}
-
-        def depth(level: frozenset) -> int:
-            if level not in memo:
-                nexts = maximal_ideals(add, mul, level)
-                memo[level] = 0 if not nexts else 1 + max(depth(n) for n in nexts)
-            return memo[level]
-
-        per_component.append((comp.name, True, depth(carrier)))
-    return ArtinReport(True, tuple(per_component), max(d for _, _, d in per_component))
+    per_component = tuple(
+        (comp.name, True, max(_series_profile(ms, _ideal_steps(ms, [comp.name]))[2]))
+        for comp in double_components(ms)
+    )
+    return ArtinReport(True, per_component, max(d for _, _, d in per_component))
 
 
 # -- idempotents and decomposition ----------------------------------------
@@ -445,9 +427,7 @@ def decompose_artin(ms: MultiSpace) -> DecompositionReport:
                 unique = False
             sums[total] = combo
         unique = unique and set(sums) == carrier
-        ideal_pieces = all(
-            _piece_is_ideal(add, mul, carrier, piece) for piece in pieces
-        )
+        ideal_pieces = all(_ideal_witness(add, mul, carrier, piece) is None for piece in pieces)
         out.append(
             ComponentDecomposition(
                 comp.name, family, pieces, intersections, reconstruction, unique, ideal_pieces, symmetric
@@ -463,8 +443,3 @@ def _sum(A, terms) -> Optional[int]:
     for term in terms[1:]:
         total = UNDEFINED if UNDEFINED in (total, term) else A[total][term]
     return total
-
-
-def _piece_is_ideal(add: OpTable, mul: OpTable, carrier: frozenset[int], piece: frozenset[int]) -> bool:
-    ok, _ = is_group_on(add, piece)
-    return ok and _absorption_escape(mul.grid, carrier, piece, piece) is None

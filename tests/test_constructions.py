@@ -293,3 +293,8 @@ class TestGroupCorpus:
         c1, c2 = ms.components
         assert set(c1.carrier) & set(c2.carrier) == {0}
         assert len(ms.universe) == 12
+
+    @pytest.mark.parametrize("moduli", [[0], [4, -1]])
+    def test_shared_zero_rings_reject_nonpositive_moduli(self, moduli):
+        with pytest.raises(ContractError, match="^moduli must be >= 1$"):
+            shared_zero_ring_union(moduli)

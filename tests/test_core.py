@@ -437,6 +437,22 @@ class TestAutomorphisms:
                 ms, permute_ops
             )
 
+    @pytest.mark.parametrize(
+        "domain, entries, carrier",
+        [
+            ((0, 1, 2), [[0, 1, 2], [1, 2, 0], [2, 0, 1]], (0,)),  # domain {a,b,c} over carrier {a}
+            ((0, 1), [[0, 1], [1, 2]], (0, 1)),  # b+b = c leaves the carrier union {a,b}
+            ((0, 1), [[0, None], [None, None]], (0,)),  # b is in the domain, all its products undefined
+        ],
+        ids=["domain-outside", "product-outside", "domain-outside-undefined"],
+    )
+    def test_operation_leaving_the_union_is_contract_error(self, domain, entries, carrier):
+        u = FiniteUniverse.of(["a", "b", "c"])
+        ms = MultiSpace(u, [Component("A", carrier, ("+",))], [OpTable("+", u, domain, entries)])
+        for permute_ops in (True, False):
+            with pytest.raises(ContractError, match=r"^operation '\+' leaves the carrier union$"):
+                automorphisms(ms, permute_ops=permute_ops)
+
     def test_latin_space_automorphisms_preserve_products(self, paper_latin_space):
         ms = paper_latin_space
         union = ms.element_union()

@@ -192,7 +192,7 @@ def ref_is_multiideal(ms, elements, kept):
             witness = {"component": c.name, "kind": "absorption", "pair": pair}
             break
     if witness is None and not elements <= covered:
-        witness = {"kind": "uncovered_element"}
+        witness = {"kind": "uncovered_element", "element": min(elements - covered)}
     direct = elements <= covered
     union = ms.element_union()
     for c in comps:

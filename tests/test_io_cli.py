@@ -112,6 +112,29 @@ class TestCheck:
         assert report["witness"] == {"component": "R1", "kind": "no_unit"}
         assert not report["multifield"]
 
+    @pytest.mark.parametrize(
+        "name, level",
+        [("three_lines.vector.json", "multivector"), ("two_component.metric.json", "multimetric")],
+    )
+    def test_file_read_once(self, capsys, monkeypatch, name, level):
+        calls = []
+
+        def load_path(path, _load=io.load_path):
+            calls.append(path)
+            return _load(path)
+
+        monkeypatch.setattr(io, "load_path", load_path)
+        for extra in ([], ["--level", level]):
+            calls.clear()
+            code, _, _ = run(capsys, "check", str(FIXTURES / name), *extra)
+            assert code == 0 and calls == [str(FIXTURES / name)]
+
+    def test_level_other_than_the_file_kind(self, capsys):
+        path = str(FIXTURES / "three_lines.vector.json")
+        code, _, err = run(capsys, "check", path, "--level", "multimetric")
+        assert code == 2
+        assert err == f"input error: {path} holds a 'multivector' file; expected 'multimetric'\n"
+
     def test_json_report_carries_numbers(self, capsys):
         code, out, _ = run(capsys, "--json", "check", str(FIXTURES / "latin3.mspace.json"))
         report = json.loads(out)
@@ -251,6 +274,25 @@ class TestAnalyze:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_sequence_without_tail_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "sequence", str(FIXTURES / "two_component.metric.json")
+        )
+        assert code == 2 and out == ""
+        assert err == "input error: sequence needs --tail with a comma list of tail points\n"
+
+    def test_automorphisms_of_an_operation_leaving_the_union_exit_one(self, tmp_path, capsys):
+        from multispace.core import Component, MultiSpace, OpTable
+        from multispace.foundations import FiniteUniverse
+
+        u = FiniteUniverse.of(["a", "b", "c"])
+        ms = MultiSpace(u, [Component("A", (0, 1), ("+",))], [OpTable("+", u, (0, 1), [[0, 1], [1, 2]])])
+        path = tmp_path / "escape.mspace.json"
+        path.write_text(io.render(io.space_to_dict(ms)))
+        code, out, err = run(capsys, "analyze", "automorphisms", str(path))
+        assert code == 1 and out == ""
+        assert err == "prerequisite failed: operation '+' leaves the carrier union\n"
 
     def test_series_prerequisite_failure_exit_one(self, capsys):
         code, _, err = run(

@@ -13,7 +13,7 @@ from multispace.constructions import (
     zn_ring_tables,
 )
 from multispace.core import Component, MultiSpace, OpTable
-from multispace.errors import ContractError, InternalCheckError
+from multispace.errors import ContractError, InternalCheckError, SizeLimitError
 from multispace.foundations import FiniteUniverse
 from multispace.multigroup import IDEAL_CHAIN, SubsetView
 from multispace.multiring import (
@@ -183,6 +183,13 @@ class TestMultiIdeal:
                     found += 1
         assert found == len(zn_ideals(4)) * len(zn_ideals(6))
 
+    def test_element_outside_the_kept_components_is_named(self):
+        # {0} is an ideal of R1, and c2_1 (index 4) lies only in R2
+        ms = shared_zero_ring_union([4, 6])
+        report = is_multiideal(SubsetView(ms, frozenset({0, 4}), ("+1", "*1")))
+        assert not report.verdict and not report.by_closure
+        assert report.witness == {"kind": "uncovered_element", "element": 4}
+
 
 class TestIdealMachinery:
     def test_ideals_of_z12(self):
@@ -239,7 +246,50 @@ class TestIdealChains:
                 assert nxt in ideals_of(add, mul, prev)
 
 
+def reference_artin(ms):
+    """The former ``is_artin`` descent: per component, the longest chain of
+    maximal ideals, by its own memoised depth over ``maximal_ideals``."""
+    per_component = []
+    for comp in ms.components:
+        add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
+        memo = {}
+
+        def depth(level):
+            if level not in memo:
+                nexts = maximal_ideals(add, mul, level)
+                memo[level] = 0 if not nexts else 1 + max(depth(n) for n in nexts)
+            return memo[level]
+
+        per_component.append((comp.name, True, depth(frozenset(comp.carrier))))
+    return tuple(per_component), max(d for _, _, d in per_component)
+
+
+def shared_zero_moduli(limit):
+    """Every multiset of 2 or 3 moduli in 1..13 whose shared-zero union has
+    at most ``limit`` elements."""
+    for r in (2, 3):
+        for moduli in itertools.combinations_with_replacement(range(1, 14), r):
+            if 1 + sum(n - 1 for n in moduli) <= limit:
+                yield list(moduli)
+
+
 class TestArtin:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_matches_reference_on_zn(self, n):
+        ms = zn_ring_space(n)
+        report = is_artin(ms)
+        assert (report.per_component, report.longest_chain) == reference_artin(ms)
+
+    def test_matches_reference_on_shared_zero_unions(self):
+        for moduli in shared_zero_moduli(24):
+            ms = shared_zero_ring_union(moduli)
+            report = is_artin(ms)
+            assert (report.per_component, report.longest_chain) == reference_artin(ms), moduli
+
+    def test_bounded_like_the_series_programming(self):
+        with pytest.raises(SizeLimitError):
+            is_artin(shared_zero_ring_union([13, 13]))
+
     def test_finite_always_artin(self):
         for n in (4, 6, 12):
             assert is_artin(zn_ring_space(n)).verdict
@@ -342,3 +392,10 @@ def test_dual_route_disagreement_messages(monkeypatch):
     ):
         with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
             check()
+    # normality runs the sub-multi-group test first, so it gets its own patch
+    monkeypatch.undo()
+    assert multigroup.is_normal(group_view).verdict
+    monkeypatch.setattr(multigroup, "is_normal_subgroup", lambda t, carrier, s: False)
+    message = "normality criteria disagree: componentwise=False (None), direct=True (None)"
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        multigroup.is_normal(group_view)
