@@ -2,20 +2,43 @@
 
 Exit codes: 0 = the checked property holds / analysis succeeded, 1 = the
 property fails or a prerequisite verifier rejects the input (witness in the
-report), 2 = malformed input.  ``--json`` emits the machine-readable report,
-which carries every number the text report mentions.
+report), 2 = malformed input or a size bound hit (``SizeLimitError`` is a
+``MultiSpaceError``).  ``--json`` emits the machine-readable report, which
+carries every number the text report mentions.
+
+The analysis modules are registered lazily: each is in ``sys.modules`` once
+this module is imported, but its body runs on first attribute access, so a
+command loads only the modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
-from . import constructions, io, multigroup, multiring, multimetric, multivector
 from .core import MultiSpace, automorphisms
 from .errors import ContractError, MultiSpaceError
-from .multimetric import MultiMetricSpace, SequenceSpec
+
+
+def _lazy(name: str):
+    """The package module ``name``, registered now and executed on first attribute access."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+constructions, io, multigroup, multiring, multimetric, multivector = map(
+    _lazy, ("constructions", "io", "multigroup", "multiring", "multimetric", "multivector")
+)
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -43,8 +66,15 @@ def _textify(report: dict, prefix: str = "") -> list[str]:
     return lines
 
 
-def _parse_params(tokens: list[str]) -> dict[str, str]:
-    params = {}
+class _Params(dict):
+    """``key=value`` parameters; reading one that was not given is an input error."""
+
+    def __missing__(self, key):
+        raise MultiSpaceError(f"missing parameter {key}=...")
+
+
+def _parse_params(tokens: list[str]) -> _Params:
+    params = _Params()
     for token in tokens:
         if "=" not in token:
             raise MultiSpaceError(f"parameters look like key=value; got {token!r}")
@@ -239,7 +269,14 @@ def cmd_analyze(args) -> tuple[dict, bool]:
         ms, _ = io.space_from_dict(_load_kind(args.path, "multispace"))
         if sub == "cosets":
             view = _subset_from_args(ms, args)
-            cosets = multigroup.coset_partition(view)
+            try:
+                cosets = multigroup.coset_partition(view)
+            except ContractError:
+                # re-run the failed test to name its witness's elements
+                check = multigroup.is_submultigroup(view)
+                if check.verdict:
+                    raise
+                raise ContractError(f"not a sub-multi-group: {_witness(ms, check.witness)}") from None
             report = {
                 "analysis": "cosets",
                 "subset": _names(ms, view.elements),
@@ -303,7 +340,7 @@ def cmd_analyze(args) -> tuple[dict, bool]:
 
     if sub in ("fixed-point", "sequence"):
         tables = io.metric_components_from_dict(_load_kind(args.path, "multimetric"))
-        space = MultiMetricSpace(tables)
+        space = multimetric.MultiMetricSpace(tables)
         if sub == "fixed-point":
             if not args.map:
                 raise MultiSpaceError("fixed-point needs --map with a mapping file")
@@ -322,7 +359,7 @@ def cmd_analyze(args) -> tuple[dict, bool]:
             return report, result.bound_ok is not False and result.orbits_ok is not False
         if not args.tail:
             raise MultiSpaceError("sequence needs --tail with a comma list of tail points")
-        spec = SequenceSpec(
+        spec = multimetric.SequenceSpec(
             tuple(args.prefix.split(",")) if args.prefix else (),
             args.tail_kind,
             tuple(args.tail.split(",")),
@@ -425,7 +462,11 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"prerequisite failed: {exc}", file=sys.stderr)
         return EXIT_FAILS
-    except (MultiSpaceError, OSError, ValueError, KeyError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its argument
+        print(f"input error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_INPUT
+    except (MultiSpaceError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

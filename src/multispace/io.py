@@ -5,19 +5,25 @@ Structure files (``.mspace.json``) hold a universe, operation tables with
 matrices over GF(p); metric files hold rational grids as [numerator,
 denominator] pairs.  Rendering is canonical, so parse/render round-trips are
 byte-identical.
+
+The vector, metric and map parsers import ``multivector``, ``multimetric``
+and ``fractions`` when called, so reading a structure file loads none of them.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .core import Component, MultiSpace, OpTable
 from .errors import ContractError, InputError
 from .foundations import FiniteUniverse
-from .multimetric import MappingTable, MetricTable
-from .multivector import AmbientSpace, MultiVectorSpace
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .multimetric import MappingTable, MetricTable
+    from .multivector import MultiVectorSpace
 
 FORMAT_VERSION = "1"
 
@@ -69,6 +75,8 @@ def space_from_dict(data: dict) -> tuple[MultiSpace, Optional[dict]]:
             ops.append(OpTable(spec["name"], universe, domain, table))
         components = []
         for spec in data["components"]:
+            if not isinstance(spec["name"], str):  # component names key dicts downstream
+                raise TypeError(f"component name {spec['name']!r} is not a string")
             components.append(
                 Component(
                     spec["name"],
@@ -96,6 +104,8 @@ def vector_space_to_dict(mvs: MultiVectorSpace) -> dict:
 
 
 def vector_space_from_dict(data: dict) -> MultiVectorSpace:
+    from .multivector import AmbientSpace, MultiVectorSpace
+
     try:
         ambient = AmbientSpace(int(data["field_order"]), int(data["ambient_dimension"]))
         gens = [[tuple(v) for v in spec["generators"]] for spec in data["components"]]
@@ -124,13 +134,17 @@ def metric_components_to_dict(components) -> dict:
 
 
 def metric_components_from_dict(data: dict) -> list[MetricTable]:
+    from fractions import Fraction
+
+    from .multimetric import MetricTable
+
     try:
         out = []
         for spec in data["components"]:
             rows = [[Fraction(int(v[0]), int(v[1])) for v in row] for row in spec["d"]]
             out.append(MetricTable.from_rows(spec["points"], rows))
         return out
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise InputError(f"malformed metric file: {exc}") from exc
 
 
@@ -143,6 +157,8 @@ def mapping_to_dict(table: MappingTable) -> dict:
 
 
 def mapping_from_dict(data: dict) -> MappingTable:
+    from .multimetric import MappingTable
+
     try:
         return MappingTable(dict(data["map"]))
     except (KeyError, TypeError) as exc:
@@ -165,6 +181,8 @@ def parse_text(text: str) -> dict:
         raise InputError(f"unsupported format_version {version!r}")
     if "kind" not in data:
         raise InputError("file is missing its kind field")
+    if not isinstance(data["kind"], str):
+        raise InputError(f"kind must be a string, not {data['kind']!r}")
     return data
 
 

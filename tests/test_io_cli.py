@@ -42,6 +42,22 @@ class TestRoundTrips:
         with pytest.raises(InputError, match="line"):
             io.parse_text("{broken")
 
+    def test_kind_must_be_a_string(self):
+        with pytest.raises(InputError, match="kind must be a string"):
+            io.parse_text('{"format_version": "1", "kind": []}')
+
+    def test_component_name_must_be_a_string(self):
+        data = json.loads((FIXTURES / "z6_ring.mspace.json").read_text())
+        data["components"][0]["name"] = []
+        with pytest.raises(InputError, match="component name"):
+            io.space_from_dict(data)
+
+    def test_zero_denominator_is_malformed_metric(self):
+        data = json.loads((FIXTURES / "two_component.metric.json").read_text())
+        data["components"][0]["d"][0][1] = [1, 0]
+        with pytest.raises(InputError, match="malformed metric file"):
+            io.metric_components_from_dict(data)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -190,6 +206,11 @@ class TestConstruct:
         ms, _ = io.space_from_dict(io.load_path(out_path))
         assert len(ms.ops) == 3 and ms.is_completed()
 
+    def test_missing_parameter_exit_two(self, tmp_path, capsys):
+        code, out, err = run(capsys, "construct", "latin", "n=3", "--out", str(tmp_path / "x.json"))
+        assert code == 2 and out == ""
+        assert err == "input error: missing parameter k=...\n"
+
     def test_capacity_error_exit_two(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "construct", "latin", "n=3", "k=99", "--out", str(tmp_path / "x.json")
@@ -301,3 +322,20 @@ class TestAnalyze:
         )
         assert code == 1
         assert "prerequisite" in err
+
+    def test_cosets_prerequisite_witness_names_elements(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "cosets", str(FIXTURES / "z8_group.mspace.json"), "--sub", "e,c1_2"
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "prerequisite failed: not a sub-multi-group: {'component': 'C1', 'op': '+1', "
+            "'kind': 'closure', 'pair': ['c1_2', 'c1_2'], 'result': 'c1_4'}\n"
+        )
+
+    def test_unknown_symbol_message_has_no_stray_quotes(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "cosets", str(FIXTURES / "latin3.mspace.json"), "--sub", "e"
+        )
+        assert code == 2 and out == ""
+        assert err == "input error: unknown symbol 'e'\n"
