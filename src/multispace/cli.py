@@ -229,12 +229,7 @@ def cmd_construct(args) -> tuple[dict, bool]:
         core = params["core"].split(",")
         _, ambient = constructions.cyclic_group_table(modulus, name="o")
         ms = constructions.partition_cyclic(ambient, blocks, core)
-        recipe = {
-            "kind": "partition_cyclic",
-            "modulus": modulus,
-            "blocks": params["blocks"],
-            "core": params["core"],
-        }
+        recipe = {"kind": kind, "modulus": modulus, "blocks": params["blocks"], "core": params["core"]}
     else:
         raise MultiSpaceError(f"unknown construction kind {kind!r}")
 
@@ -263,66 +258,68 @@ def _subset_from_args(ms: MultiSpace, args) -> multigroup.SubsetView:
     return multigroup.SubsetView.of_names(ms, names, op_names)
 
 
+def _analyze_space(sub: str, ms: MultiSpace, args) -> tuple[dict, bool]:
+    """The structure-file analyses; ``cmd_analyze`` names a ContractError's witness."""
+    if sub == "cosets":
+        view = _subset_from_args(ms, args)
+        cosets = multigroup.coset_partition(view)
+        report = {
+            "analysis": "cosets",
+            "subset": _names(ms, view.elements),
+            "cosets": [_names(ms, c) for c in cosets],
+            "count": len(cosets),
+        }
+        return report, True
+    if sub == "series":
+        orientation = args.orientation.split(",") if args.orientation else [t.name for t in ms.ops]
+        result = multigroup.maximal_normal_series(ms, orientation)
+        return _series_report("series", ms, orientation, result), result.invariant
+    if sub == "ideal-chain":
+        orientation = args.orientation.split(",") if args.orientation else [c.name for c in ms.components]
+        result = multiring.multiideal_chain(ms, orientation)
+        return _series_report("ideal-chain", ms, orientation, result), result.invariant
+    if sub == "decompose":
+        result = multiring.decompose_artin(ms)
+        report = {
+            "analysis": "decompose",
+            "valid": result.all_valid,
+            "components": [
+                {
+                    "component": c.component,
+                    "idempotents": _names(ms, c.family),
+                    "pieces": [_names(ms, p) for p in c.pieces],
+                    "intersections_trivial": c.intersections_trivial,
+                    "reconstruction_exact": c.reconstruction_exact,
+                    "unique_sums": c.unique_sums,
+                    "pieces_are_ideals": c.pieces_are_ideals,
+                    "two_sided_symmetric": c.two_sided_symmetric,
+                }
+                for c in result.components
+            ],
+        }
+        return report, result.all_valid
+    maps = automorphisms(ms, permute_ops=not args.no_permute_ops)
+    union = ms.element_union()
+    report = {
+        "analysis": "automorphisms",
+        "count": len(maps),
+        "elements": _names(ms, union),
+        "maps": [[ms.universe.name(union[i]) for i in sigma] for sigma in maps],
+    }
+    return report, True
+
+
 def cmd_analyze(args) -> tuple[dict, bool]:
     sub = args.subcommand
     if sub in ("cosets", "series", "ideal-chain", "decompose", "automorphisms"):
         ms, _ = io.space_from_dict(_load_kind(args.path, "multispace"))
-        if sub == "cosets":
-            view = _subset_from_args(ms, args)
-            try:
-                cosets = multigroup.coset_partition(view)
-            except ContractError:
-                # re-run the failed test to name its witness's elements
-                check = multigroup.is_submultigroup(view)
-                if check.verdict:
-                    raise
-                raise ContractError(f"not a sub-multi-group: {_witness(ms, check.witness)}") from None
-            report = {
-                "analysis": "cosets",
-                "subset": _names(ms, view.elements),
-                "cosets": [_names(ms, c) for c in cosets],
-                "count": len(cosets),
-            }
-            return report, True
-        if sub == "series":
-            orientation = args.orientation.split(",") if args.orientation else [t.name for t in ms.ops]
-            result = multigroup.maximal_normal_series(ms, orientation)
-            return _series_report("series", ms, orientation, result), result.invariant
-        if sub == "ideal-chain":
-            orientation = (
-                args.orientation.split(",") if args.orientation else [c.name for c in ms.components]
-            )
-            result = multiring.multiideal_chain(ms, orientation)
-            return _series_report("ideal-chain", ms, orientation, result), result.invariant
-        if sub == "decompose":
-            result = multiring.decompose_artin(ms)
-            report = {
-                "analysis": "decompose",
-                "valid": result.all_valid,
-                "components": [
-                    {
-                        "component": c.component,
-                        "idempotents": _names(ms, c.family),
-                        "pieces": [_names(ms, p) for p in c.pieces],
-                        "intersections_trivial": c.intersections_trivial,
-                        "reconstruction_exact": c.reconstruction_exact,
-                        "unique_sums": c.unique_sums,
-                        "pieces_are_ideals": c.pieces_are_ideals,
-                        "two_sided_symmetric": c.two_sided_symmetric,
-                    }
-                    for c in result.components
-                ],
-            }
-            return report, result.all_valid
-        maps = automorphisms(ms, permute_ops=not args.no_permute_ops)
-        union = ms.element_union()
-        report = {
-            "analysis": "automorphisms",
-            "count": len(maps),
-            "elements": _names(ms, union),
-            "maps": [[ms.universe.name(union[i]) for i in sigma] for sigma in maps],
-        }
-        return report, True
+        try:
+            return _analyze_space(sub, ms, args)
+        except ContractError as exc:
+            if exc.witness is None:
+                raise
+            raise ContractError(exc.message, _witness(ms, exc.witness)) from None
+
 
     if sub == "dim":
         mvs = io.vector_space_from_dict(_load_kind(args.path, "multivector"))
@@ -396,9 +393,7 @@ def _series_report(name: str, ms: MultiSpace, orientation, result) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="multispace", description="verify, construct and analyze finite multi-spaces"
-    )
+    parser = argparse.ArgumentParser("multispace", description="verify, construct and analyze finite multi-spaces")
     parser.add_argument("--json", action="store_true", help="emit machine-readable reports")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized constructions")
     shared = argparse.ArgumentParser(add_help=False)
@@ -408,33 +403,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser("check", help="run a structure verifier on a file", parents=[shared])
     check.add_argument("path")
-    check.add_argument(
-        "--level",
-        default="auto",
-        choices=["auto", "multispace", "multigroup", "multiring", "multivector", "multimetric"],
-    )
+    levels = ["auto", "multispace", "multigroup", "multiring", "multivector", "multimetric"]
+    check.add_argument("--level", default="auto", choices=levels)
 
     construct = commands.add_parser("construct", help="build a structure file", parents=[shared])
-    construct.add_argument(
-        "kind", choices=["latin", "fan", "cyclic_union", "partition_cyclic"]
-    )
+    construct.add_argument("kind", choices=["latin", "fan", "cyclic_union", "partition_cyclic"])
     construct.add_argument("params", nargs="*", help="key=value parameters")
     construct.add_argument("--out", required=True)
 
     analyze = commands.add_parser("analyze", help="run an analysis on a file", parents=[shared])
-    analyze.add_argument(
-        "subcommand",
-        choices=[
-            "cosets",
-            "series",
-            "ideal-chain",
-            "decompose",
-            "dim",
-            "automorphisms",
-            "fixed-point",
-            "sequence",
-        ],
-    )
+    analyses = ["cosets", "series", "ideal-chain", "decompose", "dim", "automorphisms", "fixed-point", "sequence"]
+    analyze.add_argument("subcommand", choices=analyses)
     analyze.add_argument("path")
     analyze.add_argument("--sub", help="comma list of element names")
     analyze.add_argument("--sub-ops", help="comma list of operation names for --sub")
@@ -443,11 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--prefix", help="comma list of sequence prefix points")
     analyze.add_argument("--tail-kind", default="constant", choices=["constant", "periodic"])
     analyze.add_argument("--tail", help="comma list of tail points")
-    analyze.add_argument(
-        "--no-permute-ops",
-        action="store_true",
-        help="require automorphisms to preserve each operation name",
-    )
+    permute = "require automorphisms to preserve each operation name"
+    analyze.add_argument("--no-permute-ops", action="store_true", help=permute)
     return parser
 
 

@@ -14,7 +14,12 @@ class SizeLimitError(MultiSpaceError):
 
 
 class ContractError(MultiSpaceError):
-    """A documented precondition of an operation was violated."""
+    """A documented precondition of an operation was violated.  A failed check's
+    witness (universe indices) ends the message and stays on ``witness``."""
+
+    def __init__(self, message: str, witness: dict | None = None):
+        super().__init__(message if witness is None else f"{message}: {witness}")
+        self.message, self.witness = message, witness
 
 
 class CapacityError(MultiSpaceError):

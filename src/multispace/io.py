@@ -31,6 +31,12 @@ STRUCTURE_EXTENSION = ".mspace.json"
 METRIC_EXTENSION = ".metric.json"
 
 
+def _malformed(what: str, exc: Exception) -> InputError:
+    """The error for a malformed file; str() of a KeyError is its key's repr."""
+    reason = exc.args[0] if isinstance(exc, KeyError) else exc
+    return InputError(f"malformed {what} file: {reason}")
+
+
 def space_to_dict(ms: MultiSpace, construction: Optional[dict] = None) -> dict:
     names = ms.universe.elements
     out = {
@@ -87,7 +93,7 @@ def space_from_dict(data: dict) -> tuple[MultiSpace, Optional[dict]]:
             )
         return MultiSpace(universe, components, ops), data.get("construction")
     except (KeyError, TypeError, ContractError) as exc:
-        raise InputError(f"malformed structure file: {exc}") from exc
+        raise _malformed("structure", exc) from exc
 
 
 def vector_space_to_dict(mvs: MultiVectorSpace) -> dict:
@@ -112,7 +118,7 @@ def vector_space_from_dict(data: dict) -> MultiVectorSpace:
         names = [spec["name"] for spec in data["components"]]
         return MultiVectorSpace.from_generators(ambient, gens, names)
     except (KeyError, TypeError, ValueError, ContractError) as exc:
-        raise InputError(f"malformed vector file: {exc}") from exc
+        raise _malformed("vector", exc) from exc
 
 
 def _frac_pair(x: Fraction) -> list[int]:
@@ -145,7 +151,7 @@ def metric_components_from_dict(data: dict) -> list[MetricTable]:
             out.append(MetricTable.from_rows(spec["points"], rows))
         return out
     except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed metric file: {exc}") from exc
+        raise _malformed("metric", exc) from exc
 
 
 def mapping_to_dict(table: MappingTable) -> dict:
@@ -162,7 +168,7 @@ def mapping_from_dict(data: dict) -> MappingTable:
     try:
         return MappingTable(dict(data["map"]))
     except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed mapping file: {exc}") from exc
+        raise _malformed("mapping", exc) from exc
 
 
 def render(data: dict) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .core import (
@@ -21,12 +22,7 @@ from .core import (
     group_inverses_on,
     is_group_on,
 )
-from .errors import (
-    ContractError,
-    InternalCheckError,
-    PartitionError,
-    SizeLimitError,
-)
+from .errors import ContractError, InternalCheckError, PartitionError, SizeLimitError
 
 SERIES_UNION_BOUND = 24
 SERIES_CHAIN_BOUND = 50_000
@@ -149,14 +145,8 @@ def is_multigroup(ms: MultiSpace) -> MultiGroupReport:
         fa, fb = ms.op(a), ms.op(b)
         first = _distributes_over(ms, fa, fb)
         second = _distributes_over(ms, fb, fa)
-        if first is None and second is None:
-            orientation = "both"
-        elif first is None:
-            orientation = "first"
-        elif second is None:
-            orientation = "second"
-        else:
-            orientation = None
+        holds = (first is None, second is None)
+        orientation = {(True, True): "both", (True, False): "first", (False, True): "second"}.get(holds)
         check = DistributionCheck((a, b), orientation, first if orientation is None else None)
         distribution.append(check)
         if orientation is None and witness is None:
@@ -178,13 +168,13 @@ class SubStructureReport:
 
 
 def _require(ms: MultiSpace, verifier, what: str) -> None:
-    """Raise ContractError unless ``verifier(ms)`` holds; the report is cached
-    on the space, whose values are immutable after construction."""
+    """Raise ContractError with the report's witness unless ``verifier(ms)``
+    holds; the report is cached on the space, whose values are immutable."""
     reports = vars(ms).setdefault("_prerequisites", {})
     if what not in reports:
         reports[what] = verifier(ms)
     if not reports[what].verdict:
-        raise ContractError(f"parent is not a {what}: {reports[what].witness}")
+        raise ContractError(f"parent is not a {what}", reports[what].witness)
 
 
 def _agree(what, by_component, witness_a, route, by_route, witness_b) -> SubStructureReport:
@@ -276,7 +266,7 @@ def coset_partition(sub: SubsetView) -> tuple[frozenset[int], ...]:
     """
     report = is_submultigroup(sub)
     if not report.verdict:
-        raise ContractError(f"not a sub-multi-group: {report.witness}")
+        raise ContractError("not a sub-multi-group", report.witness)
     ms = sub.parent
     union = frozenset(ms.element_union())
 
@@ -304,9 +294,12 @@ def subgroup_closure(table: OpTable, seed: frozenset[int]) -> frozenset[int]:
     generated subgroup."""
     if not all(map(table.in_domain, seed)):
         raise ContractError(f"the seed is not inside the domain of {table.name!r}")
-    grid = table.grid
-    out = set(seed)
-    frontier = list(seed)
+    return _close(table.grid, set(seed), list(seed))
+
+
+def _close(grid, out: set, frontier: list) -> frozenset[int]:
+    """The closure of ``out`` under ``grid`` when only products with an
+    element of ``frontier`` can leave ``out``, as when x joins a closed set."""
     while frontier:
         x = frontier.pop()
         row = grid[x]
@@ -322,18 +315,19 @@ def subgroups_of(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]
     """Every subgroup of the group (carrier; table), by closure growing.
 
     A closure escaping the carrier means no subgroup of the carrier contains
-    that generating set, so such candidates are discarded.
+    that generating set, so such candidates are discarded.  Every set grown
+    is closed, so its join with x is closed from x alone.
     """
     e = group_identity_on(table, carrier)
     if e is None:
         raise ContractError(f"no identity inside the given subset of {table.name!r}")
+    grid = table.grid
     base = frozenset({e})
-    found = {base}
-    queue = [base]
+    found, queue = {base}, [base]
     while queue:
         current = queue.pop()
         for x in carrier - current:
-            bigger = subgroup_closure(table, current | {x})
+            bigger = _close(grid, {*current, x}, [x])
             if bigger <= carrier and bigger not in found:
                 found.add(bigger)
                 queue.append(bigger)
@@ -341,9 +335,8 @@ def subgroups_of(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]
 
 
 def is_normal_subgroup(table: OpTable, carrier: frozenset[int], sub: frozenset[int]) -> bool:
-    inverse = group_inverses_on(table, carrier)
-    inside = all(map(table.in_domain, sub))
-    return inside and _conjugate_escape(table.grid, carrier, inverse, sub, sub) is None
+    normal = _normal_test(table, carrier)
+    return all(map(table.in_domain, sub)) and normal(sub)
 
 
 def _conjugate_escape(grid, carrier, inverse: dict, elements, allowed) -> Optional[tuple]:
@@ -360,13 +353,21 @@ def _conjugate_escape(grid, carrier, inverse: dict, elements, allowed) -> Option
     return None
 
 
+def _normal_test(table: OpTable, part: frozenset[int]):
+    """The test that a subgroup is normal in the group ``part``."""
+    inverse = group_inverses_on(table, part)
+    return lambda s: not _conjugate_escape(table.grid, part, inverse, s, s)
+
+
+def _maximal(subs, part: frozenset[int], test) -> list[frozenset[int]]:
+    """The maximal members of ``subs`` properly inside ``part`` that pass
+    ``test``, in the order of ``subs``."""
+    kept = [s for s in subs if s < part and test(s)]
+    return [s for s in kept if not any(s < t for t in kept)]
+
+
 def maximal_normal_subgroups(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
-    subs = subgroups_of(table, carrier)
-    grid, inverse = table.grid, group_inverses_on(table, carrier)
-    normal = [
-        s for s in subs if s != carrier and not _conjugate_escape(grid, carrier, inverse, s, s)
-    ]
-    return [s for s in normal if not any(s < t for t in normal)]
+    return _maximal(subgroups_of(table, carrier), carrier, _normal_test(table, carrier))
 
 
 @dataclass(frozen=True)
@@ -393,7 +394,7 @@ def is_normal(sub: SubsetView) -> SubStructureReport:
     """Dual-route normality: componentwise normal subgroups vs. conjugation scan."""
     report = is_submultigroup(sub)
     if not report.verdict:
-        raise ContractError(f"not a sub-multi-group: {report.witness}")
+        raise ContractError("not a sub-multi-group", report.witness)
     ms = sub.parent
 
     witness = None
@@ -478,12 +479,32 @@ def _series_profile(ms: MultiSpace, steps):
     return start, successors, tuple(sorted(lengths)), count
 
 
+def _series_step(label: str, carrier: frozenset[int], table: OpTable, keep) -> tuple:
+    """One ``(label, carrier, table, maximal)`` series step: a part descends
+    through its maximal sub-structures that pass the test ``keep(part)``.
+
+    ``subgroups_of`` runs once, on the first part, as the per-part route
+    would.  A later part in that lattice holds the same identity, so its own
+    lattice is the members inside it; any other part gets its own.  The
+    series engine enters a step at one part, so every later part is a member.
+    """
+    top, lattice = None, []
+
+    def maximal(part):
+        nonlocal top, lattice
+        if top is None:
+            top, lattice = part, subgroups_of(table, part)
+        subs = lattice if part == top or part in lattice else subgroups_of(table, part)
+        return _maximal(subs, part, keep(part))
+
+    return label, carrier, table, maximal
+
+
 def _normal_steps(ms: MultiSpace, orientation: Sequence[str]) -> list[tuple]:
     """One series step per operation: the carriers bound to it, descending
     through maximal normal subgroups."""
     return [
-        (name, frozenset(ms.carriers_of_op(name)), ms.op(name),
-         lambda part, table=ms.op(name): maximal_normal_subgroups(table, part))
+        _series_step(name, frozenset(ms.carriers_of_op(name)), ms.op(name), partial(_normal_test, ms.op(name)))
         for name in orientation
     ]
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .core import Component, MultiSpace, OpTable, UNDEFINED, group_identity_on, is_group_on
@@ -17,9 +18,11 @@ from .multigroup import (
     SubStructureReport,
     _agree,
     _componentwise,
+    _maximal,
     _require,
     _run_series,
     _series_profile,
+    _series_step,
     subgroups_of,
 )
 
@@ -186,23 +189,26 @@ def is_submultiring(sub: SubsetView) -> SubStructureReport:
     parts = _ring_parts(sub)
     witness_a = _componentwise(sub, parts, lambda add, mul, carrier, meet: _subring_witness(add, mul, meet))
 
-    witness_b = None
+    by_closure, witness_b = _ring_route(sub, parts, sub.elements, "mul_closure")
+    return _agree("sub-multi-ring", witness_a is None, witness_a, "closure", by_closure, witness_b)
+
+
+def _ring_route(sub: SubsetView, parts, rs, kind: str) -> tuple[bool, Optional[dict]]:
+    """Route B of the two ring sub-structure tests: the subset meets each
+    carrier in an additive group or not at all, no defined product of an
+    element of ``rs`` and a subset element, either side, leaves the subset,
+    and the carriers cover it.  The verdict and the first witness."""
     allowed = sub.elements | {UNDEFINED}
     for name, carrier, add, mul in parts:
         meet = sub.elements & carrier
         if meet:
             ok, w = is_group_on(add, meet)
             if not ok:
-                witness_b = {"component": name, **w}
-                break
-        grid = mul.grid
-        pairs = ((x, y) for x in sub.elements for y in sub.elements)
-        pair = next((p for p in pairs if grid[p[0]][p[1]] not in allowed), None)
+                return False, {"component": name, **w}
+        pair = _absorption_escape(mul.grid, rs, sub.elements, allowed)
         if pair is not None:
-            witness_b = {"kind": "mul_closure", "op": mul.name, "pair": pair}
-            break
-    by_closure = witness_b is None and sub.elements <= frozenset().union(*(c for _, c, *_ in parts))
-    return _agree("sub-multi-ring", witness_a is None, witness_a, "closure", by_closure, witness_b)
+            return False, {"kind": kind, "op": mul.name, "pair": pair}
+    return sub.elements <= frozenset().union(*(c for _, c, *_ in parts)), None
 
 
 def _subring_witness(add: OpTable, mul: OpTable, subset: frozenset[int]) -> Optional[dict]:
@@ -236,21 +242,7 @@ def is_multiideal(sub: SubsetView) -> SubStructureReport:
     parts = _ring_parts(sub)
     witness_a = _componentwise(sub, parts, _ideal_witness)
 
-    witness_b = None
-    union = ms.element_union()
-    inside = sub.elements | {UNDEFINED}
-    for _, carrier, add, mul in parts:
-        meet = sub.elements & carrier
-        if meet:
-            ok, w = is_group_on(add, meet)
-            if not ok:
-                witness_b = w
-                break
-        pair = _absorption_escape(mul.grid, union, sub.elements, inside)
-        if pair is not None:
-            witness_b = {"kind": "absorption", "op": mul.name, "pair": pair}
-            break
-    by_direct = witness_b is None and sub.elements <= frozenset().union(*(c for _, c, *_ in parts))
+    by_direct, witness_b = _ring_route(sub, parts, ms.element_union(), "absorption")
     return _agree("multi-ideal", witness_a is None, witness_a, "direct", by_direct, witness_b)
 
 
@@ -259,10 +251,14 @@ def is_multiideal(sub: SubsetView) -> SubStructureReport:
 def ideals_of(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
     """Every ideal of the finite ring (carrier; add, mul): additive subgroups
     absorbing multiplication by the whole carrier on both sides."""
-    subs = subgroups_of(add, carrier)
-    if not all(map(mul.in_domain, carrier)):
-        return []
-    return [s for s in subs if not _absorption_escape(mul.grid, carrier, s, s)]
+    return list(filter(_absorbs(mul, carrier), subgroups_of(add, carrier)))
+
+
+def _absorbs(mul: OpTable, part: frozenset[int]):
+    """The test that a subset absorbs multiplication by ``part``.  An element
+    of ``part`` outside mul's domain has only undefined products, which no
+    subset absorbs."""
+    return lambda s: not _absorption_escape(mul.grid, part, s, s)
 
 
 def _absorption_escape(M, rs, elements, allowed) -> Optional[tuple]:
@@ -275,8 +271,7 @@ def _absorption_escape(M, rs, elements, allowed) -> Optional[tuple]:
 
 
 def maximal_ideals(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
-    ideals = [i for i in ideals_of(add, mul, carrier) if i != carrier]
-    return [i for i in ideals if not any(i < j for j in ideals)]
+    return _maximal(subgroups_of(add, carrier), carrier, _absorbs(mul, carrier))
 
 
 def multiideal_chain(ms: MultiSpace, orientation: Sequence[str]) -> SeriesResult:
@@ -292,14 +287,10 @@ def multiideal_chain(ms: MultiSpace, orientation: Sequence[str]) -> SeriesResult
 def _ideal_steps(ms: MultiSpace, names: Sequence[str]) -> list[tuple]:
     """One series step per double component: its carrier, descending
     through maximal ideals."""
-    steps = []
-    for name in names:
-        comp = ms.component(name)
-        add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
-        steps.append(
-            (name, frozenset(comp.carrier), add, lambda part, add=add, mul=mul: maximal_ideals(add, mul, part))
-        )
-    return steps
+    return [
+        _series_step(c.name, frozenset(c.carrier), ms.op(c.add_name), partial(_absorbs, ms.op(c.mul_name)))
+        for c in map(ms.component, names)
+    ]
 
 
 @dataclass(frozen=True)

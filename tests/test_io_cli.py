@@ -1,12 +1,13 @@
 import json
 import pathlib
+import re
 
 import pytest
 
 from multispace import io
 from multispace.cli import main
 from multispace.constructions import disjoint_cyclic_union, zn_ring_space
-from multispace.errors import InputError
+from multispace.errors import ContractError, InputError
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -332,6 +333,51 @@ class TestAnalyze:
             "prerequisite failed: not a sub-multi-group: {'component': 'C1', 'op': '+1', "
             "'kind': 'closure', 'pair': ['c1_2', 'c1_2'], 'result': 'c1_4'}\n"
         )
+
+    def test_series_prerequisite_witness_names_elements(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "series", str(FIXTURES / "latin3.mspace.json"), "--orientation", "x1,x2"
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "prerequisite failed: parent is not a multi-group: {'component': 'S', 'op': 'x2', "
+            "'kind': 'associativity', 'triple': ['2', '1', '1']}\n"
+        )
+
+    def test_ring_prerequisite_witness_names_elements(self, tmp_path, capsys):
+        from multispace.core import Component, MultiSpace, OpTable
+        from multispace.foundations import FiniteUniverse
+
+        u = FiniteUniverse.of(["z", "a", "b"])
+        add = OpTable("+", u, (0, 1, 2), [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        mul = OpTable("*", u, (0, 1, 2), [[0, 0, 0], [0, 1, 1], [0, 1, 1]])  # a*(a+a) = a, not b
+        ms = MultiSpace(u, [Component("R", (0, 1, 2), ("+", "*"), double=True)], [add, mul])
+        path = tmp_path / "not_a_ring.mspace.json"
+        path.write_text(io.render(io.space_to_dict(ms)))
+        for analysis in ("ideal-chain", "decompose"):
+            code, out, err = run(capsys, "analyze", analysis, str(path))
+            assert code == 1 and out == ""
+            assert err.startswith("prerequisite failed: parent is not a multi-ring: {'component': 'R'")
+            assert not re.search(r"\(\d+(, \d+)*\)", err), err
+
+    def test_prerequisite_error_keeps_the_index_witness(self):
+        from multispace.multigroup import is_multigroup, maximal_normal_series
+
+        ms, _ = io.space_from_dict(io.load_path(FIXTURES / "latin3.mspace.json"))
+        with pytest.raises(ContractError) as caught:
+            maximal_normal_series(ms, ["x1", "x2"])
+        witness = is_multigroup(ms).witness
+        assert caught.value.witness == witness and caught.value.message == "parent is not a multi-group"
+        assert str(caught.value) == f"parent is not a multi-group: {witness}"
+
+    def test_unknown_symbol_in_a_structure_file_has_no_stray_quotes(self, tmp_path, capsys):
+        data = json.loads((FIXTURES / "z8_group.mspace.json").read_text())
+        data["components"][0]["carrier"][0] = "nosuch"
+        path = tmp_path / "unknown.mspace.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err == "input error: malformed structure file: unknown symbol 'nosuch'\n"
 
     def test_unknown_symbol_message_has_no_stray_quotes(self, capsys):
         code, out, err = run(

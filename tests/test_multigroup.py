@@ -1,9 +1,11 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
 from multispace.constructions import (
+    abelian_groups_of_order,
     all_groups_up_to_8,
     cyclic_group_table,
     direct_product_table,
@@ -11,14 +13,25 @@ from multispace.constructions import (
     gen_latin_squares,
     latin_multispace,
     shared_identity_union,
+    shared_zero_ring_union,
     single_component_space,
     symmetric_table,
     zn_ring_space,
+    zn_ring_tables,
 )
+from multispace.core import Component, MultiSpace, OpTable, group_identity_on, group_inverses_on
 from multispace.errors import ContractError
+from multispace.foundations import FiniteUniverse
 from multispace.multigroup import (
+    IDEAL_CHAIN,
     NORMAL_SERIES,
     SubsetView,
+    _close,
+    _normal_steps,
+    _normal_test,
+    _run_series,
+    _series_profile,
+    _series_step,
     composition_series,
     coset_of,
     coset_partition,
@@ -28,8 +41,10 @@ from multispace.multigroup import (
     lagrange_check,
     maximal_normal_series,
     series_length_profile,
+    subgroup_closure,
     subgroups_of,
 )
+from multispace.multiring import _absorbs, _ideal_steps, multiideal_chain
 
 
 def omega(n):
@@ -330,3 +345,258 @@ class TestSeries:
         for chain in result.chains:
             for a, b in zip(chain.levels, chain.levels[1:]):
                 assert b < a
+
+
+# -- one lattice per series step ---------------------------------------------
+
+# the shared-zero ring pairs of the series benchmark
+SHARED_ZERO_PAIRS = [
+    (2, 3), (2, 12), (3, 8), (4, 6), (4, 10), (5, 7), (6, 6), (6, 12), (8, 9), (9, 9),
+    (10, 12), (12, 12),
+]
+
+
+def reference_maximal(table, part, mul=None):
+    """The per-part route: ``subgroups_of(table, part)``, then the normality
+    filter (the ideal filter when ``mul`` is given), then the maximal members."""
+    subs = subgroups_of(table, part)
+    G = table.grid
+    if mul is None:
+        inverse = group_inverses_on(table, part)
+
+        def keep(s):
+            return all(G[g][h] is not None and G[G[g][h]][inverse[g]] in s for g in part for h in s)
+    else:
+        M = mul.grid
+        defined = all(map(mul.in_domain, part))
+
+        def keep(s):
+            return defined and all(M[r][a] in s and M[a][r] in s for r in part for a in s)
+
+    kept = [s for s in subs if s != part and keep(s)]
+    return [s for s in kept if not any(s < t for t in kept)]
+
+
+def reference_steps(steps, muls):
+    return [
+        (label, carrier, table, lambda part, t=table, m=mul: reference_maximal(t, part, m))
+        for (label, carrier, table, _), mul in zip(steps, muls)
+    ]
+
+
+def recorded(steps, muls, log):
+    """``steps`` with every ``maximal(part)`` call and its result logged."""
+
+    def wrap(maximal, table, mul):
+        def call(part):
+            log.append((table, mul, part, maximal(part)))
+            return log[-1][3]
+
+        return call
+
+    return [
+        (label, carrier, table, wrap(maximal, table, mul))
+        for (label, carrier, table, maximal), mul in zip(steps, muls)
+    ]
+
+
+def assert_same_series(ms, steps, muls, kind=NORMAL_SERIES):
+    """The lattice route and the per-part route give equal series results
+    (chains in the same order), and every per-part maximal list agrees."""
+    log = []
+    reference = _run_series(ms, reference_steps(steps, muls), kind)
+    assert _run_series(ms, recorded(steps, muls, log), kind) == reference
+    assert log or len(ms.element_union()) == 1
+    for table, mul, part, got in log:
+        assert got == reference_maximal(table, part, mul)
+    return reference
+
+
+def normal_series_routes(ms, orientation):
+    return _normal_steps(ms, orientation), [None] * len(orientation)
+
+
+def ideal_chain_routes(ms, names):
+    return _ideal_steps(ms, names), [ms.op(ms.component(n).mul_name) for n in names]
+
+
+def partial_table(rng, n, density):
+    universe = FiniteUniverse.of([f"u{i}" for i in range(n)])
+    domain = sorted(rng.sample(range(n), rng.randint(1, n)))
+    entries = [[rng.choice(domain) if rng.random() < density else None for _ in domain] for _ in domain]
+    return OpTable("*", universe, domain, entries)
+
+
+def closed_subsets_with(table, carrier, e):
+    """Brute force: every subset of ``carrier`` holding ``e`` and closed
+    under the table wherever it is defined."""
+    G, rest = table.grid, sorted(carrier - {e})
+    out = set()
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            s = frozenset(combo) | {e}
+            if all(G[x][y] is None or G[x][y] in s for x in s for y in s):
+                out.add(s)
+    return out
+
+
+def overlapping_space():
+    """Two ops whose carriers meet in more than an identity: ``a`` is Z2 on
+    {2, 3} with unit 3, and ``b`` binds Z2 on {0, 1} and the one-element
+    group {2}.  The carrier of ``b`` has no unit, but once ``a`` has
+    descended, the part of ``b`` is {0, 1}."""
+    u = FiniteUniverse.of(["0", "1", "2", "3"])
+    a = OpTable("a", u, (2, 3), [[3, 2], [2, 3]])
+    b = OpTable("b", u, (0, 1, 2), [[0, 1, None], [1, 0, None], [None, None, 2]])
+    comps = [Component("A", (2, 3), ("a",)), Component("B1", (0, 1), ("b",)), Component("B2", (2,), ("b",))]
+    return MultiSpace(u, comps, [a, b])
+
+
+def two_identities_space():
+    """One op bound to two Z2 components with different units: its
+    carrier, the first series part, has no unit."""
+    u = FiniteUniverse.of(["0", "1", "2", "3"])
+    rows = [[0, 1, None, None], [1, 0, None, None], [None, None, 2, 3], [None, None, 3, 2]]
+    t = OpTable("*", u, (0, 1, 2, 3), rows)
+    return MultiSpace(u, [Component("C1", (0, 1), ("*",)), Component("C2", (2, 3), ("*",))], [t])
+
+
+class TestSeriesLattice:
+    def test_groups_up_to_order_8(self):
+        for name, _, table in all_groups_up_to_8():
+            ms = single_component_space(table)
+            result = assert_same_series(ms, *normal_series_routes(ms, (table.name,)))
+            assert result == composition_series(table), name
+
+    def test_a05_single_and_pair_corpus(self):
+        corpus = [(n, t) for n in range(1, 17) for _, _, t in abelian_groups_of_order(n)]
+        for n, table in corpus:
+            ms = shared_identity_union([table])
+            result = assert_same_series(ms, *normal_series_routes(ms, ["+1"]))
+            assert result == maximal_normal_series(ms, ["+1"])
+        pairs = 0
+        for (a, ta), (b, tb) in itertools.combinations_with_replacement(corpus, 2):
+            if a + b - 1 <= 24:
+                ms = shared_identity_union([ta, tb])
+                steps, muls = normal_series_routes(ms, ["+1", "+2"])
+                _, _, lengths, count = _series_profile(ms, reference_steps(steps, muls))
+                assert series_length_profile(ms, ["+1", "+2"]) == (lengths, count)
+                pairs += 1
+        assert pairs >= 250
+
+    def test_a05_pairs_materialised_in_both_orientations(self):
+        tables = [t for n in (4, 6, 8) for _, _, t in abelian_groups_of_order(n)]
+        for ta, tb in itertools.product(tables, repeat=2):
+            ms = shared_identity_union([ta, tb])
+            for orientation in (["+1", "+2"], ["+2", "+1"]):
+                assert_same_series(ms, *normal_series_routes(ms, orientation))
+
+    def test_zn_ideal_chains(self):
+        for n in range(1, 13):
+            ms = zn_ring_space(n)
+            result = assert_same_series(ms, *ideal_chain_routes(ms, ["R1"]), IDEAL_CHAIN)
+            assert result == multiideal_chain(ms, ["R1"]), n
+
+    def test_shared_zero_pairs(self):
+        for a, b in SHARED_ZERO_PAIRS:
+            ms = shared_zero_ring_union([a, b])
+            for names in (["R1", "R2"], ["R2", "R1"]):
+                result = assert_same_series(ms, *ideal_chain_routes(ms, names), IDEAL_CHAIN)
+                assert result == multiideal_chain(ms, names), (a, b)
+
+    def test_overlapping_carriers(self):
+        # the part of b is {0, 1}, not b's carrier, which has no unit: a
+        # lattice of the carrier would raise where the per-part route does not
+        ms = overlapping_space()
+        assert is_multigroup(ms).verdict
+        result = assert_same_series(ms, *normal_series_routes(ms, ["a", "b"]))
+        assert result.lengths == (2,) and result.chain_count == 1
+        assert [sorted(level) for level in result.chains[0].levels] == [[0, 1, 2, 3], [0, 1, 3], [0, 3]]
+        assert maximal_normal_series(ms, ["a", "b"]) == result
+
+    def test_no_unit_raises_on_both_routes(self):
+        ms = two_identities_space()
+        steps, muls = normal_series_routes(ms, ["*"])
+        with pytest.raises(ContractError, match="no identity") as new:
+            _run_series(ms, steps, NORMAL_SERIES)
+        with pytest.raises(ContractError, match="no identity") as old:
+            _run_series(ms, reference_steps(steps, muls), NORMAL_SERIES)
+        assert str(new.value) == str(old.value)
+        with pytest.raises(ContractError, match="no identity"):
+            maximal_normal_series(ms, ["*"])
+
+    def test_step_falls_back_for_a_part_outside_its_lattice(self):
+        _, z6 = cyclic_group_table(6)
+        _, _, _, maximal = _series_step("+", frozenset(range(6)), z6, partial(_normal_test, z6))
+        third = frozenset({0, 2, 4})
+        assert maximal(third) == reference_maximal(z6, third) == [frozenset({0})]
+        # the whole group is outside the lattice of {0, 2, 4}, which lacks {0, 3}
+        whole = frozenset(range(6))
+        assert maximal(whole) == reference_maximal(z6, whole) == [frozenset({0, 3}), frozenset({0, 2, 4})]
+        assert maximal(frozenset({0, 3})) == [frozenset({0})]
+        # a part with no unit raises as the per-part route does
+        for route in (maximal, lambda part: reference_maximal(z6, part)):
+            with pytest.raises(ContractError, match="no identity"):
+                route(frozenset({1, 2}))
+
+    def test_ideal_step_falls_back(self):
+        _, add, mul = zn_ring_tables(12)
+        _, _, _, maximal = _series_step("R", frozenset(range(12)), add, partial(_absorbs, mul))
+        for part in map(frozenset, ({0, 4, 8}, range(12), range(0, 12, 2), {0, 6})):
+            assert maximal(part) == reference_maximal(add, part, mul)
+        assert maximal(frozenset(range(12))) == [frozenset(range(0, 12, 3)), frozenset(range(0, 12, 2))]
+
+    def test_no_ideals_where_mul_is_partly_undefined(self):
+        from multispace.multiring import ideals_of, maximal_ideals
+
+        u, add, mul = zn_ring_tables(6)
+        # mul on {0, 1, 2} only, products of 3 or more undefined
+        rows = [[v if v < 3 else None for v in mul.grid[x][:3]] for x in range(3)]
+        half = OpTable("*", u, (0, 1, 2), rows)
+        whole = frozenset(range(6))
+        assert ideals_of(add, half, whole) == [] == maximal_ideals(add, half, whole)
+        assert reference_maximal(add, whole, half) == []
+        assert ideals_of(add, mul, whole) == [frozenset({0})] + [frozenset(range(0, 6, d)) for d in (3, 2, 1)]
+
+    def test_subgroups_of_is_every_closed_subset_with_the_unit(self):
+        for _, _, table in all_groups_up_to_8():
+            carrier = frozenset(table.domain)
+            e = group_identity_on(table, carrier)
+            assert set(subgroups_of(table, carrier)) == closed_subsets_with(table, carrier, e)
+
+    def test_subgroups_of_partial_tables_match_brute_force(self):
+        rng = random.Random(2006)
+        checked = 0
+        for _ in range(400):
+            table = partial_table(rng, rng.randint(1, 7), rng.choice([0.3, 0.7, 1.0]))
+            carrier = frozenset(table.domain)
+            e = group_identity_on(table, carrier)
+            if e is None:
+                continue
+            assert set(subgroups_of(table, carrier)) == closed_subsets_with(table, carrier, e)
+            checked += 1
+        assert checked >= 20
+
+    def test_join_from_the_new_element_only(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            table = partial_table(rng, rng.randint(1, 8), rng.choice([0.3, 0.6, 0.9, 1.0]))
+            domain = list(table.domain)
+            current = subgroup_closure(table, frozenset(rng.sample(domain, rng.randint(0, len(domain)))))
+            for x in domain:
+                if x not in current:
+                    joined = _close(table.grid, {*current, x}, [x])
+                    assert joined == subgroup_closure(table, current | {x})
+
+
+def test_composition_lengths_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    corpus = [(name, table) for name, _, table in all_groups_up_to_8()] + [("S4", symmetric_table(4)[1])]
+    for name, table in corpus:
+        domain = list(table.domain)
+        position = {x: i for i, x in enumerate(domain)}
+        # left-regular representation: g acts by x -> g x
+        perms = [combinatorics.Permutation([position[table.grid[g][x]] for x in domain]) for g in domain]
+        group = combinatorics.PermutationGroup(perms)
+        assert group.order() == len(domain), name
+        assert composition_series(table).length == len(group.composition_series()) - 1, name
