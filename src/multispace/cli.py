@@ -229,7 +229,12 @@ def cmd_construct(args) -> tuple[dict, bool]:
         core = params["core"].split(",")
         _, ambient = constructions.cyclic_group_table(modulus, name="o")
         ms = constructions.partition_cyclic(ambient, blocks, core)
-        recipe = {"kind": kind, "modulus": modulus, "blocks": params["blocks"], "core": params["core"]}
+        recipe = {
+            "kind": "partition_cyclic",
+            "modulus": modulus,
+            "blocks": params["blocks"],
+            "core": params["core"],
+        }
     else:
         raise MultiSpaceError(f"unknown construction kind {kind!r}")
 
@@ -275,7 +280,9 @@ def _analyze_space(sub: str, ms: MultiSpace, args) -> tuple[dict, bool]:
         result = multigroup.maximal_normal_series(ms, orientation)
         return _series_report("series", ms, orientation, result), result.invariant
     if sub == "ideal-chain":
-        orientation = args.orientation.split(",") if args.orientation else [c.name for c in ms.components]
+        orientation = (
+            args.orientation.split(",") if args.orientation else [c.name for c in ms.components]
+        )
         result = multiring.multiideal_chain(ms, orientation)
         return _series_report("ideal-chain", ms, orientation, result), result.invariant
     if sub == "decompose":
@@ -319,7 +326,6 @@ def cmd_analyze(args) -> tuple[dict, bool]:
             if exc.witness is None:
                 raise
             raise ContractError(exc.message, _witness(ms, exc.witness)) from None
-
 
     if sub == "dim":
         mvs = io.vector_space_from_dict(_load_kind(args.path, "multivector"))
@@ -393,7 +399,9 @@ def _series_report(name: str, ms: MultiSpace, orientation, result) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser("multispace", description="verify, construct and analyze finite multi-spaces")
+    parser = argparse.ArgumentParser(
+        prog="multispace", description="verify, construct and analyze finite multi-spaces"
+    )
     parser.add_argument("--json", action="store_true", help="emit machine-readable reports")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized constructions")
     shared = argparse.ArgumentParser(add_help=False)
@@ -403,17 +411,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser("check", help="run a structure verifier on a file", parents=[shared])
     check.add_argument("path")
-    levels = ["auto", "multispace", "multigroup", "multiring", "multivector", "multimetric"]
-    check.add_argument("--level", default="auto", choices=levels)
+    check.add_argument(
+        "--level",
+        default="auto",
+        choices=["auto", "multispace", "multigroup", "multiring", "multivector", "multimetric"],
+    )
 
     construct = commands.add_parser("construct", help="build a structure file", parents=[shared])
-    construct.add_argument("kind", choices=["latin", "fan", "cyclic_union", "partition_cyclic"])
+    construct.add_argument(
+        "kind", choices=["latin", "fan", "cyclic_union", "partition_cyclic"]
+    )
     construct.add_argument("params", nargs="*", help="key=value parameters")
     construct.add_argument("--out", required=True)
 
     analyze = commands.add_parser("analyze", help="run an analysis on a file", parents=[shared])
-    analyses = ["cosets", "series", "ideal-chain", "decompose", "dim", "automorphisms", "fixed-point", "sequence"]
-    analyze.add_argument("subcommand", choices=analyses)
+    analyze.add_argument(
+        "subcommand",
+        choices=[
+            "cosets",
+            "series",
+            "ideal-chain",
+            "decompose",
+            "dim",
+            "automorphisms",
+            "fixed-point",
+            "sequence",
+        ],
+    )
     analyze.add_argument("path")
     analyze.add_argument("--sub", help="comma list of element names")
     analyze.add_argument("--sub-ops", help="comma list of operation names for --sub")
@@ -422,8 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--prefix", help="comma list of sequence prefix points")
     analyze.add_argument("--tail-kind", default="constant", choices=["constant", "periodic"])
     analyze.add_argument("--tail", help="comma list of tail points")
-    permute = "require automorphisms to preserve each operation name"
-    analyze.add_argument("--no-permute-ops", action="store_true", help=permute)
+    analyze.add_argument(
+        "--no-permute-ops",
+        action="store_true",
+        help="require automorphisms to preserve each operation name",
+    )
     return parser
 
 

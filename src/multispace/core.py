@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 from .errors import (
     ContractError,
     SizeLimitError,
+    UnknownNameError,
     UnknownOperationError,
 )
 from .foundations import FiniteUniverse
@@ -173,7 +174,7 @@ class MultiSpace:
         for comp in self.components:
             if comp.name == name:
                 return comp
-        raise KeyError(f"no component named {name!r}")
+        raise UnknownNameError(f"no component named {name!r}")
 
     def element_union(self) -> tuple[int, ...]:
         out: set[int] = set()

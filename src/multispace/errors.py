@@ -22,6 +22,14 @@ class ContractError(MultiSpaceError):
         self.message, self.witness = message, witness
 
 
+class UnknownNameError(KeyError):
+    """A lookup by name found nothing; the argument is a message, which
+    ``str()`` shows as it is (a plain KeyError shows the repr of its key)."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 class CapacityError(MultiSpaceError):
     """A generator was asked for more objects than exist."""
 

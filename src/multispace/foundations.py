@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ContractError, SizeLimitError
+from .errors import ContractError, SizeLimitError, UnknownNameError
 
 BOOLEAN_LAW_BOUND = 6
 
@@ -33,7 +33,7 @@ class FiniteUniverse:
         try:
             return self.elements.index(name)
         except ValueError:
-            raise KeyError(f"unknown symbol {name!r}") from None
+            raise UnknownNameError(f"unknown symbol {name!r}") from None
 
     def name(self, idx: int) -> str:
         return self.elements[idx]

@@ -32,8 +32,8 @@ METRIC_EXTENSION = ".metric.json"
 
 
 def _malformed(what: str, exc: Exception) -> InputError:
-    """The error for a malformed file; str() of a KeyError is its key's repr."""
-    reason = exc.args[0] if isinstance(exc, KeyError) else exc
+    """The error for a malformed file; a plain KeyError is a missing key."""
+    reason = f"missing key {exc.args[0]!r}" if type(exc) is KeyError else exc
     return InputError(f"malformed {what} file: {reason}")
 
 

@@ -22,7 +22,12 @@ from .core import (
     group_inverses_on,
     is_group_on,
 )
-from .errors import ContractError, InternalCheckError, PartitionError, SizeLimitError
+from .errors import (
+    ContractError,
+    InternalCheckError,
+    PartitionError,
+    SizeLimitError,
+)
 
 SERIES_UNION_BOUND = 24
 SERIES_CHAIN_BOUND = 50_000
@@ -145,8 +150,14 @@ def is_multigroup(ms: MultiSpace) -> MultiGroupReport:
         fa, fb = ms.op(a), ms.op(b)
         first = _distributes_over(ms, fa, fb)
         second = _distributes_over(ms, fb, fa)
-        holds = (first is None, second is None)
-        orientation = {(True, True): "both", (True, False): "first", (False, True): "second"}.get(holds)
+        if first is None and second is None:
+            orientation = "both"
+        elif first is None:
+            orientation = "first"
+        elif second is None:
+            orientation = "second"
+        else:
+            orientation = None
         check = DistributionCheck((a, b), orientation, first if orientation is None else None)
         distribution.append(check)
         if orientation is None and witness is None:
@@ -323,7 +334,8 @@ def subgroups_of(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]
         raise ContractError(f"no identity inside the given subset of {table.name!r}")
     grid = table.grid
     base = frozenset({e})
-    found, queue = {base}, [base]
+    found = {base}
+    queue = [base]
     while queue:
         current = queue.pop()
         for x in carrier - current:
@@ -483,19 +495,17 @@ def _series_step(label: str, carrier: frozenset[int], table: OpTable, keep) -> t
     """One ``(label, carrier, table, maximal)`` series step: a part descends
     through its maximal sub-structures that pass the test ``keep(part)``.
 
-    ``subgroups_of`` runs once, on the first part, as the per-part route
-    would.  A later part in that lattice holds the same identity, so its own
-    lattice is the members inside it; any other part gets its own.  The
-    series engine enters a step at one part, so every later part is a member.
+    ``subgroups_of`` runs once, on the first part the series engine reaches.
+    The engine enters a step at one part and every later part is a member of
+    that lattice, whose members inside it are the part's own lattice.
     """
-    top, lattice = None, []
+    lattice = None
 
     def maximal(part):
-        nonlocal top, lattice
-        if top is None:
-            top, lattice = part, subgroups_of(table, part)
-        subs = lattice if part == top or part in lattice else subgroups_of(table, part)
-        return _maximal(subs, part, keep(part))
+        nonlocal lattice
+        if lattice is None:
+            lattice = subgroups_of(table, part)
+        return _maximal(lattice, part, keep(part))
 
     return label, carrier, table, maximal
 
@@ -504,7 +514,9 @@ def _normal_steps(ms: MultiSpace, orientation: Sequence[str]) -> list[tuple]:
     """One series step per operation: the carriers bound to it, descending
     through maximal normal subgroups."""
     return [
-        _series_step(name, frozenset(ms.carriers_of_op(name)), ms.op(name), partial(_normal_test, ms.op(name)))
+        _series_step(
+            name, frozenset(ms.carriers_of_op(name)), ms.op(name), partial(_normal_test, ms.op(name))
+        )
         for name in orientation
     ]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import CombinatorError, ContractError, InputError, ShapeError
+from .errors import CombinatorError, ContractError, InputError, ShapeError, UnknownNameError
 
 COMBINATOR_SAMPLES = 120
 
@@ -59,7 +59,7 @@ class MetricTable:
         try:
             return self.points.index(label)
         except ValueError:
-            raise KeyError(f"unknown point {label!r}") from None
+            raise UnknownNameError(f"unknown point {label!r}") from None
 
     def dist(self, a: str, b: str) -> Fraction:
         return self.d[self.index(a)][self.index(b)]

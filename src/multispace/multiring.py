@@ -189,26 +189,23 @@ def is_submultiring(sub: SubsetView) -> SubStructureReport:
     parts = _ring_parts(sub)
     witness_a = _componentwise(sub, parts, lambda add, mul, carrier, meet: _subring_witness(add, mul, meet))
 
-    by_closure, witness_b = _ring_route(sub, parts, sub.elements, "mul_closure")
-    return _agree("sub-multi-ring", witness_a is None, witness_a, "closure", by_closure, witness_b)
-
-
-def _ring_route(sub: SubsetView, parts, rs, kind: str) -> tuple[bool, Optional[dict]]:
-    """Route B of the two ring sub-structure tests: the subset meets each
-    carrier in an additive group or not at all, no defined product of an
-    element of ``rs`` and a subset element, either side, leaves the subset,
-    and the carriers cover it.  The verdict and the first witness."""
+    witness_b = None
     allowed = sub.elements | {UNDEFINED}
     for name, carrier, add, mul in parts:
         meet = sub.elements & carrier
         if meet:
             ok, w = is_group_on(add, meet)
             if not ok:
-                return False, {"component": name, **w}
-        pair = _absorption_escape(mul.grid, rs, sub.elements, allowed)
+                witness_b = {"component": name, **w}
+                break
+        grid = mul.grid
+        pairs = ((x, y) for x in sub.elements for y in sub.elements)
+        pair = next((p for p in pairs if grid[p[0]][p[1]] not in allowed), None)
         if pair is not None:
-            return False, {"kind": kind, "op": mul.name, "pair": pair}
-    return sub.elements <= frozenset().union(*(c for _, c, *_ in parts)), None
+            witness_b = {"kind": "mul_closure", "op": mul.name, "pair": pair}
+            break
+    by_closure = witness_b is None and sub.elements <= frozenset().union(*(c for _, c, *_ in parts))
+    return _agree("sub-multi-ring", witness_a is None, witness_a, "closure", by_closure, witness_b)
 
 
 def _subring_witness(add: OpTable, mul: OpTable, subset: frozenset[int]) -> Optional[dict]:
@@ -242,7 +239,21 @@ def is_multiideal(sub: SubsetView) -> SubStructureReport:
     parts = _ring_parts(sub)
     witness_a = _componentwise(sub, parts, _ideal_witness)
 
-    by_direct, witness_b = _ring_route(sub, parts, ms.element_union(), "absorption")
+    witness_b = None
+    union = ms.element_union()
+    inside = sub.elements | {UNDEFINED}
+    for _, carrier, add, mul in parts:
+        meet = sub.elements & carrier
+        if meet:
+            ok, w = is_group_on(add, meet)
+            if not ok:
+                witness_b = w
+                break
+        pair = _absorption_escape(mul.grid, union, sub.elements, inside)
+        if pair is not None:
+            witness_b = {"kind": "absorption", "op": mul.name, "pair": pair}
+            break
+    by_direct = witness_b is None and sub.elements <= frozenset().union(*(c for _, c, *_ in parts))
     return _agree("multi-ideal", witness_a is None, witness_a, "direct", by_direct, witness_b)
 
 

@@ -379,6 +379,18 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == "input error: malformed structure file: unknown symbol 'nosuch'\n"
 
+    def test_missing_key_is_named_as_a_key(self, tmp_path, capsys):
+        data = json.loads((FIXTURES / "z8_group.mspace.json").read_text())
+        del data["universe"]
+        path = tmp_path / "no_universe.mspace.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err == "input error: malformed structure file: missing key 'universe'\n"
+        with pytest.raises(InputError) as caught:
+            io.mapping_from_dict({})
+        assert str(caught.value) == "malformed mapping file: missing key 'map'"
+
     def test_unknown_symbol_message_has_no_stray_quotes(self, capsys):
         code, out, err = run(
             capsys, "analyze", "cosets", str(FIXTURES / "latin3.mspace.json"), "--sub", "e"
