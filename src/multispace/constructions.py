@@ -42,72 +42,56 @@ def latin_lower_bound(n: int) -> int:
     return math.prod(math.factorial(s) for s in range(1, n + 1))
 
 
+def _latin_rows(n: int, rows: tuple, order: Callable[[], Sequence[int]]):
+    """Every row that extends the Latin rectangle ``rows`` by one, built cell
+    by cell by backtracking; ``order()`` gives the symbols to try, in order,
+    each time a cell is entered."""
+    used_cols = [{row[j] for row in rows} for j in range(n)]
+    row: list[int] = []
+
+    def extend(j: int):
+        if j == n:
+            yield tuple(row)
+            return
+        for v in order():
+            if v not in row and v not in used_cols[j]:
+                row.append(v)
+                yield from extend(j + 1)
+                row.pop()
+
+    return extend(0)
+
+
 def enumerate_latin_squares(n: int) -> list[LatinSquare]:
     """All n x n Latin squares, by lexicographic row-by-row backtracking."""
     if n < 1:
         raise ContractError("side must be >= 1")
-    rows: list[tuple[int, ...]] = []
-    out: list[LatinSquare] = []
-
-    def place(r: int) -> None:
-        if r == n:
-            out.append(LatinSquare(n, tuple(rows)))
-            return
-        used_cols = [set(row[j] for row in rows) for j in range(n)]
-        row: list[int] = []
-
-        def extend(j: int) -> None:
-            if j == n:
-                rows.append(tuple(row))
-                place(r + 1)
-                rows.pop()
-                return
-            for v in range(n):
-                if v in row or v in used_cols[j]:
-                    continue
-                row.append(v)
-                extend(j + 1)
-                row.pop()
-
-        extend(0)
-
-    place(0)
-    return out
+    rectangles = [()]
+    for _ in range(n):
+        rectangles = [
+            rows + (row,) for rows in rectangles for row in _latin_rows(n, rows, lambda: range(n))
+        ]
+    return [LatinSquare(n, rows) for rows in rectangles]
 
 
 def _random_latin_square(n: int, rng: random.Random) -> LatinSquare:
+    """Rows filled one at a time, each cell trying the symbols in a fresh
+    shuffled order; a dead end restarts the whole square."""
+
+    def shuffled() -> list[int]:
+        order = list(range(n))
+        rng.shuffle(order)
+        return order
+
     while True:
-        rows: list[tuple[int, ...]] = []
-
-        def fill_row() -> Optional[tuple[int, ...]]:
-            used_cols = [set(row[j] for row in rows) for j in range(n)]
-            row: list[int] = []
-
-            def extend(j: int) -> bool:
-                if j == n:
-                    return True
-                order = list(range(n))
-                rng.shuffle(order)
-                for v in order:
-                    if v in row or v in used_cols[j]:
-                        continue
-                    row.append(v)
-                    if extend(j + 1):
-                        return True
-                    row.pop()
-                return False
-
-            return tuple(row) if extend(0) else None
-
-        ok = True
+        rows: tuple = ()
         for _ in range(n):
-            row = fill_row()
+            row = next(_latin_rows(n, rows, shuffled), None)
             if row is None:
-                ok = False
                 break
-            rows.append(row)
-        if ok:
-            return LatinSquare(n, tuple(rows))
+            rows += (row,)
+        else:
+            return LatinSquare(n, rows)
 
 
 def gen_latin_squares(n: int, k: int, seed: int) -> list[LatinSquare]:

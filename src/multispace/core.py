@@ -14,6 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import (
     ContractError,
+    InternalCheckError,
     SizeLimitError,
     UnknownNameError,
     UnknownOperationError,
@@ -445,6 +446,24 @@ def group_inverses_on(t: OpTable, subset: frozenset[int]) -> dict[int, int]:
     return out
 
 
+@dataclass(frozen=True)
+class SubStructureReport:
+    verdict: bool
+    by_component: bool
+    by_closure: bool
+    witness: Optional[dict]
+
+
+def _agree(what, by_component, witness_a, route, by_route, witness_b) -> SubStructureReport:
+    """The report of a dual-route test; InternalCheckError if the routes disagree."""
+    if by_component != by_route:
+        raise InternalCheckError(
+            f"{what} criteria disagree: componentwise={by_component} "
+            f"({witness_a}), {route}={by_route} ({witness_b})"
+        )
+    return SubStructureReport(by_component, by_component, by_route, witness_a or witness_b)
+
+
 def _op_profile(t: OpTable, x: int) -> tuple:
     """Automorphism-invariant fingerprint of an element under one table."""
     if not t.in_domain(x):
@@ -503,12 +522,10 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
     else:
         candidates = [tuple(range(len(tables)))]
 
+    profile = {x: tuple(sorted((t.name, _op_profile(t, x)) for t in tables)) for x in union}
     found: set[tuple[int, ...]] = set()
     for perm in candidates:
         images = {tables[i].name: tables[j] for i, j in enumerate(perm)}
-        profile = {
-            x: tuple(sorted((t.name, _op_profile(t, x)) for t in tables)) for x in union
-        }
         image_profile = {
             x: tuple(sorted((t.name, _op_profile(images[t.name], x)) for t in tables))
             for x in union
@@ -521,6 +538,8 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
         used: set[int] = set()
 
         def consistent(x: int, y: int) -> bool:
+            """With x just mapped to y: every product of x and an assigned
+            element (x included), on either side, agrees with sigma."""
             for t in tables:
                 grid, img = t.grid, images[t.name].grid
                 for a, fa in sigma.items():
@@ -529,20 +548,8 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
                         w = img[fp][fq]
                         if (v is UNDEFINED) != (w is UNDEFINED):
                             return False
-                        if v is not UNDEFINED:
-                            fv = sigma.get(v)
-                            if v == x:
-                                fv = y
-                            if fv is not None and fv != w:
-                                return False
-                v = grid[x][x]
-                w = img[y][y]
-                if (v is UNDEFINED) != (w is UNDEFINED):
-                    return False
-                if v is not UNDEFINED:
-                    fv = y if v == x else sigma.get(v)
-                    if fv is not None and fv != w:
-                        return False
+                        if v is not UNDEFINED and sigma.get(v, w) != w:
+                            return False
             return True
 
         def complete(mapping: dict[int, int]) -> bool:
@@ -563,13 +570,12 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
             for y in cand[x]:
                 if y in used:
                     continue
-                if not consistent(x, y):
-                    continue
                 sigma[x] = y
-                used.add(y)
-                search(i + 1)
+                if consistent(x, y):
+                    used.add(y)
+                    search(i + 1)
+                    used.discard(y)
                 del sigma[x]
-                used.discard(y)
 
         search(0)
     return tuple(sorted(found))

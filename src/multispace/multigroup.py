@@ -16,18 +16,15 @@ from .core import (
     Component,
     MultiSpace,
     OpTable,
+    SubStructureReport,
     UNDEFINED,
+    _agree,
     classify_table,
     group_identity_on,
     group_inverses_on,
     is_group_on,
 )
-from .errors import (
-    ContractError,
-    InternalCheckError,
-    PartitionError,
-    SizeLimitError,
-)
+from .errors import ContractError, PartitionError, SizeLimitError
 
 SERIES_UNION_BOUND = 24
 SERIES_CHAIN_BOUND = 50_000
@@ -170,14 +167,6 @@ def is_multigroup(ms: MultiSpace) -> MultiGroupReport:
     )
 
 
-@dataclass(frozen=True)
-class SubStructureReport:
-    verdict: bool
-    by_component: bool
-    by_closure: bool
-    witness: Optional[dict]
-
-
 def _require(ms: MultiSpace, verifier, what: str) -> None:
     """Raise ContractError with the report's witness unless ``verifier(ms)``
     holds; the report is cached on the space, whose values are immutable."""
@@ -186,16 +175,6 @@ def _require(ms: MultiSpace, verifier, what: str) -> None:
         reports[what] = verifier(ms)
     if not reports[what].verdict:
         raise ContractError(f"parent is not a {what}", reports[what].witness)
-
-
-def _agree(what, by_component, witness_a, route, by_route, witness_b) -> SubStructureReport:
-    """The report of a dual-route test; InternalCheckError if the routes disagree."""
-    if by_component != by_route:
-        raise InternalCheckError(
-            f"{what} criteria disagree: componentwise={by_component} "
-            f"({witness_a}), {route}={by_route} ({witness_b})"
-        )
-    return SubStructureReport(by_component, by_component, by_route, witness_a or witness_b)
 
 
 def _componentwise(sub: SubsetView, parts, test) -> Optional[dict]:
@@ -543,8 +522,20 @@ def _run_series(ms: MultiSpace, steps, kind: str) -> SeriesResult:
     return SeriesResult(tuple(chains), lengths, len(lengths) == 1, count)
 
 
+def _check_orientation(orientation: Sequence[str], names: set[str], what: str) -> None:
+    """ContractError unless ``orientation`` lists each of ``names`` exactly once."""
+    if set(orientation) != names or len(orientation) != len(names):
+        raise ContractError(f"orientation must list each {what} exactly once")
+
+
 def series_length_profile(ms: MultiSpace, orientation: Sequence[str]) -> tuple[tuple[int, ...], int]:
-    """Exhaustive chain-length set and chain count without materialising chains."""
+    """Exhaustive chain-length set and chain count without materialising chains.
+
+    The orientation is validated as in ``maximal_normal_series``; the
+    multi-group prerequisite is the caller's, since checking it costs about
+    as much as the profile itself.
+    """
+    _check_orientation(orientation, {name for _, name in group_bindings(ms)}, "bound operation")
     _, _, lengths, count = _series_profile(ms, _normal_steps(ms, orientation))
     return lengths, count
 
@@ -556,9 +547,7 @@ def maximal_normal_series(ms: MultiSpace, orientation: Sequence[str]) -> SeriesR
     one length (the invariant the theory predicts).
     """
     _require(ms, is_multigroup, "multi-group")
-    bound_ops = {name for _, name in group_bindings(ms)}
-    if set(orientation) != bound_ops or len(orientation) != len(bound_ops):
-        raise ContractError("orientation must list each bound operation exactly once")
+    _check_orientation(orientation, {name for _, name in group_bindings(ms)}, "bound operation")
     return _run_series(ms, _normal_steps(ms, orientation), NORMAL_SERIES)
 
 

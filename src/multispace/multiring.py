@@ -9,14 +9,22 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
-from .core import Component, MultiSpace, OpTable, UNDEFINED, group_identity_on, is_group_on
+from .core import (
+    Component,
+    MultiSpace,
+    OpTable,
+    SubStructureReport,
+    UNDEFINED,
+    _agree,
+    group_identity_on,
+    is_group_on,
+)
 from .errors import ContractError
 from .multigroup import (
     IDEAL_CHAIN,
     SeriesResult,
     SubsetView,
-    SubStructureReport,
-    _agree,
+    _check_orientation,
     _componentwise,
     _maximal,
     _require,
@@ -289,9 +297,7 @@ def multiideal_chain(ms: MultiSpace, orientation: Sequence[str]) -> SeriesResult
     """All maximal multi-ideal chains under an oriented double-operation
     sequence; the orientation lists component names, one double op each."""
     _require(ms, is_multiring, "multi-ring")
-    names = {c.name for c in double_components(ms)}
-    if set(orientation) != names or len(orientation) != len(names):
-        raise ContractError("orientation must list each double-operation component exactly once")
+    _check_orientation(orientation, {c.name for c in double_components(ms)}, "double-operation component")
     return _run_series(ms, _ideal_steps(ms, orientation), IDEAL_CHAIN)
 
 

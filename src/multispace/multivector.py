@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ContractError, InternalCheckError, SizeLimitError
+from .core import SubStructureReport, _agree
+from .errors import ContractError, SizeLimitError
 
 Vector = tuple[int, ...]
 
@@ -75,54 +76,32 @@ def span(ambient: AmbientSpace, generators: Iterable[Vector]) -> frozenset[Vecto
 
 
 def rank(ambient: AmbientSpace, vectors: Iterable[Vector]) -> int:
-    """Rank over GF(p) by Gaussian elimination."""
-    p = ambient.p
-    rows = [list(v) for v in vectors]
-    r = 0
-    for col in range(ambient.n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] % p:
-                factor = rows[i][col]
-                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Rank over GF(p): the size of the canonical basis of the span."""
+    return len(canonical_basis(ambient, vectors))
 
 
 def canonical_basis(ambient: AmbientSpace, vectors: Iterable[Vector]) -> tuple[Vector, ...]:
     """Reduced-echelon basis rows of the span of the given vectors."""
     p = ambient.p
-    rows = [list(v) for v in vectors]
-    basis: list[list[int]] = []
-    for row in rows:
-        row = row[:]
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
+    basis: dict[int, list[int]] = {}  # leading column -> row with leading entry 1
+    for row in ([x % p for x in v] for v in vectors):
+        for lead, b in basis.items():
             if row[lead]:
                 factor = row[lead]
                 row = [(x - factor * y) % p for x, y in zip(row, b)]
-        if any(row):
-            lead = next(i for i, x in enumerate(row) if x)
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
             inv = pow(row[lead], p - 2, p)
-            row = [(x * inv) % p for x in row]
-            basis.append(row)
-    basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
+            basis[lead] = [(x * inv) % p for x in row]
     # back-substitute to reduced form
-    for i, b in enumerate(basis):
-        lead = next(j for j, x in enumerate(b) if x)
-        for other in basis[:i]:
-            if other[lead]:
-                factor = other[lead]
-                for j in range(len(other)):
-                    other[j] = (other[j] - factor * b[j]) % p
-    return tuple(tuple(b) for b in basis)
+    leads = sorted(basis)
+    for i, lead in enumerate(leads):
+        for other in leads[:i]:
+            row = basis[other]
+            if row[lead]:
+                factor = row[lead]
+                basis[other] = [(x - factor * y) % p for x, y in zip(row, basis[lead])]
+    return tuple(tuple(basis[lead]) for lead in leads)
 
 
 @dataclass(frozen=True)
@@ -170,19 +149,13 @@ class MultiVectorSpace:
         return any(a in c.vectors and b in c.vectors for c in self.components)
 
 
-@dataclass(frozen=True)
-class SubspaceReport:
-    verdict: bool
-    witness: Optional[dict]
-
-
 def is_multivector_subspace(
     sub_components: Sequence[Iterable[Vector]], parent: MultiVectorSpace
-) -> SubspaceReport:
+) -> SubStructureReport:
     """Subspace criterion for a union of per-component subsets.
 
     Direct route: every defined scale-then-add combination of union members
-    stays in the union.  Componentwise route: each subset meets its component
+    stays in the union.  Componentwise route: the union meets each component
     in a subspace (or not at all).  Both routes must agree.
     """
     ambient = parent.ambient
@@ -195,40 +168,33 @@ def is_multivector_subspace(
             raise ContractError(f"subset of {comp.name!r} leaves its component")
         subsets.append(sub)
     union = frozenset().union(*subsets) if subsets else frozenset()
+    witness = _closure_witness(ambient, union, parent.components)
+    componentwise = all(
+        not meet or len(meet) == ambient.p ** rank(ambient, meet)
+        for meet in (union & comp.vectors for comp in parent.components)
+    )
+    return _agree("subspace", componentwise, None, "direct", witness is None, witness)
 
-    direct = True
-    witness = None
-    if union:
-        for i, comp_i in enumerate(parent.components):
-            for j, comp_j in enumerate(parent.components):
-                for a in union:
-                    if a not in comp_i.vectors:
+
+def _closure_witness(ambient: AmbientSpace, union, components) -> Optional[dict]:
+    """The first alpha*a + b outside ``union``, for a and b in ``union`` with
+    alpha*a and b in one component, scanning component pairs in order; or
+    None when the union is closed."""
+    for comp_i in components:
+        for comp_j in components:
+            for a in union:
+                if a not in comp_i.vectors:
+                    continue
+                for alpha in range(ambient.p):
+                    w = ambient.scale(alpha, a)
+                    if w not in comp_j.vectors:
                         continue
-                    for alpha in range(ambient.p):
-                        w = ambient.scale(alpha, a)
-                        if w not in comp_j.vectors:
-                            continue
-                        for b in union:
-                            if b not in comp_j.vectors:
-                                continue
+                    for b in union:
+                        if b in comp_j.vectors:
                             out = ambient.add(w, b)
                             if out not in union:
-                                direct = False
-                                if witness is None:
-                                    witness = {"alpha": alpha, "a": a, "b": b, "result": out}
-
-    componentwise = True
-    for comp, sub in zip(parent.components, subsets):
-        if not sub:
-            continue
-        if sub != span(ambient, sub):
-            componentwise = False
-
-    if direct != componentwise:
-        raise InternalCheckError(
-            f"subspace criteria disagree: direct={direct}, componentwise={componentwise}"
-        )
-    return SubspaceReport(direct, witness)
+                                return {"alpha": alpha, "a": a, "b": b, "result": out}
+    return None
 
 
 @dataclass(frozen=True)
@@ -293,25 +259,19 @@ def greedy_basis(ms: MultiVectorSpace, order: Optional[Sequence[Vector]] = None)
     A vector is removed while the remaining set still spans everything it
     spanned before (i.e. the vector lies in the span of the others); the
     result is an independent set whose span covers the component union.
-    Deterministic: vectors are considered in the given order (default:
-    canonical sorted order of the starting set).
+    Deterministic: one pass over the vectors in the given order (default:
+    canonical sorted order of the starting set); removing a vector never
+    makes an earlier kept vector redundant, so one pass suffices.
     """
     start = component_bases(ms)
-    if order is None:
-        working = sorted(start)
-    else:
-        working = list(order)
-        if sorted(working) != sorted(start):
-            raise ContractError("order must permute the union of component bases")
-    changed = True
-    while changed:
-        changed = False
-        for i, v in enumerate(working):
-            rest = working[:i] + working[i + 1 :]
-            if rank(ms.ambient, rest) == rank(ms.ambient, working):
-                working = rest
-                changed = True
-                break
+    working = sorted(start) if order is None else list(order)
+    if sorted(working) != sorted(start):
+        raise ContractError("order must permute the union of component bases")
+    full = rank(ms.ambient, working)
+    for v in tuple(working):
+        rest = [w for w in working if w != v]
+        if rank(ms.ambient, rest) == full:
+            working = rest
     return tuple(working)
 
 

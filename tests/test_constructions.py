@@ -61,6 +61,20 @@ class TestLatinSquares:
         assert len(set(sq.grid for sq in squares)) == 3
         assert gen_latin_squares(5, 3, seed=11) == squares
 
+    def test_seeded_squares_pinned(self):
+        assert [sq.grid for sq in gen_latin_squares(5, 3, seed=11)] == [
+            ((2, 4, 1, 3, 0), (1, 3, 4, 0, 2), (4, 1, 0, 2, 3), (3, 0, 2, 4, 1), (0, 2, 3, 1, 4)),
+            ((1, 3, 4, 0, 2), (3, 0, 1, 2, 4), (0, 4, 2, 3, 1), (4, 2, 3, 1, 0), (2, 1, 0, 4, 3)),
+            ((1, 0, 2, 3, 4), (3, 4, 0, 1, 2), (4, 2, 3, 0, 1), (0, 1, 4, 2, 3), (2, 3, 1, 4, 0)),
+        ]
+
+    def test_enumeration_order_pinned(self):
+        squares = enumerate_latin_squares(4)
+        assert len(squares) == 576
+        assert squares[0].grid == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+        assert squares[-1].grid == ((3, 2, 1, 0), (2, 3, 0, 1), (1, 0, 3, 2), (0, 1, 2, 3))
+        assert squares == sorted(squares, key=lambda sq: sq.grid)
+
 
 class TestLatinMultispace:
     def test_completed_with_total_ops(self):

@@ -290,11 +290,13 @@ class TestSeries:
             assert chain.kind == NORMAL_SERIES
 
     def test_orientation_must_cover_ops(self):
-        ms = disjoint_cyclic_union([2, 2])
-        with pytest.raises(ContractError):
-            maximal_normal_series(ms, ["+1"])
-        with pytest.raises(ContractError):
-            maximal_normal_series(ms, ["+1", "+1"])
+        _, z4 = cyclic_group_table(4)
+        _, z6 = cyclic_group_table(6)
+        for ms in (disjoint_cyclic_union([2, 2]), shared_identity_union([z4, z6])):
+            for entry in (maximal_normal_series, series_length_profile):
+                for orientation in (["+1"], ["+1", "+1"], ["+1", "+1", "+2"]):
+                    with pytest.raises(ContractError, match="each bound operation exactly once"):
+                        entry(ms, orientation)
 
     def test_profile_matches_materialised_chains(self):
         _, z12 = cyclic_group_table(12)

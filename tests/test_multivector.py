@@ -19,6 +19,56 @@ from multispace.multivector import (
 )
 
 
+def reference_rank(ambient, vectors):
+    """Rank by column-by-column Gauss-Jordan elimination, independent of
+    ``canonical_basis`` (the library's rank before it became the size of
+    the canonical basis)."""
+    p = ambient.p
+    rows = [list(v) for v in vectors]
+    r = 0
+    for col in range(ambient.n):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] % p:
+                factor = rows[i][col]
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def reference_greedy_basis(ms, order=None):
+    """The restart loop: remove the first vector whose removal keeps the
+    rank, then rescan from the start, until no vector is removable."""
+    working = sorted(component_bases(ms)) if order is None else list(order)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(working)):
+            rest = working[:i] + working[i + 1 :]
+            if reference_rank(ms.ambient, rest) == reference_rank(ms.ambient, working):
+                working = rest
+                changed = True
+                break
+    return tuple(working)
+
+
+def random_space(rng, ambient, k, size):
+    """k components, each spanned by up to ``size`` random vectors."""
+    def vector():
+        return tuple(rng.randrange(ambient.p) for _ in range(ambient.n))
+
+    return MultiVectorSpace.from_generators(
+        ambient, [[vector() for _ in range(rng.randint(0, size))] for _ in range(k)]
+    )
+
+
 def gf2_cube():
     return AmbientSpace(2, 3)
 
@@ -75,6 +125,39 @@ class TestSubspaceCriterion:
         report = is_multivector_subspace([[(0, 0), (1, 0), (0, 1)]], parent)
         assert not report.verdict
         assert report.witness["result"] == (1, 1)
+
+    def test_componentwise_route_tests_meets(self):
+        # Each given subset is a subspace of its component, but the union
+        # {0, (1,0), (0,1)} meets the plane V2 in a set that is not.
+        amb = AmbientSpace(2, 2)
+        parent = MultiVectorSpace.from_generators(amb, [[(1, 0)], [(1, 0), (0, 1)]])
+        report = is_multivector_subspace([[(0, 0), (1, 0)], [(0, 0), (0, 1)]], parent)
+        assert (report.verdict, report.by_component, report.by_closure) == (False, False, False)
+        assert report.witness == {"alpha": 1, "a": (1, 0), "b": (0, 1), "result": (1, 1)}
+
+    def test_random_subsets_match_meet_oracle(self):
+        rng = random.Random(29)
+        verdicts = set()
+        for _ in range(400):
+            amb = AmbientSpace(rng.choice([2, 3]), rng.randint(1, 3))
+            parent = random_space(rng, amb, rng.randint(1, 3), 2)
+            subs = []
+            for comp in parent.components:
+                vectors = sorted(comp.vectors)
+                if rng.random() < 0.4:
+                    subs.append(rng.sample(vectors, rng.randint(0, len(vectors))))
+                else:
+                    subs.append(sorted(span(amb, rng.sample(vectors, min(2, len(vectors))))))
+            union = set().union(*map(set, subs))
+            want = all(
+                not meet or meet == span(amb, meet)
+                for meet in (union & comp.vectors for comp in parent.components)
+            )
+            report = is_multivector_subspace(subs, parent)
+            assert report.verdict == report.by_component == report.by_closure == want
+            assert (report.witness is None) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_intersection_of_passing_subs_passes(self):
         rng = random.Random(3)
@@ -180,6 +263,29 @@ class TestGreedyBasis:
         mvs = MultiVectorSpace.from_generators(amb, [[(1, 0)]])
         with pytest.raises(ContractError):
             greedy_basis(mvs, order=[(0, 1)])
+
+
+class TestReplacedRoutes:
+    def test_rank_matches_elimination(self):
+        rng = random.Random(31)
+        for _ in range(500):
+            p = rng.choice([2, 3, 5, 7])
+            amb = AmbientSpace(p, rng.randint(1, 4 if p > 3 else 6))
+            # coordinates outside 0..p-1 are read mod p
+            vectors = [
+                tuple(rng.randrange(-p, 2 * p) for _ in range(amb.n)) for _ in range(rng.randint(0, 8))
+            ]
+            assert rank(amb, vectors) == reference_rank(amb, vectors)
+
+    def test_greedy_basis_matches_restart_loop(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            amb = AmbientSpace(rng.choice([2, 3, 5]), rng.randint(1, 4))
+            mvs = random_space(rng, amb, rng.randint(1, 4), 3)
+            assert greedy_basis(mvs) == reference_greedy_basis(mvs)
+            order = component_bases(mvs)
+            rng.shuffle(order)
+            assert greedy_basis(mvs, order=order) == reference_greedy_basis(mvs, order=order)
 
 
 class TestDimFormula:
