@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .core import Component, MultiSpace, OpTable, classify_table, group_identity_on
-from .errors import CapacityError, ContractError, InputError, PartitionError, ShapeError
+from .errors import (
+    CapacityError,
+    ContractError,
+    InputError,
+    PartitionError,
+    ShapeError,
+    SizeLimitError,
+)
 from .foundations import FiniteUniverse
 
 LATIN_ENUMERATION_BOUND = 4
@@ -66,6 +73,11 @@ def enumerate_latin_squares(n: int) -> list[LatinSquare]:
     """All n x n Latin squares, by lexicographic row-by-row backtracking."""
     if n < 1:
         raise ContractError("side must be >= 1")
+    if n > LATIN_ENUMERATION_BOUND:
+        raise SizeLimitError(
+            f"Latin square enumeration grows factorially; n = {n} exceeds "
+            f"LATIN_ENUMERATION_BOUND = {LATIN_ENUMERATION_BOUND}"
+        )
     rectangles = [()]
     for _ in range(n):
         rectangles = [

@@ -8,6 +8,8 @@ No floating point appears in any verdict.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,10 +41,16 @@ class MetricTable:
 
     def __post_init__(self) -> None:
         n = len(self.points)
-        if len(set(self.points)) != n:
+        positions = {p: i for i, p in enumerate(self.points)}
+        if len(positions) != n:
             raise ShapeError("duplicate point labels")
         if len(self.d) != n or any(len(row) != n for row in self.d):
             raise ShapeError(f"distance grid is not {n}x{n}")
+        for row in self.d:
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                    raise ContractError(f"distance {x!r} is not an exact rational")
+        object.__setattr__(self, "_positions", positions)
 
     @classmethod
     def from_rows(cls, points: Sequence[str], rows) -> "MetricTable":
@@ -57,8 +65,8 @@ class MetricTable:
 
     def index(self, label: str) -> int:
         try:
-            return self.points.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise UnknownNameError(f"unknown point {label!r}") from None
 
     def dist(self, a: str, b: str) -> Fraction:
@@ -72,25 +80,37 @@ class MetricVerdict:
     witness: Optional[tuple]
 
 
+def _integers(values, scale: int) -> tuple[int, ...]:
+    """``values * scale`` as ints; ``scale`` is a multiple of every denominator."""
+    return tuple(x.numerator * (scale // x.denominator) for x in values)
+
+
 def validate_metric(t: MetricTable) -> MetricVerdict:
-    """Exhaustive definiteness, symmetry and triangle checks with a witness."""
+    """Exhaustive definiteness, symmetry and triangle checks with a witness.
+
+    The checks run on the grid scaled to integers by the lcm of its
+    denominators; every axiom is invariant under positive scaling."""
     n = len(t.points)
+    scale = math.lcm(*{x.denominator for row in t.d for x in row})
+    d = [_integers(row, scale) for row in t.d]
     for i in range(n):
         for j in range(n):
-            v = t.d[i][j]
+            v = d[i][j]
             if v < 0:
                 return MetricVerdict(False, "nonnegativity", (t.points[i], t.points[j]))
             if (v == 0) != (i == j):
                 return MetricVerdict(False, "definiteness", (t.points[i], t.points[j]))
     for i in range(n):
         for j in range(i + 1, n):
-            if t.d[i][j] != t.d[j][i]:
+            if d[i][j] != d[j][i]:
                 return MetricVerdict(False, "symmetry", (t.points[i], t.points[j]))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if t.d[i][j] + t.d[j][k] < t.d[i][k]:
-            return MetricVerdict(
-                False, "triangle", (t.points[i], t.points[j], t.points[k])
-            )
+    for i, j in itertools.product(range(n), repeat=2):
+        di, dj, dij = d[i], d[j], d[i][j]
+        for k in range(n):
+            if dij + dj[k] < di[k]:
+                return MetricVerdict(
+                    False, "triangle", (t.points[i], t.points[j], t.points[k])
+                )
     return MetricVerdict(True, None, None)
 
 
@@ -167,14 +187,38 @@ def _sample_tuples(metrics: Sequence[MetricTable], rng: random.Random, count: in
     return pool[:count]
 
 
+def _integer_route(spec: CombinatorSpec, samples):
+    """For the positively homogeneous kinds (sum, weighted_sum, max): F on
+    integers and the samples scaled to integers.  Every sample is scaled by
+    twice the lcm of all sample denominators, so halves stay integral, and
+    the weights by the lcm of their own; F on the scaled samples is then F on
+    the samples times one positive constant, so every hypothesis compares the
+    same way.  None for the other kinds."""
+    if spec.kind == "sum":
+        g = sum
+    elif spec.kind == "max":
+        g = max
+    elif spec.kind == "weighted_sum":
+        weights = [_frac(w) for w in spec.weights]
+        ws = _integers(weights, math.lcm(*(w.denominator for w in weights)))
+
+        def g(a):
+            return sum(map(operator.mul, ws, a))
+    else:
+        return None
+    scale = 2 * math.lcm(*{x.denominator for xs in samples for x in xs})
+    return g, [_integers(xs, scale) for xs in samples]
+
+
 def combine_metrics(
     metrics: Sequence[MetricTable], spec: CombinatorSpec, seed: int = 0
 ) -> MetricTable:
     """Apply an m-ary combinator entrywise and validate the result as a metric.
 
-    The combinator's three admissibility hypotheses (monotonicity, zero only
-    at zero, superadditivity) are first exercised on sampled tuples; built-in
-    kinds are proven cases, custom ones are sampled-not-proven.
+    The inputs must be metrics.  The combinator's three admissibility
+    hypotheses (monotonicity, zero only at zero, superadditivity) are first
+    exercised on sampled tuples, F evaluated once per tuple; built-in kinds
+    are proven cases, custom ones are sampled-not-proven.
     """
     if not metrics:
         raise ContractError("need at least one metric")
@@ -184,20 +228,32 @@ def combine_metrics(
             raise ShapeError("all metrics must share one point set, in one order")
     m = len(metrics)
     fn = spec.function(m)
+    for i, t in enumerate(metrics):
+        verdict = validate_metric(t)
+        if not verdict.valid:
+            raise ContractError(f"metric {i + 1} violates {verdict.axiom} at {verdict.witness}")
     rng = random.Random(seed)
     zero = tuple(Fraction(0) for _ in range(m))
     if fn(zero) != 0:
         raise CombinatorError(f"F(0,...,0) = {fn(zero)} != 0")
     samples = _sample_tuples(metrics, rng, COMBINATOR_SAMPLES)
-    for xs in samples:
-        if any(xs) and fn(xs) == 0:
+    route = _integer_route(spec, samples)
+    if route is None:
+        g, scaled, half = fn, samples, lambda xs: tuple(x / 2 for x in xs)
+    else:
+        (g, scaled), half = route, lambda a: tuple(x // 2 for x in a)
+    values = []
+    for xs, a in zip(samples, scaled):
+        v = g(a)
+        values.append(v)
+        if any(xs) and v == 0:
             raise CombinatorError(f"zero-only-at-zero fails at {xs}")
-        shrunk = tuple(x / 2 for x in xs)
-        if fn(xs) < fn(shrunk):
+        if v < g(half(a)):
+            shrunk = tuple(x / 2 for x in xs)
             raise CombinatorError(f"monotonicity fails between {shrunk} and {xs}")
-    for xs, ys in zip(samples, reversed(samples)):
-        added = tuple(x + y for x, y in zip(xs, ys))
-        if fn(xs) + fn(ys) < fn(added):
+    mirrored = zip(samples, reversed(samples), scaled, reversed(scaled), values, reversed(values))
+    for xs, ys, a, b, u, w in mirrored:
+        if u + w < g(tuple(map(operator.add, a, b))):
             raise CombinatorError(f"superadditivity-compatibility fails at {xs} + {ys}")
     n = len(points)
     rows = [[fn(tuple(t.d[i][j] for t in metrics)) for j in range(n)] for i in range(n)]

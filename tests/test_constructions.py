@@ -1,6 +1,7 @@
 import pytest
 
 from multispace.constructions import (
+    LATIN_ENUMERATION_BOUND,
     LatinSquare,
     abelian_groups_of_order,
     all_groups_up_to_8,
@@ -22,7 +23,14 @@ from multispace.constructions import (
     zn_ring_space,
 )
 from multispace.core import UNDEFINED, classify_table, is_faithful
-from multispace.errors import CapacityError, ContractError, InputError, PartitionError, ShapeError
+from multispace.errors import (
+    CapacityError,
+    ContractError,
+    InputError,
+    PartitionError,
+    ShapeError,
+    SizeLimitError,
+)
 
 
 class TestLatinSquares:
@@ -34,6 +42,12 @@ class TestLatinSquares:
         assert len(enumerate_latin_squares(1)) == 1
         assert len(enumerate_latin_squares(2)) == 2
         assert len(enumerate_latin_squares(3)) == 12
+
+    def test_enumeration_bounded(self):
+        assert LATIN_ENUMERATION_BOUND == 4
+        assert len(enumerate_latin_squares(LATIN_ENUMERATION_BOUND)) == 576
+        with pytest.raises(SizeLimitError, match=r"n = 5 exceeds LATIN_ENUMERATION_BOUND = 4"):
+            enumerate_latin_squares(5)
 
     def test_lower_bound_met(self):
         for n in (2, 3, 4):

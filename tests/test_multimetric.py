@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -5,13 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multispace.errors import CombinatorError, ContractError, InputError, ShapeError
+from multispace.errors import (
+    CombinatorError,
+    ContractError,
+    InputError,
+    ShapeError,
+    UnknownNameError,
+)
 from multispace.multimetric import (
+    COMBINATOR_SAMPLES,
     CombinatorSpec,
     MappingTable,
     MetricTable,
     MultiMetricSpace,
+    MetricVerdict,
     SequenceSpec,
+    _integer_route,
+    _sample_tuples,
     analyze_sequence,
     combine_metrics,
     fixed_points,
@@ -33,6 +44,87 @@ def random_metric(rng, labels):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = F(rng.randint(8, 16), 8)  # within [1,2]
     return MetricTable.from_rows(labels, rows)
+
+
+def mixed_metric(rng, labels):
+    """An embedded-line metric whose points carry their own denominators."""
+    values: dict = {}
+    while len(values) < len(labels):
+        values.setdefault(F(rng.randint(0, 60), rng.randint(1, 9)), labels[len(values)])
+    return MetricTable.from_line({lab: v for v, lab in values.items()})
+
+
+def reference_validate(t):
+    """validate_metric as it was on Fractions: the oracle for the integer route."""
+    n = len(t.points)
+    for i in range(n):
+        for j in range(n):
+            v = t.d[i][j]
+            if v < 0:
+                return MetricVerdict(False, "nonnegativity", (t.points[i], t.points[j]))
+            if (v == 0) != (i == j):
+                return MetricVerdict(False, "definiteness", (t.points[i], t.points[j]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if t.d[i][j] != t.d[j][i]:
+                return MetricVerdict(False, "symmetry", (t.points[i], t.points[j]))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if t.d[i][j] + t.d[j][k] < t.d[i][k]:
+            return MetricVerdict(False, "triangle", (t.points[i], t.points[j], t.points[k]))
+    return MetricVerdict(True, None, None)
+
+
+def reference_combine(metrics, spec, seed=0):
+    """combine_metrics as it was on Fractions, F re-evaluated at every use."""
+    if not metrics:
+        raise ContractError("need at least one metric")
+    points = metrics[0].points
+    for t in metrics:
+        if t.points != points:
+            raise ShapeError("all metrics must share one point set, in one order")
+    m = len(metrics)
+    fn = spec.function(m)
+    rng = random.Random(seed)
+    zero = tuple(F(0) for _ in range(m))
+    if fn(zero) != 0:
+        raise CombinatorError(f"F(0,...,0) = {fn(zero)} != 0")
+    samples = _sample_tuples(metrics, rng, COMBINATOR_SAMPLES)
+    for xs in samples:
+        if any(xs) and fn(xs) == 0:
+            raise CombinatorError(f"zero-only-at-zero fails at {xs}")
+        shrunk = tuple(x / 2 for x in xs)
+        if fn(xs) < fn(shrunk):
+            raise CombinatorError(f"monotonicity fails between {shrunk} and {xs}")
+    for xs, ys in zip(samples, reversed(samples)):
+        added = tuple(x + y for x, y in zip(xs, ys))
+        if fn(xs) + fn(ys) < fn(added):
+            raise CombinatorError(f"superadditivity-compatibility fails at {xs} + {ys}")
+    n = len(points)
+    rows = [[fn(tuple(t.d[i][j] for t in metrics)) for j in range(n)] for i in range(n)]
+    combined = MetricTable.from_rows(points, rows)
+    verdict = reference_validate(combined)
+    if not verdict.valid:
+        raise CombinatorError(f"combined table violates {verdict.axiom} at {verdict.witness}")
+    return combined
+
+
+def outcome(call, *args, **kwargs):
+    """A call's result, or its exception's type and text."""
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def builtin_specs(rng, m):
+    """Every built-in kind; weights with denominators above 1."""
+    weights = tuple(F(rng.randint(1, 7), rng.randint(2, 5)) for _ in range(m))
+    return [
+        CombinatorSpec("sum"),
+        CombinatorSpec("weighted_sum", weights=weights),
+        CombinatorSpec("bounded_sum"),
+        CombinatorSpec("max"),
+    ]
 
 
 class TestValidation:
@@ -136,6 +228,215 @@ class TestCombinators:
         ]
         for spec in specs:
             assert validate_metric(combine_metrics(metrics, spec)).valid
+
+
+class TestExactEntries:
+    @pytest.mark.parametrize("bad", [0.5, True, "1/2", None])
+    def test_non_exact_entry_rejected(self, bad):
+        with pytest.raises(ContractError, match="not an exact rational"):
+            MetricTable(("a", "b"), ((0, bad), (bad, 0)))
+
+    def test_float_grid_never_validated(self):
+        with pytest.raises(ContractError):
+            validate_metric(MetricTable(("a", "b"), ((0, 0.5), (0.5, 0))))
+
+    def test_int_and_fraction_entries_accepted(self):
+        t = MetricTable(("a", "b"), ((0, F(1, 2)), (F(1, 2), 0)))
+        assert validate_metric(t).valid
+        assert validate_metric(MetricTable(("a", "b"), ((0, 3), (3, 0)))).valid
+
+    def test_index_by_label(self):
+        t = MetricTable.from_line({"x": 0, "y": 1, "z": 3})
+        assert [t.index(p) for p in ("x", "y", "z")] == [0, 1, 2]
+        assert t.dist("z", "x") == 3
+        with pytest.raises(UnknownNameError):
+            t.index("w")
+
+
+class TestCombineInputs:
+    NEGATIVE = MetricTable.from_rows(["a", "b"], [[0, -1], [-1, 0]])
+
+    @pytest.mark.parametrize("kind", ["sum", "bounded_sum", "max"])
+    def test_non_metric_input_named(self, kind):
+        with pytest.raises(ContractError, match=r"^metric 1 violates nonnegativity at \('a', 'b'\)$"):
+            combine_metrics([self.NEGATIVE], CombinatorSpec(kind))
+
+    def test_later_input_named_by_position(self):
+        good = MetricTable.from_line({"a": 0, "b": 1})
+        asym = MetricTable.from_rows(["a", "b"], [[0, 1], [2, 0]])
+        with pytest.raises(ContractError, match=r"^metric 2 violates symmetry at \('a', 'b'\)$"):
+            combine_metrics([good, asym], CombinatorSpec("sum"))
+
+
+class TestIntegerRoute:
+    """The homogeneous kinds check their hypotheses on integers; F on the
+    scaled samples must be F on the samples times one positive constant,
+    also at every half and every mirrored sum."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_scaled_values_are_exact_multiples(self, seed):
+        rng = random.Random(seed)
+        labels = [f"p{i}" for i in range(rng.randint(2, 6))]
+        metrics = [mixed_metric(rng, labels) for _ in range(rng.randint(1, 3))]
+        samples = _sample_tuples(metrics, random.Random(seed), COMBINATOR_SAMPLES)
+        for spec in builtin_specs(rng, len(metrics)):
+            route = _integer_route(spec, samples)
+            if spec.kind == "bounded_sum":
+                assert route is None
+                continue
+            g, scaled = route
+            fn = spec.function(len(metrics))
+            nonzero = next(k for k, xs in enumerate(samples) if any(xs))
+            c = F(g(scaled[nonzero])) / fn(samples[nonzero])
+            assert c > 0
+            for xs, a in zip(samples, scaled):
+                assert all(type(x) is int for x in a)
+                assert type(g(a)) is int and g(a) == c * fn(xs)
+                half = tuple(x // 2 for x in a)
+                assert g(half) == c * fn(tuple(x / 2 for x in xs))
+            for k in range(len(samples)):
+                added = tuple(x + y for x, y in zip(scaled[k], scaled[-1 - k]))
+                sums = tuple(x + y for x, y in zip(samples[k], samples[-1 - k]))
+                assert g(added) == c * fn(sums)
+
+    def test_other_kinds_keep_fractions(self):
+        samples = [(F(1, 3), F(0))]
+        assert _integer_route(CombinatorSpec("bounded_sum"), samples) is None
+        assert _integer_route(CombinatorSpec("custom", fn=sum), samples) is None
+
+
+class TestCombineMatchesReference:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_builtins_give_reference_tables(self, seed):
+        rng = random.Random(seed)
+        labels = [f"p{i}" for i in range(rng.randint(1, 7))]
+        make = mixed_metric if rng.random() < 0.5 else random_metric
+        metrics = [make(rng, labels) for _ in range(rng.randint(1, 3))]
+        for spec in builtin_specs(rng, len(metrics)):
+            combined = combine_metrics(metrics, spec, seed=seed)
+            assert combined == reference_combine(metrics, spec, seed=seed)
+            assert all(type(x) is F for row in combined.d for x in row)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda xs: sum(xs) + 1,  # F(0,...,0) != 0
+            lambda xs: xs[0] * xs[1],  # zero away from zero
+            lambda xs: xs[0] - xs[1] if xs[0] > xs[1] else xs[1] - xs[0],  # zero on the diagonal
+            lambda xs: -sum(xs),  # not monotone
+            lambda xs: sum(xs) ** 2,  # not superadditive-compatible
+            lambda xs: max(xs) if max(xs) < 4 else 1 + max(xs) / 100,  # monotone only below 4
+        ],
+        ids=["zero", "product", "difference", "negated", "square", "dip"],
+    )
+    def test_failing_custom_same_first_failure(self, fn):
+        rng = random.Random(5)
+        labels = ["a", "b", "c", "d"]
+        metrics = [mixed_metric(rng, labels), mixed_metric(rng, labels)]
+        spec = CombinatorSpec("custom", fn=fn)
+        for seed in range(3):
+            got = outcome(combine_metrics, metrics, spec, seed=seed)
+            assert got == outcome(reference_combine, metrics, spec, seed=seed)
+            assert got[0] is CombinatorError
+
+    def test_raising_custom_raises_at_the_same_sample(self):
+        def fn(xs):
+            if sum(xs) > 7:
+                raise ValueError(f"refused {xs}")
+            return sum(xs)
+
+        t = MetricTable.from_line({"a": 0, "b": F(3, 2), "c": F(9, 4)})
+        for seed in range(5):
+            got = outcome(combine_metrics, [t, t], CombinatorSpec("custom", fn=fn), seed=seed)
+            want = outcome(reference_combine, [t, t], CombinatorSpec("custom", fn=fn), seed=seed)
+            assert got == want and got[0] is ValueError
+
+    def test_custom_evaluated_once_per_sample_in_reference_order(self):
+        def recording(log):
+            def fn(xs):
+                log.append(xs)
+                return 2 * xs[0] + xs[1]
+
+            return fn
+
+        t = MetricTable.from_line({"a": 0, "b": 1, "c": F(5, 3)})
+        calls, reference_calls = [], []
+        combined = combine_metrics([t, t], CombinatorSpec("custom", fn=recording(calls)))
+        want = reference_combine([t, t], CombinatorSpec("custom", fn=recording(reference_calls)))
+        assert combined == want
+        # once at zero, at every sample, its half and its mirrored sum, then every entry
+        assert len(calls) == 1 + 3 * COMBINATOR_SAMPLES + len(t.points) ** 2
+        assert first_occurrences(calls) == first_occurrences(reference_calls)
+
+
+def first_occurrences(calls):
+    out = []
+    for xs in calls:
+        if xs not in out:
+            out.append(xs)
+    return out
+
+
+def perturbed_grid(rng, axiom):
+    """A metric grid with one entry pair broken so that ``axiom`` is hit."""
+    labels = [f"q{i}" for i in range(rng.randint(2, 6))]
+    grid = [list(row) for row in mixed_metric(rng, labels).d]
+    n = len(labels)
+    a, b = rng.sample(range(n), 2)
+    if axiom == "nonnegativity":
+        grid[a][b] = -F(rng.randint(1, 9), rng.randint(1, 7))
+    elif axiom == "definiteness":
+        if rng.random() < 0.5:
+            grid[a][a] = F(rng.randint(1, 9), rng.randint(1, 7))
+        else:
+            grid[a][b] = grid[b][a] = F(0)
+    elif axiom == "symmetry":
+        grid[a][b] += F(rng.randint(1, 9), rng.randint(1, 7))
+    else:
+        grid[a][b] = grid[b][a] = sum(grid[a]) + sum(grid[b]) + F(1, rng.randint(1, 7))
+    return labels, grid
+
+
+exact_entry = st.builds(F, st.integers(-3, 12), st.integers(1, 6))
+
+
+class TestValidateMatchesReference:
+    @pytest.mark.parametrize("axiom", ["nonnegativity", "definiteness", "symmetry", "triangle"])
+    def test_broken_axiom_same_first_witness(self, axiom):
+        rng = random.Random(axiom)
+        hits = 0
+        for _ in range(200):
+            labels, grid = perturbed_grid(rng, axiom)
+            t = MetricTable.from_rows(labels, grid)
+            verdict = validate_metric(t)
+            assert verdict == reference_validate(t)
+            hits += verdict.axiom == axiom
+        assert hits >= 100
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(exact_entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_grids_same_verdict(self, grid):
+        labels = [f"r{i}" for i in range(len(grid))]
+        t = MetricTable.from_rows(labels, grid)
+        assert validate_metric(t) == reference_validate(t)
+
+    @given(st.integers(0, 10_000), st.sampled_from(["symmetry", "triangle"]))
+    @settings(max_examples=100, deadline=None)
+    def test_generated_breaks_same_first_witness(self, seed, axiom):
+        labels, grid = perturbed_grid(random.Random(seed), axiom)
+        for a, b in itertools.combinations(range(len(labels)), 2):
+            t = MetricTable.from_rows(labels, grid)
+            assert validate_metric(t) == reference_validate(t)
+            grid[a][b], grid[b][a] = grid[b][a], grid[a][b]
+
+    def test_int_grid_same_verdict(self):
+        t = MetricTable(("a", "b", "c"), ((0, 1, 3), (1, 0, 1), (3, 1, 0)))
+        assert validate_metric(t) == reference_validate(t) == MetricVerdict(
+            False, "triangle", ("a", "b", "c")
+        )
 
 
 class TestDisks:
