@@ -19,7 +19,7 @@ import json
 import sys
 
 from .core import MultiSpace, automorphisms
-from .errors import ContractError, MultiSpaceError
+from .errors import ContractError, InputError, MultiSpaceError
 
 
 def _lazy(name: str):
@@ -83,103 +83,116 @@ def _parse_params(tokens: list[str]) -> _Params:
     return params
 
 
-def _load_kind(path: str, expected: str, data: dict | None = None) -> dict:
-    """The parsed file at ``path``, read unless given as ``data``, of kind ``expected``."""
+# the parser of each file kind; lambdas, so that ``io`` loads on first use
+PARSERS = {
+    "multispace": lambda data: io.space_from_dict(data)[0],
+    "multivector": lambda data: io.vector_space_from_dict(data),
+    "multimetric": lambda data: io.metric_components_from_dict(data),
+    "mapping": lambda data: io.mapping_from_dict(data),
+}
+
+
+def _load(path: str, kind: str, data: dict | None = None):
+    """The object in the file at ``path``, read unless given as ``data``, of kind ``kind``."""
     if data is None:
         data = io.load_path(path)
-    if data["kind"] != expected:
-        raise MultiSpaceError(f"{path} holds a {data['kind']!r} file; expected {expected!r}")
-    return data
+    if data["kind"] != kind:
+        raise MultiSpaceError(f"{path} holds a {data['kind']!r} file; expected {kind!r}")
+    return PARSERS[kind](data)
 
 
 def _names(ms: MultiSpace, indices) -> list[str]:
     return [ms.universe.name(i) for i in sorted(indices)]
 
 
+def _summary(ms: MultiSpace) -> dict:
+    return {
+        "elements": len(ms.universe),
+        "components": len(ms.components),
+        "operations": len(ms.ops),
+        "completed": ms.is_completed(),
+    }
+
+
 # -- check -----------------------------------------------------------------
+
+# the file kind each check level reads; ``auto`` takes the level named after the file's kind
+LEVELS = {
+    "multispace": "multispace",
+    "multigroup": "multispace",
+    "multiring": "multispace",
+    "multivector": "multivector",
+    "multimetric": "multimetric",
+}
+
 
 def cmd_check(args) -> tuple[dict, bool]:
     data = io.load_path(args.path)
-    kind = data["kind"]
     level = args.level
     if level == "auto":
-        level = {"multispace": "multispace", "multivector": "multivector", "multimetric": "multimetric"}.get(kind)
-        if level is None:
-            raise MultiSpaceError(f"cannot check files of kind {kind!r}")
-
-    if level in ("multispace", "multigroup", "multiring"):
-        if kind != "multispace":
-            raise MultiSpaceError(f"level {level} needs a multispace file, not {kind!r}")
-        ms, _ = io.space_from_dict(data)
-        if level == "multispace":
-            report = {
-                "level": "multispace",
-                "verdict": True,
-                "elements": len(ms.universe),
-                "components": len(ms.components),
-                "operations": len(ms.ops),
-                "completed": ms.is_completed(),
-            }
-            return report, True
-        if level == "multigroup":
-            result = multigroup.is_multigroup(ms)
-            report = {
-                "level": "multigroup",
-                "verdict": result.verdict,
-                "completed": result.complete,
-                "group_checks": [
-                    {"component": c, "op": o, "ok": ok, "witness": _witness(ms, w)}
-                    for c, o, ok, w in result.group_checks
-                ],
-                "distribution": [
-                    {"pair": list(d.pair), "orientation": d.orientation} for d in result.distribution
-                ],
-                "witness": _witness(ms, result.witness),
-            }
-            return report, result.verdict
-        result = multiring.is_multiring(ms)
-        report = {
-            "level": "multiring",
-            "verdict": result.verdict,
-            "completed": result.complete,
-            "multifield": result.multifield,
-            "ring_checks": [
-                {"component": c, "witness": _witness(ms, w)} for c, w in result.ring_checks
-            ],
-            "zero_divisors": [
-                {"component": c, "pairs": [[ms.universe.name(a), ms.universe.name(b)] for a, b in pairs]}
-                for c, pairs in result.zero_divisors
-            ],
-            "witness": _witness(ms, result.witness),
-        }
-        return report, result.verdict
-
+        level = data["kind"]
+        if level not in LEVELS.values():
+            raise MultiSpaceError(f"cannot check files of kind {level!r}")
+    loaded = _load(args.path, LEVELS[level], data)
     if level == "multivector":
-        mvs = io.vector_space_from_dict(_load_kind(args.path, "multivector", data))
-        dims = [multivector.rank(mvs.ambient, c.vectors) for c in mvs.components]
+        dims = [multivector.rank(loaded.ambient, c.vectors) for c in loaded.components]
         report = {
             "level": "multivector",
             "verdict": True,
-            "field_order": mvs.ambient.p,
-            "ambient_dimension": mvs.ambient.n,
+            "field_order": loaded.ambient.p,
+            "ambient_dimension": loaded.ambient.n,
             "component_dims": dims,
         }
         return report, True
-
     if level == "multimetric":
-        tables = io.metric_components_from_dict(_load_kind(args.path, "multimetric", data))
-        verdicts = [multimetric.validate_metric(t) for t in tables]
+        verdicts = [multimetric.validate_metric(t) for t in loaded]
         report = {
             "level": "multimetric",
             "verdict": all(v.valid for v in verdicts),
             "components": [
                 {"points": len(t.points), "valid": v.valid, "axiom": v.axiom, "witness": v.witness}
-                for t, v in zip(tables, verdicts)
+                for t, v in zip(loaded, verdicts)
             ],
         }
         return report, report["verdict"]
+    return _check_space(level, loaded)
 
-    raise MultiSpaceError(f"unknown check level {level!r}")
+
+def _check_space(level: str, ms: MultiSpace) -> tuple[dict, bool]:
+    if level == "multispace":
+        return {"level": "multispace", "verdict": True, **_summary(ms)}, True
+    if level == "multigroup":
+        result = multigroup.is_multigroup(ms)
+        report = {
+            "level": "multigroup",
+            "verdict": result.verdict,
+            "completed": result.complete,
+            "group_checks": [
+                {"component": c, "op": o, "ok": ok, "witness": _witness(ms, w)}
+                for c, o, ok, w in result.group_checks
+            ],
+            "distribution": [
+                {"pair": list(d.pair), "orientation": d.orientation} for d in result.distribution
+            ],
+            "witness": _witness(ms, result.witness),
+        }
+        return report, result.verdict
+    result = multiring.is_multiring(ms)
+    report = {
+        "level": "multiring",
+        "verdict": result.verdict,
+        "completed": result.complete,
+        "multifield": result.multifield,
+        "ring_checks": [
+            {"component": c, "witness": _witness(ms, w)} for c, w in result.ring_checks
+        ],
+        "zero_divisors": [
+            {"component": c, "pairs": [[ms.universe.name(a), ms.universe.name(b)] for a, b in pairs]}
+            for c, pairs in result.zero_divisors
+        ],
+        "witness": _witness(ms, result.witness),
+    }
+    return report, result.verdict
 
 
 def _witness(ms: MultiSpace, w):
@@ -198,21 +211,41 @@ def _witness(ms: MultiSpace, w):
 
 # -- construct ---------------------------------------------------------------
 
+CONSTRUCTIONS = ("latin", "fan", "cyclic_union", "partition_cyclic")
+
+
 def cmd_construct(args) -> tuple[dict, bool]:
     params = _parse_params(args.params)
     seed = int(params.get("seed", args.seed))
-    kind = args.kind
+    try:
+        ms, recipe = _build(args.kind, params, seed)
+    except ContractError as exc:  # a builder's precondition on its parameters
+        raise InputError(str(exc)) from None
+    data = io.space_to_dict(ms, recipe)
+    io.save_path(args.out, data)
+    reparsed = _load(args.out, "multispace")
+    report = {
+        "written": args.out,
+        "kind": args.kind,
+        **_summary(reparsed),
+        "round_trip": io.render(io.space_to_dict(reparsed, recipe)) == io.render(data),
+    }
+    return report, True
+
+
+def _build(kind: str, params: _Params, seed: int) -> tuple[MultiSpace, dict]:
+    """The space of construction ``kind`` and the recipe that records it."""
     if kind == "latin":
         n = int(params["n"])
         k = int(params["k"])
         squares = constructions.gen_latin_squares(n, k, seed)
         symbols = [str(i + 1) for i in range(n)]
         ms = constructions.latin_multispace(symbols, squares)
-        recipe = {"kind": "latin", "n": n, "k": k, "seed": seed}
+        recipe = {"n": n, "k": k, "seed": seed}
     elif kind == "cyclic_union":
         orders = [int(x) for x in params["orders"].split(",")]
         ms = constructions.disjoint_cyclic_union(orders)
-        recipe = {"kind": "cyclic_union", "orders": orders}
+        recipe = {"orders": orders}
     elif kind == "fan":
         base = params["base"]
         if not base.startswith("Z"):
@@ -222,51 +255,26 @@ def cmd_construct(args) -> tuple[dict, bool]:
         policy = params.get("policy", "absorb")
         _, table = constructions.cyclic_group_table(order)
         ms = constructions.fan_extension(table, [f"h{i + 1}" for i in range(count)], policy)
-        recipe = {"kind": "fan", "base": base, "n": count, "policy": policy}
-    elif kind == "partition_cyclic":
+        recipe = {"base": base, "n": count, "policy": policy}
+    else:
         modulus = int(params["modulus"])
         blocks = [block.split(",") for block in params["blocks"].split("|")]
         core = params["core"].split(",")
         _, ambient = constructions.cyclic_group_table(modulus, name="o")
         ms = constructions.partition_cyclic(ambient, blocks, core)
-        recipe = {
-            "kind": "partition_cyclic",
-            "modulus": modulus,
-            "blocks": params["blocks"],
-            "core": params["core"],
-        }
-    else:
-        raise MultiSpaceError(f"unknown construction kind {kind!r}")
-
-    data = io.space_to_dict(ms, recipe)
-    io.save_path(args.out, data)
-    reparsed, _ = io.space_from_dict(io.load_path(args.out))
-    report = {
-        "written": args.out,
-        "kind": kind,
-        "elements": len(reparsed.universe),
-        "components": len(reparsed.components),
-        "operations": len(reparsed.ops),
-        "completed": reparsed.is_completed(),
-        "round_trip": io.render(io.space_to_dict(reparsed, recipe)) == io.render(data),
-    }
-    return report, True
+        recipe = {"modulus": modulus, "blocks": params["blocks"], "core": params["core"]}
+    return ms, {"kind": kind, **recipe}
 
 
 # -- analyze -----------------------------------------------------------------
 
-def _subset_from_args(ms: MultiSpace, args) -> multigroup.SubsetView:
-    if not args.sub:
-        raise MultiSpaceError("this analysis needs --sub with a comma list of element names")
-    names = args.sub.split(",")
-    op_names = tuple(args.sub_ops.split(",")) if args.sub_ops else None
-    return multigroup.SubsetView.of_names(ms, names, op_names)
-
-
 def _analyze_space(sub: str, ms: MultiSpace, args) -> tuple[dict, bool]:
     """The structure-file analyses; ``cmd_analyze`` names a ContractError's witness."""
     if sub == "cosets":
-        view = _subset_from_args(ms, args)
+        if not args.sub:
+            raise MultiSpaceError("this analysis needs --sub with a comma list of element names")
+        op_names = tuple(args.sub_ops.split(",")) if args.sub_ops else None
+        view = multigroup.SubsetView.of_names(ms, args.sub.split(","), op_names)
         cosets = multigroup.coset_partition(view)
         report = {
             "analysis": "cosets",
@@ -316,20 +324,25 @@ def _analyze_space(sub: str, ms: MultiSpace, args) -> tuple[dict, bool]:
     return report, True
 
 
+# the file kind each analysis reads
+ANALYSES = {
+    "cosets": "multispace",
+    "series": "multispace",
+    "ideal-chain": "multispace",
+    "decompose": "multispace",
+    "dim": "multivector",
+    "automorphisms": "multispace",
+    "fixed-point": "multimetric",
+    "sequence": "multimetric",
+}
+
+
 def cmd_analyze(args) -> tuple[dict, bool]:
     sub = args.subcommand
-    if sub in ("cosets", "series", "ideal-chain", "decompose", "automorphisms"):
-        ms, _ = io.space_from_dict(_load_kind(args.path, "multispace"))
-        try:
-            return _analyze_space(sub, ms, args)
-        except ContractError as exc:
-            if exc.witness is None:
-                raise
-            raise ContractError(exc.message, _witness(ms, exc.witness)) from None
-
-    if sub == "dim":
-        mvs = io.vector_space_from_dict(_load_kind(args.path, "multivector"))
-        result = multivector.dim_formula(mvs)
+    kind = ANALYSES[sub]
+    loaded = _load(args.path, kind)
+    if kind == "multivector":
+        result = multivector.dim_formula(loaded)
         report = {
             "analysis": "dim",
             "formula_value": result.formula_value,
@@ -341,13 +354,12 @@ def cmd_analyze(args) -> tuple[dict, bool]:
         }
         return report, True
 
-    if sub in ("fixed-point", "sequence"):
-        tables = io.metric_components_from_dict(_load_kind(args.path, "multimetric"))
-        space = multimetric.MultiMetricSpace(tables)
+    if kind == "multimetric":
+        space = multimetric.MultiMetricSpace(loaded)
         if sub == "fixed-point":
             if not args.map:
                 raise MultiSpaceError("fixed-point needs --map with a mapping file")
-            mapping = io.mapping_from_dict(_load_kind(args.map, "mapping"))
+            mapping = _load(args.map, "mapping")
             contraction = multimetric.is_contraction(space, mapping)
             result = multimetric.fixed_points(space, mapping)
             report = {
@@ -377,7 +389,12 @@ def cmd_analyze(args) -> tuple[dict, bool]:
         }
         return report, True
 
-    raise MultiSpaceError(f"unknown analysis {sub!r}")
+    try:
+        return _analyze_space(sub, loaded, args)
+    except ContractError as exc:
+        if exc.witness is None:
+            raise
+        raise ContractError(exc.message, _witness(loaded, exc.witness)) from None
 
 
 def _series_report(name: str, ms: MultiSpace, orientation, result) -> dict:
@@ -411,33 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser("check", help="run a structure verifier on a file", parents=[shared])
     check.add_argument("path")
-    check.add_argument(
-        "--level",
-        default="auto",
-        choices=["auto", "multispace", "multigroup", "multiring", "multivector", "multimetric"],
-    )
+    check.add_argument("--level", default="auto", choices=["auto", *LEVELS])
 
     construct = commands.add_parser("construct", help="build a structure file", parents=[shared])
-    construct.add_argument(
-        "kind", choices=["latin", "fan", "cyclic_union", "partition_cyclic"]
-    )
+    construct.add_argument("kind", choices=CONSTRUCTIONS)
     construct.add_argument("params", nargs="*", help="key=value parameters")
     construct.add_argument("--out", required=True)
 
     analyze = commands.add_parser("analyze", help="run an analysis on a file", parents=[shared])
-    analyze.add_argument(
-        "subcommand",
-        choices=[
-            "cosets",
-            "series",
-            "ideal-chain",
-            "decompose",
-            "dim",
-            "automorphisms",
-            "fixed-point",
-            "sequence",
-        ],
-    )
+    analyze.add_argument("subcommand", choices=list(ANALYSES))
     analyze.add_argument("path")
     analyze.add_argument("--sub", help="comma list of element names")
     analyze.add_argument("--sub-ops", help="comma list of operation names for --sub")

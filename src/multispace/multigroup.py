@@ -24,7 +24,7 @@ from .core import (
     group_inverses_on,
     is_group_on,
 )
-from .errors import ContractError, PartitionError, SizeLimitError
+from .errors import ContractError, InternalCheckError, PartitionError, SizeLimitError
 
 SERIES_UNION_BOUND = 24
 SERIES_CHAIN_BOUND = 50_000
@@ -476,14 +476,18 @@ def _series_step(label: str, carrier: frozenset[int], table: OpTable, keep) -> t
 
     ``subgroups_of`` runs once, on the first part the series engine reaches.
     The engine enters a step at one part and every later part is a member of
-    that lattice, whose members inside it are the part's own lattice.
+    that lattice, whose members inside it are the part's own lattice; a part
+    outside it raises ``InternalCheckError``.
     """
-    lattice = None
+    lattice = members = None
 
     def maximal(part):
-        nonlocal lattice
+        nonlocal lattice, members
         if lattice is None:
             lattice = subgroups_of(table, part)
+            members = set(lattice)
+        if part not in members:
+            raise InternalCheckError(f"series step {label!r} reached {sorted(part)}, outside its lattice")
         return _maximal(lattice, part, keep(part))
 
     return label, carrier, table, maximal

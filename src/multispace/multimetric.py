@@ -34,7 +34,8 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True)
 class MetricTable:
-    """A symmetric nonnegative rational distance grid on labelled points."""
+    """A symmetric nonnegative rational distance grid on labelled points;
+    ``int`` entries are stored as ``Fraction``s."""
 
     points: tuple[str, ...]
     d: tuple[tuple[Fraction, ...], ...]
@@ -50,6 +51,9 @@ class MetricTable:
             for x in row:
                 if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
                     raise ContractError(f"distance {x!r} is not an exact rational")
+        if not all(isinstance(x, Fraction) for row in self.d for x in row):
+            # int entries would turn halves and ratios into floats
+            object.__setattr__(self, "d", tuple(tuple(map(Fraction, row)) for row in self.d))
         object.__setattr__(self, "_positions", positions)
 
     @classmethod

@@ -34,11 +34,8 @@ GOLDEN = pathlib.Path(__file__).with_name("cli_sweep.json")
 FIXTURES = ROOT / "tests" / "fixtures"
 TMP = "$TMP"
 
-LEVELS = ["auto", "multispace", "multigroup", "multiring", "multivector", "multimetric"]
-ANALYSES = ["cosets", "series", "ideal-chain", "decompose", "dim", "automorphisms", "fixed-point", "sequence"]
-CONSTRUCTIONS = ["latin", "fan", "cyclic_union", "partition_cyclic"]
-
-# the options each analysis runs with on every fixture; one run per list
+# the options an analysis runs with on every fixture, one run per list;
+# the routes themselves come from the CLI's tables
 ANALYSIS_OPTIONS = {
     "cosets": [["--sub", "e,c1_2,c2_2,c2_4"]],
     "automorphisms": [[], ["--no-permute-ops"]],
@@ -64,6 +61,7 @@ EXTRA_ANALYSES = [
     ["analyze", "sequence", "tests/fixtures/two_component.metric.json", "--tail", "zz"],
 ]
 
+# one valid run of each construct kind first, then bad parameters
 CONSTRUCT_RUNS = [
     ["latin", "n=3", "k=2", "seed=1"],
     ["fan", "base=Z2", "n=3", "policy=absorb"],
@@ -71,7 +69,6 @@ CONSTRUCT_RUNS = [
     ["partition_cyclic", "modulus=6", "blocks=1,2,0|3,4,5,0", "core=0"],
     ["latin", "n=3", "k=2", "--seed", "4"],
     ["fan", "base=Z3", "n=2", "policy=undefined"],
-    # bad parameters
     ["cyclic_union", "orders=0"],
     ["latin", "n=1", "k=1"],
     ["fan", "base=Z0", "n=2"],
@@ -121,16 +118,16 @@ def commands() -> list[list[str]]:
     fixtures = [f"tests/fixtures/{p.name}" for p in sorted(FIXTURES.iterdir())]
     out = []
     for path in fixtures:
-        for level in LEVELS:
+        for level in ["auto", *cli.LEVELS]:
             out += [["check", path, "--level", level], ["--json", "check", path, "--level", level]]
-        for analysis in ANALYSES:
+        for analysis in cli.ANALYSES:
             for options in ANALYSIS_OPTIONS.get(analysis, [[]]):
                 argv = ["analyze", analysis, path, *options]
                 out += [argv, ["--json", *argv]]
     out += EXTRA_ANALYSES
     for i, params in enumerate(CONSTRUCT_RUNS):
         argv = ["construct", *params, "--out", f"{TMP}/built{i}.mspace.json"]
-        out += [argv, ["--json", *argv]] if i < 4 else [argv]
+        out += [argv, ["--json", *argv]] if i < len(cli.CONSTRUCTIONS) else [argv]
     for name in malformed_files():
         path = f"{TMP}/{name}"
         out.append(["check", path])

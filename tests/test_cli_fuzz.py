@@ -72,24 +72,36 @@ def _comma_list(draw, *choices) -> str:
     return ",".join(draw(st.lists(names, min_size=1, max_size=4)))
 
 
-# (command, target, the fixture that target reads when it succeeds); any
-# fixture may still be drawn, and the route's own comes first when shrinking
+# the fixture each route reads when it succeeds; any fixture may still be
+# drawn, and the route's own comes first when shrinking
+PREFERRED = {
+    ("check", "auto"): "z8_group.mspace.json",
+    ("check", "multispace"): "latin3.mspace.json",
+    ("check", "multigroup"): "z8_group.mspace.json",
+    ("check", "multiring"): "z6_ring.mspace.json",
+    ("check", "multivector"): "three_lines.vector.json",
+    ("check", "multimetric"): "two_component.metric.json",
+    ("analyze", "cosets"): "z4z6_group.mspace.json",
+    ("analyze", "series"): "z8_group.mspace.json",
+    ("analyze", "ideal-chain"): "z6_ring.mspace.json",
+    ("analyze", "decompose"): "z12_ring.mspace.json",
+    ("analyze", "dim"): "three_lines.vector.json",
+    ("analyze", "automorphisms"): "latin3.mspace.json",
+    ("analyze", "fixed-point"): "two_component.metric.json",
+    ("analyze", "sequence"): "two_component.metric.json",
+    # construct reads no file
+    **{("construct", kind): "z8_group.mspace.json" for kind in cli.CONSTRUCTIONS},
+}
+# (command, target, preferred fixture) for every route in the CLI's tables;
+# a route with no preferred fixture fails at collection
 ROUTES = [
-    ("check", "auto", "z8_group.mspace.json"),
-    ("check", "multispace", "latin3.mspace.json"),
-    ("check", "multigroup", "z8_group.mspace.json"),
-    ("check", "multiring", "z6_ring.mspace.json"),
-    ("check", "multivector", "three_lines.vector.json"),
-    ("check", "multimetric", "two_component.metric.json"),
-    ("analyze", "cosets", "z4z6_group.mspace.json"),
-    ("analyze", "series", "z8_group.mspace.json"),
-    ("analyze", "ideal-chain", "z6_ring.mspace.json"),
-    ("analyze", "decompose", "z12_ring.mspace.json"),
-    ("analyze", "dim", "three_lines.vector.json"),
-    ("analyze", "automorphisms", "latin3.mspace.json"),
-    ("analyze", "fixed-point", "two_component.metric.json"),
-    ("analyze", "sequence", "two_component.metric.json"),
-    *(("construct", kind, "z8_group.mspace.json") for kind in ("latin", "fan", "cyclic_union", "partition_cyclic")),
+    (command, target, PREFERRED[command, target])
+    for command, targets in [
+        ("check", ["auto", *cli.LEVELS]),
+        ("analyze", cli.ANALYSES),
+        ("construct", cli.CONSTRUCTIONS),
+    ]
+    for target in targets
 ]
 
 ANALYZE_OPTIONS = {

@@ -10,6 +10,8 @@ import pathlib
 
 import pytest
 
+from multispace import cli
+
 HERE = pathlib.Path(__file__).parent
 _spec = importlib.util.spec_from_file_location("make_cli_golden", HERE / "golden" / "make_cli_golden.py")
 golden = importlib.util.module_from_spec(_spec)
@@ -22,6 +24,7 @@ def recorded():
 
 
 def test_golden_file_matches_the_generator(recorded):
+    assert [run[0] for run in golden.CONSTRUCT_RUNS[: len(cli.CONSTRUCTIONS)]] == list(cli.CONSTRUCTIONS)
     assert recorded["files"] == golden.malformed_files()
     assert [case["argv"] for case in recorded["cases"]] == golden.commands()
 

@@ -148,9 +148,15 @@ class TestCheck:
 
     def test_level_other_than_the_file_kind(self, capsys):
         path = str(FIXTURES / "three_lines.vector.json")
-        code, _, err = run(capsys, "check", path, "--level", "multimetric")
-        assert code == 2
-        assert err == f"input error: {path} holds a 'multivector' file; expected 'multimetric'\n"
+        for level, expected in [
+            ("multimetric", "multimetric"),
+            ("multispace", "multispace"),
+            ("multigroup", "multispace"),
+            ("multiring", "multispace"),
+        ]:
+            code, _, err = run(capsys, "check", path, "--level", level)
+            assert code == 2
+            assert err == f"input error: {path} holds a 'multivector' file; expected {expected!r}\n"
 
     def test_json_report_carries_numbers(self, capsys):
         code, out, _ = run(capsys, "--json", "check", str(FIXTURES / "latin3.mspace.json"))
@@ -211,6 +217,21 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", "latin", "n=3", "--out", str(tmp_path / "x.json"))
         assert code == 2 and out == ""
         assert err == "input error: missing parameter k=...\n"
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (["cyclic_union", "orders=0"], "component orders must be >= 1"),
+            (["latin", "n=1", "k=1"], "side must be >= 2"),
+            (["fan", "base=Z0", "n=2"], "fan extension needs a group table as its (additive) base"),
+        ],
+    )
+    def test_builder_precondition_exit_two(self, tmp_path, capsys, params, message):
+        out_path = tmp_path / "x.mspace.json"
+        code, out, err = run(capsys, "construct", *params, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == f"input error: {message}\n"
+        assert not out_path.exists()
 
     def test_capacity_error_exit_two(self, tmp_path, capsys):
         code, _, err = run(

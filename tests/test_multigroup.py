@@ -20,7 +20,7 @@ from multispace.constructions import (
     zn_ring_tables,
 )
 from multispace.core import Component, MultiSpace, OpTable, group_identity_on, group_inverses_on
-from multispace.errors import ContractError
+from multispace.errors import ContractError, InternalCheckError
 from multispace.foundations import FiniteUniverse
 from multispace.multigroup import (
     IDEAL_CHAIN,
@@ -539,6 +539,15 @@ class TestSeriesLattice:
         for route in (maximal, maximal, lambda part: reference_maximal(z6, part)):
             with pytest.raises(ContractError, match="no identity"):
                 route(frozenset({1, 2}))
+
+    def test_step_rejects_a_part_outside_its_first_lattice(self):
+        # Z6 is not in the lattice of {0, 2, 4}; filtering that lattice would
+        # return [{0, 2, 4}] where the answer is [{0, 3}, {0, 2, 4}]
+        _, z6 = cyclic_group_table(6)
+        _, _, _, maximal = _series_step("+", frozenset(range(6)), z6, partial(_normal_test, z6))
+        assert maximal(frozenset({0, 2, 4})) == [frozenset({0})]
+        with pytest.raises(InternalCheckError, match="outside its lattice"):
+            maximal(frozenset(range(6)))
 
     def test_ideal_step_reads_later_parts_off_its_first_lattice(self):
         _, add, mul = zn_ring_tables(12)

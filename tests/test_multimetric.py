@@ -245,6 +245,61 @@ class TestExactEntries:
         assert validate_metric(t).valid
         assert validate_metric(MetricTable(("a", "b"), ((0, 3), (3, 0)))).valid
 
+    INT_GRIDS = [
+        ((0, 1), (1, 0)),
+        ((0, 3, 3), (3, 0, 3), (3, 3, 0)),
+        ((0, 2, 3), (2, 0, 1), (3, 1, 0)),
+    ]
+
+    @staticmethod
+    def twins(grid):
+        """The grid as a table of ints and as a table of Fractions."""
+        points = tuple("abc"[: len(grid)])
+        return MetricTable(points, grid), MetricTable(points, tuple(tuple(map(F, row)) for row in grid))
+
+    def test_int_entries_stored_as_fractions(self):
+        for grid in self.INT_GRIDS:
+            ints, fracs = self.twins(grid)
+            assert ints == fracs
+            assert all(type(x) is F for row in ints.d for x in row)
+
+    @pytest.mark.parametrize("kind", ["sum", "weighted_sum", "bounded_sum", "max", "custom"])
+    def test_int_and_fraction_tables_combine_alike(self, kind):
+        seen = []
+
+        def total(xs):
+            seen.extend(xs)
+            return sum(xs, F(0))
+
+        for grid, m in itertools.product(self.INT_GRIDS, (1, 2)):
+            spec = CombinatorSpec(kind, weights=(F(1, 2), 3)[:m], fn=total)
+            ints, fracs = self.twins(grid)
+            got = outcome(combine_metrics, [ints] * m, spec, seed=m)
+            assert got == outcome(combine_metrics, [fracs] * m, spec, seed=m)
+            assert isinstance(got, MetricTable), got
+        assert all(type(x) is F for x in seen)
+
+    def test_int_and_fraction_tables_map_alike(self):
+        maps = [
+            {"a": "a", "b": "a", "c": "a"},
+            {"a": "b", "b": "c", "c": "a"},
+            {"a": "b", "b": "a", "c": "c"},
+        ]
+        for grid in self.INT_GRIDS:
+            ints, fracs = (MultiMetricSpace([t]) for t in self.twins(grid))
+            for mapping in maps:
+                T = MappingTable({p: mapping[p] for p in ints.union_points()})
+                if set(T.mapping.values()) <= set(ints.union_points()):  # a self-map
+                    report = is_contraction(ints, T)
+                    assert report == is_contraction(fracs, T)
+                    assert all(type(alpha) is F for _, _, alpha in report.component_map)
+                    assert fixed_points(ints, T) == fixed_points(fracs, T)
+            for radius in (1, F(5, 2), 3, 4):
+                assert r_disk(ints, "a", radius) == r_disk(fracs, "a", radius)
+        ms = MultiMetricSpace([MetricTable(("a", "b", "c"), self.INT_GRIDS[1])])
+        alpha = is_contraction(ms, MappingTable({"a": "b", "b": "c", "c": "a"})).alpha
+        assert alpha == 1 and type(alpha) is F
+
     def test_index_by_label(self):
         t = MetricTable.from_line({"x": 0, "y": 1, "z": 3})
         assert [t.index(p) for p in ("x", "y", "z")] == [0, 1, 2]
