@@ -19,6 +19,7 @@ from .errors import (
     PartitionError,
     ShapeError,
     SizeLimitError,
+    UnknownNameError,
 )
 from .foundations import FiniteUniverse
 
@@ -469,8 +470,15 @@ def partition_cyclic(
         raise ContractError("the ambient operation must be total")
     universe = ambient.universe
     sym = {universe.name(i): i for i in ambient.domain}
-    core_set = frozenset(sym[s] for s in core)
-    block_sets = [frozenset(sym[s] for s in block) for block in blocks]
+
+    def index(name: str) -> int:
+        try:
+            return sym[name]
+        except KeyError:
+            raise UnknownNameError(f"unknown symbol {name!r}") from None
+
+    core_set = frozenset(map(index, core))
+    block_sets = [frozenset(map(index, block)) for block in blocks]
     covered = frozenset().union(*block_sets) if block_sets else frozenset()
     if covered != frozenset(ambient.domain):
         raise PartitionError("blocks must cover the ambient carrier")
@@ -486,7 +494,7 @@ def partition_cyclic(
     components = []
     ops = [ambient]
     for k, block in enumerate(blocks):
-        idxs = [sym[s] for s in block]
+        idxs = list(map(index, block))
         if len(set(idxs)) != len(idxs):
             raise PartitionError(f"block {k + 1} lists duplicate elements")
         l = len(idxs)

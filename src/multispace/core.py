@@ -400,14 +400,17 @@ def is_group_on(t: OpTable, subset: frozenset[int]) -> tuple[bool, Optional[dict
             v = row[y]
             if v is UNDEFINED or v not in subset:
                 return False, {"kind": "closure", "pair": (x, y), "result": v}
-    # closed: every product below is defined and lies in the subset
-    for x in elems:
-        row = grid[x]
-        for y in elems:
-            xy, y_row = grid[row[y]], grid[y]
-            for z in elems:
-                if xy[z] != row[y_row[z]]:
-                    return False, {"kind": "associativity", "triple": (x, y, z)}
+    # closed: every product below is defined and lies in the subset.  Light's
+    # test decides associativity; only a failure scans every triple, to name
+    # the first one that fails.
+    if not _light_test(grid, elems):
+        for x in elems:
+            row = grid[x]
+            for y in elems:
+                xy, y_row = grid[row[y]], grid[y]
+                for z in elems:
+                    if xy[z] != row[y_row[z]]:
+                        return False, {"kind": "associativity", "triple": (x, y, z)}
     unit = group_identity_on(t, subset)
     if unit is None:
         return False, {"kind": "no_unit"}
@@ -415,6 +418,58 @@ def is_group_on(t: OpTable, subset: frozenset[int]) -> tuple[bool, Optional[dict
         if not any(grid[a][b] == unit and grid[b][a] == unit for b in elems):
             return False, {"kind": "missing_inverse", "element": a}
     return True, None
+
+
+def _generators(grid, elems) -> list[int]:
+    """Generators of ``elems``, a set that ``grid`` maps into itself: every
+    element is a left-normed product (...((a1 a2) a3)...) ak of them.
+
+    Walks the left-normed closure of the generators found so far and takes
+    the first element of ``elems`` not yet reached as the next one.  So a
+    law in z that carries over from z = w to z = wa for every generator a,
+    as (xy)z = x(yz) does, holds on all of ``elems`` once it holds on the
+    generators.
+    """
+    gens: list[int] = []
+    reached: list[int] = []
+    seen: set[int] = set()
+    for g in elems:
+        if g in seen:
+            continue
+        gens.append(g)
+        seen.add(g)
+        fresh = [g]
+        for x in reached:  # reached elements already carry every older generator
+            v = grid[x][g]
+            if v not in seen:
+                seen.add(v)
+                fresh.append(v)
+        while fresh:
+            x = fresh.pop()
+            reached.append(x)
+            row = grid[x]
+            for a in gens:
+                v = row[a]
+                if v not in seen:
+                    seen.add(v)
+                    fresh.append(v)
+    return gens
+
+
+def _light_test(grid, elems) -> bool:
+    """Associativity of ``grid`` on the closed set ``elems``, by Light's test:
+    (xy)a = x(ya) for all x, y in ``elems`` and every generator a.  If it
+    holds, (xy)(wa) = ((xy)w)a = (x(yw))a = x((yw)a) = x(y(wa)) by induction
+    on w."""
+    gens = _generators(grid, elems)
+    for x in elems:
+        row = grid[x]
+        for y in elems:
+            xy, y_row = grid[row[y]], grid[y]
+            for a in gens:
+                if xy[a] != row[y_row[a]]:
+                    return False
+    return True
 
 
 def group_identity_on(t: OpTable, subset: frozenset[int]) -> Optional[int]:
@@ -522,12 +577,13 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
     else:
         candidates = [tuple(range(len(tables)))]
 
-    profile = {x: tuple(sorted((t.name, _op_profile(t, x)) for t in tables)) for x in union}
+    op_profile = {(t.name, x): _op_profile(t, x) for t in tables for x in union}
+    profile = {x: tuple(sorted((t.name, op_profile[t.name, x]) for t in tables)) for x in union}
     found: set[tuple[int, ...]] = set()
     for perm in candidates:
         images = {tables[i].name: tables[j] for i, j in enumerate(perm)}
         image_profile = {
-            x: tuple(sorted((t.name, _op_profile(images[t.name], x)) for t in tables))
+            x: tuple(sorted((t.name, op_profile[images[t.name].name, x]) for t in tables))
             for x in union
         }
         cand = {
@@ -536,20 +592,42 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
 
         sigma: dict[int, int] = {}
         used: set[int] = set()
+        trail: list[int] = []
 
-        def consistent(x: int, y: int) -> bool:
-            """With x just mapped to y: every product of x and an assigned
-            element (x included), on either side, agrees with sigma."""
-            for t in tables:
-                grid, img = t.grid, images[t.name].grid
-                for a, fa in sigma.items():
-                    for (p, q), (fp, fq) in (((x, a), (y, fa)), ((a, x), (fa, y))):
-                        v = grid[p][q]
-                        w = img[fp][fq]
-                        if (v is UNDEFINED) != (w is UNDEFINED):
-                            return False
-                        if v is not UNDEFINED and sigma.get(v, w) != w:
-                            return False
+        def assign(x: int, y: int) -> bool:
+            """Map x to y, then every image that a product of two assigned
+            elements forces, on either side and in every table, until none
+            is new.  False as soon as an image is undefined on one side
+            only, differs from sigma, is already used or lies outside its
+            profile class."""
+            sigma[x] = y
+            used.add(y)
+            trail.append(x)
+            k = len(trail) - 1
+            while k < len(trail):
+                x, y = trail[k], sigma[trail[k]]
+                for t in tables:
+                    if not t.in_domain(x):
+                        # y, in x's profile class, is outside the image's
+                        # domain: every product is undefined on both sides
+                        continue
+                    grid, img = t.grid, images[t.name].grid
+                    for a in trail[: k + 1]:
+                        fa = sigma[a]
+                        for v, w in ((grid[x][a], img[y][fa]), (grid[a][x], img[fa][y])):
+                            if v is UNDEFINED or w is UNDEFINED:
+                                if v is not w:
+                                    return False
+                            elif v in sigma:
+                                if sigma[v] != w:
+                                    return False
+                            elif w in used or w not in cand[v]:
+                                return False
+                            else:
+                                sigma[v] = w
+                                used.add(w)
+                                trail.append(v)
+                k += 1
             return True
 
         def complete(mapping: dict[int, int]) -> bool:
@@ -561,6 +639,8 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
             return True
 
         def search(i: int) -> None:
+            while i < n and union[i] in sigma:
+                i += 1
             if i == n:
                 mapping = dict(sigma)
                 if complete(mapping):
@@ -570,12 +650,11 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
             for y in cand[x]:
                 if y in used:
                     continue
-                sigma[x] = y
-                if consistent(x, y):
-                    used.add(y)
+                mark = len(trail)
+                if assign(x, y):
                     search(i + 1)
-                    used.discard(y)
-                del sigma[x]
+                while len(trail) > mark:
+                    used.discard(sigma.pop(trail.pop()))
 
         search(0)
     return tuple(sorted(found))

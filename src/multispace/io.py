@@ -144,13 +144,21 @@ def metric_components_from_dict(data: dict) -> list[MetricTable]:
 
     from .multimetric import MetricTable
 
+    def entry(v, c: int, i: int, j: int) -> Fraction:
+        if int(v[1]) == 0:
+            raise InputError(f"malformed metric file: component {c}, row {i}, column {j}: zero denominator")
+        return Fraction(int(v[0]), int(v[1]))
+
     try:
         out = []
-        for spec in data["components"]:
-            rows = [[Fraction(int(v[0]), int(v[1])) for v in row] for row in spec["d"]]
+        for c, spec in enumerate(data["components"], 1):
+            rows = [
+                [entry(v, c, i, j) for j, v in enumerate(row, 1)]
+                for i, row in enumerate(spec["d"], 1)
+            ]
             out.append(MetricTable.from_rows(spec["points"], rows))
         return out
-    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise _malformed("metric", exc) from exc
 
 

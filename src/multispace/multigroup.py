@@ -101,14 +101,19 @@ class MultiGroupReport:
 
 
 def _distributes_over(ms: MultiSpace, f: OpTable, g: OpTable) -> Optional[tuple]:
-    """First triple violating "f distributes over g" where all products exist."""
-    union = ms.element_union()
+    """First triple violating "f distributes over g" where all products exist.
+
+    x ranges over union elements in f's domain, y and z over those in both
+    domains: every other triple has an undefined side.
+    """
+    xs = [x for x in ms.element_union() if f.in_domain(x)]
+    yzs = [y for y in xs if g.in_domain(y)]
     F, G = f.grid, g.grid
-    for x in union:
+    for x in xs:
         fx = F[x]
-        for y in union:
+        for y in yzs:
             xy, yx, gy = fx[y], F[y][x], G[y]
-            for z in union:
+            for z in yzs:
                 yz = gy[z]
                 if yz is UNDEFINED:
                     continue

@@ -16,6 +16,7 @@ from .core import (
     SubStructureReport,
     UNDEFINED,
     _agree,
+    _generators,
     group_identity_on,
     is_group_on,
 )
@@ -59,16 +60,46 @@ def _ring_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> Optional
             if M[x][y] not in carrier:
                 return {"kind": "multiplicative_closure", "pair": (x, y)}
     # the carrier is an additive group closed under mul, so every product
-    # below is defined and lies in it
-    for x, y, z in itertools.product(carrier, repeat=3):
-        if M[M[x][y]][z] != M[x][M[y][z]]:
-            return {"kind": "multiplicative_associativity", "triple": (x, y, z)}
-    for x, y, z in itertools.product(carrier, repeat=3):
-        if M[x][A[y][z]] != A[M[x][y]][M[x][z]]:
-            return {"kind": "left_distributivity", "triple": (x, y, z)}
-        if M[A[x][y]][z] != A[M[x][z]][M[y][z]]:
-            return {"kind": "right_distributivity", "triple": (x, y, z)}
+    # below is defined and lies in it.  The three laws are decided on the
+    # additive generators; only a failure scans every triple, to name the
+    # first one that fails.
+    if not _ring_laws_on_generators(A, M, carrier):
+        for x, y, z in itertools.product(carrier, repeat=3):
+            if M[M[x][y]][z] != M[x][M[y][z]]:
+                return {"kind": "multiplicative_associativity", "triple": (x, y, z)}
+        for x, y, z in itertools.product(carrier, repeat=3):
+            if M[x][A[y][z]] != A[M[x][y]][M[x][z]]:
+                return {"kind": "left_distributivity", "triple": (x, y, z)}
+            if M[A[x][y]][z] != A[M[x][z]][M[y][z]]:
+                return {"kind": "right_distributivity", "triple": (x, y, z)}
     return None
+
+
+def _ring_laws_on_generators(A, M, carrier: frozenset[int]) -> bool:
+    """Left and right distributivity and multiplicative associativity on the
+    additive group ``carrier``, closed under ``M``, with one variable taken
+    from the additive generators a: x(y + a) = xy + xa, (a + x)y = ay + xy
+    and (xy)a = x(ya).
+
+    That suffices because + is associative.  If x(y + w) = xy + xw, then
+    x(y + (w + a)) = x((y + w) + a) = (xy + xw) + xa = xy + x(w + a); if
+    (w + y)z = wz + yz for all y and z, then ((w + a) + y)z =
+    (w + (a + y))z = wz + (az + yz) = (w + a)z + yz; and with left
+    distributivity, (xy)(w + a) = x(yw) + x(ya) = x(y(w + a)).
+    """
+    gens = _generators(A, carrier)
+    for x in carrier:
+        Mx = M[x]
+        for y in carrier:
+            xy, My, Ay = Mx[y], M[y], A[y]
+            for a in gens:
+                if (
+                    Mx[Ay[a]] != A[xy][Mx[a]]
+                    or M[A[a][x]][y] != A[M[a][y]][xy]
+                    or M[xy][a] != Mx[My[a]]
+                ):
+                    return False
+    return True
 
 
 def _field_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> bool:
@@ -124,8 +155,8 @@ def is_multiring(ms: MultiSpace) -> MultiRingReport:
     union = ms.element_union()
     cross_witness = None
     for ci, cj in itertools.permutations(comps, 2):
-        grids = [ms.op(name).grid for c in (ci, cj) for name in (c.add_name, c.mul_name)]
-        found = _cross_violation(*grids, union)
+        tables = [ms.op(name) for c in (ci, cj) for name in (c.add_name, c.mul_name)]
+        found = _cross_violation(*tables, union)
         if found:
             cross_witness = {"kind": found[0], "pair": (ci.name, cj.name), "triple": found[1]}
             break
@@ -151,15 +182,25 @@ _CROSS_LABELS = ("mixed_add_assoc", "mixed_mul_assoc", "mixed_left_distrib", "mi
 def _cross_violation(ai, mi, aj, mj, union) -> Optional[tuple]:
     """First (label, triple) at which a mixed associativity or distribution
     law between the rings (ai, mi) and (aj, mj) fails with both sides
-    defined; the arguments are grids, and products are checked before use."""
+    defined; products are checked before use.
+
+    x, y and z range over the union elements inside the domains that the
+    products of some law need: every other triple has an undefined side.
+    """
+    Dai, Dmi, Daj, Dmj = (frozenset(t.domain) for t in (ai, mi, aj, mj))
+    xs, ys, zs = (
+        [v for v in union if v in domain]
+        for domain in (Dai | Dmi, (Dai & Daj) | (Dmi & (Daj | Dmj)), Daj | Dmj)
+    )
+    ai, mi, aj, mj = ai.grid, mi.grid, aj.grid, mj.grid
     N = UNDEFINED
-    for x in union:
+    for x in xs:
         aix, mix = ai[x], mi[x]
-        for y in union:
+        for y in ys:
             aixy, mixy, ajy, mjy, miyx = aix[y], mix[y], aj[y], mj[y], mi[y][x]
             if aixy is N and mixy is N and miyx is N:
                 continue  # every law below has an undefined side
-            for z in union:
+            for z in zs:
                 ajyz, mjyz, mixz, mizx = ajy[z], mjy[z], mix[z], mi[z][x]
                 if ajyz is N and mjyz is N:
                     continue

@@ -81,6 +81,7 @@ CONSTRUCT_RUNS = [
     ["cyclic_union", "orders=2", "seed=x"],
     ["partition_cyclic", "modulus=6", "blocks=|", "core=0"],
     ["latin", "n=3", "k=1", "oops"],
+    ["partition_cyclic", "modulus=6", "blocks=1,2,0|3,4,5,0", "core=zz"],
 ]
 
 

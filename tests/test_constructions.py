@@ -30,6 +30,7 @@ from multispace.errors import (
     PartitionError,
     ShapeError,
     SizeLimitError,
+    UnknownNameError,
 )
 
 
@@ -267,6 +268,20 @@ class TestPartitionCyclic:
         ms = partition_cyclic(ambient, [["0"], ["0"]], core=["0"])
         for comp in ms.components[:-1]:
             assert len(comp.carrier) == 1
+
+    @pytest.mark.parametrize(
+        "blocks, core, name",
+        [
+            ([["1", "2", "0"], ["3", "4", "5", "zz"]], ["0"], "zz"),
+            ([[""], [""]], ["0"], ""),
+            ([["1", "2", "0"], ["3", "4", "5", "0"]], ["zz"], "zz"),
+        ],
+    )
+    def test_unknown_symbol_is_named(self, blocks, core, name):
+        _, ambient = cyclic_group_table(6, name="o")
+        with pytest.raises(UnknownNameError) as info:
+            partition_cyclic(ambient, blocks, core=core)
+        assert str(info.value) == f"unknown symbol {name!r}"
 
     def test_intersection_violation(self):
         _, ambient = cyclic_group_table(6, name="o")

@@ -1,13 +1,19 @@
 import itertools
+import random
+import time
 
 import pytest
 
 from multispace.constructions import (
+    ABSORB,
     UNDEFINED_FILL,
     all_groups_up_to_8,
     cyclic_group_table,
+    dihedral_table,
+    direct_product_table,
     disjoint_cyclic_union,
     fan_extension,
+    gen_latin_squares,
     latin_multispace,
     LatinSquare,
     shared_identity_union,
@@ -327,6 +333,39 @@ class TestClassify:
                 assert label == "abelian_group"
 
 
+def automorphism_sweep():
+    """Disjoint cyclic unions, the groups of order <= 6, shared-identity
+    pairs, group and ring fans, Latin spaces and perturbed group tables, each
+    on at most 6 elements, so that the naive oracle can try every bijection."""
+    yield from ((f"disjoint-{k}x{m}", disjoint_cyclic_union([m] * k)) for m, k in ((2, 2), (3, 2), (2, 3)))
+    groups = [(name, t) for name, _, t in all_groups_up_to_8() if len(t.domain) <= 6]
+    yield from ((name, single_component_space(t)) for name, t in groups)
+    for a, b in itertools.combinations_with_replacement(range(1, 6), 2):
+        if a + b <= 7:
+            tables = [cyclic_group_table(a)[1], cyclic_group_table(b)[1]]
+            yield f"shared-Z{a}+Z{b}", shared_identity_union(tables)
+    for name, t in groups:
+        for fresh in (["h"], ["h1", "h2"]):
+            for policy in (ABSORB, UNDEFINED_FILL):
+                if len(t.domain) + len(fresh) <= 6:
+                    yield f"fan-{name}-{len(fresh)}-{policy}", fan_extension(t, fresh, policy)
+    for n in range(1, 5):
+        _, add, mul = zn_ring_tables(n)
+        for fresh in (["h"], ["h1", "h2"]):
+            for policy in (ABSORB, UNDEFINED_FILL):
+                yield f"ringfan-Z{n}-{len(fresh)}-{policy}", fan_extension((add, mul), fresh, policy)
+    for n, k in ((3, 2), (4, 2), (4, 3), (5, 2), (6, 2)):
+        squares = gen_latin_squares(n, k, seed=n * k)
+        yield f"latin-{n}-{k}", latin_multispace([str(i) for i in range(n)], squares)
+    rng = random.Random(1305)
+    for i in range(40):
+        name, t = rng.choice(groups[1:])
+        rows = [list(row) for row in t.entries]
+        x, y = rng.randrange(len(rows)), rng.randrange(len(rows))
+        rows[x][y] = rng.choice([v for v in t.domain if v != rows[x][y]])
+        yield f"perturbed-{i}-{name}", single_component_space(OpTable(t.name, t.universe, t.domain, rows))
+
+
 class TestAutomorphisms:
     def test_single_z3(self):
         assert len(automorphisms(disjoint_cyclic_union([3]))) == 2
@@ -422,6 +461,39 @@ class TestAutomorphisms:
         assert automorphisms(ms, permute_ops=permute_ops) == self.naive_automorphisms(
             ms, permute_ops
         )
+
+    @pytest.mark.parametrize("ms", [pytest.param(ms, id=name) for name, ms in automorphism_sweep()])
+    @pytest.mark.parametrize("permute_ops", [True, False])
+    def test_propagated_search_matches_naive_oracle_on_sweep(self, ms, permute_ops):
+        assert automorphisms(ms, permute_ops=permute_ops) == self.naive_automorphisms(
+            ms, permute_ops
+        )
+
+    @pytest.mark.parametrize(
+        "table, count",
+        [
+            (cyclic_group_table(8)[1], 4),
+            (direct_product_table([4, 2])[1], 8),
+            (direct_product_table([2, 2, 2])[1], 168),
+            (dihedral_table(4)[1], 8),
+            (cyclic_group_table(11)[1], 10),
+            (direct_product_table([2, 2, 3])[1], 12),
+            (dihedral_table(6)[1], 12),
+        ],
+        ids=["Z8", "Z4xZ2", "Z2^3", "D4", "Z11", "Z2^2xZ3", "D6"],
+    )
+    def test_group_automorphism_counts_beyond_the_oracle(self, table, count):
+        ms = single_component_space(table)
+        for permute_ops in (True, False):
+            assert len(automorphisms(ms, permute_ops=permute_ops)) == count
+
+    def test_z12_budget(self):
+        # propagation fixes a map from the image of one generator
+        started = time.perf_counter()
+        auts = automorphisms(shared_identity_union([cyclic_group_table(12)[1]]))
+        elapsed = time.perf_counter() - started
+        assert len(auts) == 4
+        assert elapsed < 0.25, f"automorphisms of Z12 took {elapsed:.2f}s, budget 0.25s"
 
     def test_fresh_undefined_elements_told_apart_by_domain(self):
         # h1 and h2 multiply to nothing, but each lies in one operation's

@@ -54,10 +54,12 @@ class TestRoundTrips:
             io.space_from_dict(data)
 
     def test_zero_denominator_is_malformed_metric(self):
-        data = json.loads((FIXTURES / "two_component.metric.json").read_text())
-        data["components"][0]["d"][0][1] = [1, 0]
-        with pytest.raises(InputError, match="malformed metric file"):
-            io.metric_components_from_dict(data)
+        for c, i, j in [(1, 1, 2), (2, 2, 1)]:
+            data = json.loads((FIXTURES / "two_component.metric.json").read_text())
+            data["components"][c - 1]["d"][i - 1][j - 1] = [1, 0]
+            message = f"^malformed metric file: component {c}, row {i}, column {j}: zero denominator$"
+            with pytest.raises(InputError, match=message):
+                io.metric_components_from_dict(data)
 
 
 def run(capsys, *argv):
