@@ -188,6 +188,36 @@ def random_spaces(seed, count, ring):
         yield MultiSpace(universe, comps, ops)
 
 
+def group_subsets(name, t):
+    """The whole domain, every subgroup and 20 random subsets of group ``t``."""
+    rng = random.Random(name)
+    subsets = [frozenset(t.domain), *subgroups_of(t, frozenset(t.domain))]
+    return subsets + [frozenset(rng.sample(t.domain, rng.randint(1, len(t.domain)))) for _ in range(20)]
+
+
+def perturbed_groups(seed=1301, count=300):
+    """Perturbed group tables, each with its domain and a random subset."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        _, t = rng.choice(GROUPS[1:])
+        p = perturbed(t, rng)
+        yield p, (frozenset(p.domain), frozenset(rng.sample(p.domain, rng.randint(1, len(p.domain)))))
+
+
+def perturbed_rings(seed=1302, count=300):
+    """(name, add, mul, carrier): a ring variant of Z_n with one cell of its
+    addition or multiplication perturbed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        name, add, mul = rng.choice(list(ring_variants(n)))
+        if rng.random() < 0.2:
+            add = perturbed(add, rng, "+")
+        else:
+            mul = perturbed(mul, rng, "*")
+        yield name, add, mul, frozenset(range(n))
+
+
 def left_normed_closure(grid, gens):
     out, frontier = set(gens), list(gens)
     while frontier:
@@ -273,19 +303,13 @@ class TestGenerators:
 class TestGroupLaws:
     @pytest.mark.parametrize("name, t", GROUPS, ids=[name for name, _ in GROUPS])
     def test_groups_and_their_subsets(self, name, t):
-        rng = random.Random(name)
-        subsets = [frozenset(t.domain), *subgroups_of(t, frozenset(t.domain))]
-        subsets += [frozenset(rng.sample(t.domain, rng.randint(1, len(t.domain)))) for _ in range(20)]
-        for subset in subsets:
+        for subset in group_subsets(name, t):
             assert is_group_on(t, subset) == reference_is_group_on(t, subset)
 
     def test_perturbed_closed_tables(self):
-        rng = random.Random(1301)
         kinds = []
-        for _ in range(300):
-            _, t = rng.choice(GROUPS[1:])
-            p = perturbed(t, rng)
-            for subset in (frozenset(p.domain), frozenset(rng.sample(p.domain, rng.randint(1, len(p.domain))))):
+        for p, subsets in perturbed_groups():
+            for subset in subsets:
                 got = is_group_on(p, subset)
                 assert got == reference_is_group_on(p, subset)
                 kinds.append(got[1] and got[1]["kind"])
@@ -324,16 +348,8 @@ class TestRingLaws:
         assert kinds == {None, "multiplicative_associativity"}
 
     def test_perturbed_closed_tables(self):
-        rng = random.Random(1302)
         kinds = []
-        for _ in range(300):
-            n = rng.randint(2, 12)
-            name, add, mul = rng.choice(list(ring_variants(n)))
-            if rng.random() < 0.2:
-                add = perturbed(add, rng, "+")
-            else:
-                mul = perturbed(mul, rng, "*")
-            carrier = frozenset(range(n))
+        for name, add, mul, carrier in perturbed_rings():
             got = _ring_check(add, mul, carrier)
             assert got == reference_ring_check(add, mul, carrier), name
             kinds.append(got and got["kind"])
