@@ -400,17 +400,9 @@ def is_group_on(t: OpTable, subset: frozenset[int]) -> tuple[bool, Optional[dict
             v = row[y]
             if v is UNDEFINED or v not in subset:
                 return False, {"kind": "closure", "pair": (x, y), "result": v}
-    # closed: every product below is defined and lies in the subset.  Light's
-    # test decides associativity; only a failure scans every triple, to name
-    # the first one that fails.
-    if not _light_test(grid, elems):
-        for x in elems:
-            row = grid[x]
-            for y in elems:
-                xy, y_row = grid[row[y]], grid[y]
-                for z in elems:
-                    if xy[z] != row[y_row[z]]:
-                        return False, {"kind": "associativity", "triple": (x, y, z)}
+    # closed: every product below is defined and lies in the subset
+    if _associativity_witness(grid, elems, _generators(grid, elems)):
+        return False, {"kind": "associativity", "triple": _associativity_witness(grid, elems, elems)}
     unit = group_identity_on(t, subset)
     if unit is None:
         return False, {"kind": "no_unit"}
@@ -456,20 +448,25 @@ def _generators(grid, elems) -> list[int]:
     return gens
 
 
-def _light_test(grid, elems) -> bool:
-    """Associativity of ``grid`` on the closed set ``elems``, by Light's test:
-    (xy)a = x(ya) for all x, y in ``elems`` and every generator a.  If it
-    holds, (xy)(wa) = ((xy)w)a = (x(yw))a = x((yw)a) = x(y(wa)) by induction
-    on w."""
-    gens = _generators(grid, elems)
+def _associativity_witness(grid, elems, zs) -> Optional[tuple[int, int, int]]:
+    """The first triple (x, y, z), x and y in ``elems`` and z in ``zs``, with
+    (xy)z != x(yz), in that loop order, or None.  ``grid`` maps ``elems``
+    into itself.
+
+    With ``zs`` the generators of ``elems`` this is Light's test, and None
+    decides associativity on all of ``elems``: if (xy)w = x(yw) for all x
+    and y, then (xy)(wa) = ((xy)w)a = (x(yw))a = x((yw)a) = x(y(wa)) for
+    every generator a.  Only a failure needs the run with ``zs`` =
+    ``elems``, which names the first triple that fails.
+    """
     for x in elems:
         row = grid[x]
         for y in elems:
             xy, y_row = grid[row[y]], grid[y]
-            for a in gens:
-                if xy[a] != row[y_row[a]]:
-                    return False
-    return True
+            for z in zs:
+                if xy[z] != row[y_row[z]]:
+                    return x, y, z
+    return None
 
 
 def group_identity_on(t: OpTable, subset: frozenset[int]) -> Optional[int]:
@@ -538,12 +535,6 @@ def _op_profile(t: OpTable, x: int) -> tuple:
     )
 
 
-def _table_signature(t: OpTable) -> tuple:
-    """Permutation-invariant fingerprint of a whole table (for op matching)."""
-    profiles = sorted(_op_profile(t, x) for x in t.domain)
-    return (len(t.domain), sum(1 for _ in t.defined_pairs()), tuple(profiles))
-
-
 def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, ...], ...]:
     """All element bijections of the carrier union preserving the operations.
 
@@ -567,8 +558,9 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
     for t in tables:
         if not pos.keys() >= set(t.domain) or any(v not in pos for _, _, v in t.defined_pairs()):
             raise ContractError(f"operation {t.name!r} leaves the carrier union")
+    op_profile = {(t.name, x): _op_profile(t, x) for t in tables for x in union}
     if permute_ops:
-        sig = {t.name: _table_signature(t) for t in tables}
+        sig = {t.name: sorted(op_profile[t.name, x] for x in union) for t in tables}
         candidates = [
             perm
             for perm in itertools.permutations(range(len(tables)))
@@ -577,7 +569,6 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
     else:
         candidates = [tuple(range(len(tables)))]
 
-    op_profile = {(t.name, x): _op_profile(t, x) for t in tables for x in union}
     profile = {x: tuple(sorted((t.name, op_profile[t.name, x]) for t in tables)) for x in union}
     found: set[tuple[int, ...]] = set()
     for perm in candidates:

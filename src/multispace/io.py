@@ -27,9 +27,6 @@ if TYPE_CHECKING:
 
 FORMAT_VERSION = "1"
 
-STRUCTURE_EXTENSION = ".mspace.json"
-METRIC_EXTENSION = ".metric.json"
-
 
 def _malformed(what: str, exc: Exception) -> InputError:
     """The error for a malformed file; a plain KeyError is a missing key."""

@@ -16,6 +16,7 @@ from .core import (
     SubStructureReport,
     UNDEFINED,
     _agree,
+    _associativity_witness,
     _generators,
     group_identity_on,
     is_group_on,
@@ -47,7 +48,14 @@ def double_components(ms: MultiSpace) -> list[Component]:
 
 def _ring_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> Optional[dict]:
     """None when (carrier; add, mul) is a ring, else a witness.  The carrier
-    is a component's, so it lies inside both domains."""
+    is a component's, so it lies inside both domains.
+
+    Multiplicative associativity and distributivity are decided with z over
+    the additive generators a.  With left distributivity everywhere,
+    (xy)w = x(yw) for all x and y gives (xy)(w + a) = (xy)w + (xy)a =
+    x(yw) + x(ya) = x(yw + ya) = x(y(w + a)).  Only a failure scans every
+    triple, associativity first, to name the first one that fails.
+    """
     ok, w = is_group_on(add, carrier)
     if not ok:
         return w
@@ -60,46 +68,41 @@ def _ring_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> Optional
             if M[x][y] not in carrier:
                 return {"kind": "multiplicative_closure", "pair": (x, y)}
     # the carrier is an additive group closed under mul, so every product
-    # below is defined and lies in it.  The three laws are decided on the
-    # additive generators; only a failure scans every triple, to name the
-    # first one that fails.
-    if not _ring_laws_on_generators(A, M, carrier):
-        for x, y, z in itertools.product(carrier, repeat=3):
-            if M[M[x][y]][z] != M[x][M[y][z]]:
-                return {"kind": "multiplicative_associativity", "triple": (x, y, z)}
-        for x, y, z in itertools.product(carrier, repeat=3):
-            if M[x][A[y][z]] != A[M[x][y]][M[x][z]]:
-                return {"kind": "left_distributivity", "triple": (x, y, z)}
-            if M[A[x][y]][z] != A[M[x][z]][M[y][z]]:
-                return {"kind": "right_distributivity", "triple": (x, y, z)}
+    # below is defined and lies in it
+    gens = _generators(A, carrier)
+    if _associativity_witness(M, carrier, gens) or _distributivity_witness(A, M, carrier, gens):
+        triple = _associativity_witness(M, carrier, carrier)
+        if triple:
+            return {"kind": "multiplicative_associativity", "triple": triple}
+        return _distributivity_witness(A, M, carrier, carrier)
     return None
 
 
-def _ring_laws_on_generators(A, M, carrier: frozenset[int]) -> bool:
-    """Left and right distributivity and multiplicative associativity on the
-    additive group ``carrier``, closed under ``M``, with one variable taken
-    from the additive generators a: x(y + a) = xy + xa, (a + x)y = ay + xy
-    and (xy)a = x(ya).
+def _distributivity_witness(A, M, elems, zs) -> Optional[dict]:
+    """The witness of the first triple (x, y, z), x and y in ``elems`` and z
+    in ``zs``, with x(y + z) != xy + xz, or else (x + y)z != xz + yz, in that
+    loop order; None if there is none.  ``elems`` is an additive group under
+    ``A`` with + commutative, closed under ``M``.
 
-    That suffices because + is associative.  If x(y + w) = xy + xw, then
-    x(y + (w + a)) = x((y + w) + a) = (xy + xw) + xa = xy + x(w + a); if
-    (w + y)z = wz + yz for all y and z, then ((w + a) + y)z =
-    (w + (a + y))z = wz + (az + yz) = (w + a)z + yz; and with left
-    distributivity, (xy)(w + a) = x(yw) + x(ya) = x(y(w + a)).
+    With ``zs`` the additive generators, None decides both laws on all of
+    ``elems``; only a failure needs the run with ``zs`` = ``elems``.  Left:
+    if x(y + w) = xy + xw for all x and y, then x(y + (w + a)) =
+    x((y + w) + a) = (xy + xw) + xa = xy + x(w + a) for every generator a.
+    Right, once left distributivity holds everywhere: if (x + y)w = xw + yw
+    for all x and y, then (x + y)(w + a) = (x + y)w + (x + y)a =
+    (xw + yw) + (xa + ya) = (xw + xa) + (yw + ya) = x(w + a) + y(w + a),
+    since + is associative and commutative.
     """
-    gens = _generators(A, carrier)
-    for x in carrier:
+    for x in elems:
         Mx = M[x]
-        for y in carrier:
-            xy, My, Ay = Mx[y], M[y], A[y]
-            for a in gens:
-                if (
-                    Mx[Ay[a]] != A[xy][Mx[a]]
-                    or M[A[a][x]][y] != A[M[a][y]][xy]
-                    or M[xy][a] != Mx[My[a]]
-                ):
-                    return False
-    return True
+        for y in elems:
+            xy, Ay, My, sum_row = Mx[y], A[y], M[y], M[A[x][y]]
+            for z in zs:
+                if Mx[Ay[z]] != A[xy][Mx[z]]:
+                    return {"kind": "left_distributivity", "triple": (x, y, z)}
+                if sum_row[z] != A[Mx[z]][My[z]]:
+                    return {"kind": "right_distributivity", "triple": (x, y, z)}
+    return None
 
 
 def _field_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> bool:

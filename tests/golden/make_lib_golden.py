@@ -42,16 +42,12 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))  # the corpora live in test_laws
 
-import test_laws as laws  # noqa: E402
+import test_laws as laws
 
-from multispace.constructions import (  # noqa: E402
-    abelian_groups_of_order,
-    shared_identity_union,
-    zn_ring_space,
-)
-from multispace.core import MultiSpace, Component, automorphisms, classify_table, is_group_on  # noqa: E402
-from multispace.multigroup import is_multigroup, series_length_profile  # noqa: E402
-from multispace.multiring import is_multiring, multiideal_chain  # noqa: E402
+from multispace.constructions import abelian_groups_of_order, shared_identity_union, zn_ring_space
+from multispace.core import Component, MultiSpace, automorphisms, classify_table, is_group_on
+from multispace.multigroup import SERIES_UNION_BOUND, is_multigroup, series_length_profile
+from multispace.multiring import is_multiring, multiideal_chain
 
 GOLDEN = HERE / "lib_sweep.json"
 
@@ -77,9 +73,16 @@ def ring_space(add, mul, carrier) -> MultiSpace:
     return MultiSpace(add.universe, [Component("R", tuple(sorted(carrier)), ("+", "*"), True)], [add, mul])
 
 
-def a05_corpus():
-    """(name, order, table) of every abelian group of order at most 16."""
-    return [(name, n, t) for n in range(1, 17) for name, _, t in abelian_groups_of_order(n)]
+def a05_spaces():
+    """(label, space, orientation): every abelian group of order at most 16
+    alone, then every pair whose shared-identity union the series
+    programming accepts."""
+    corpus = [(name, n, t) for n in range(1, 17) for name, _, t in abelian_groups_of_order(n)]
+    for name, _, t in corpus:
+        yield name, shared_identity_union([t]), ["+1"]
+    for (na, a, ta), (nb, b, tb) in itertools.combinations_with_replacement(corpus, 2):
+        if a + b - 1 <= SERIES_UNION_BOUND:
+            yield f"{na}+{nb}", shared_identity_union([ta, tb]), ["+1", "+2"]
 
 
 def group_cases():
@@ -106,12 +109,8 @@ def ring_spaces():
 
 def group_spaces():
     yield from laws.multigroup_spaces()
-    corpus = a05_corpus()
-    for name, _, t in corpus:
-        yield f"a05-{name}", shared_identity_union([t])
-    for (na, a, ta), (nb, b, tb) in itertools.combinations_with_replacement(corpus, 2):
-        if a + b - 1 <= 24:
-            yield f"a05-{na}+{nb}", shared_identity_union([ta, tb])
+    for label, ms, _ in a05_spaces():
+        yield f"a05-{label}", ms
 
 
 def space_cases():
@@ -130,13 +129,8 @@ def automorphism_cases(name, ms):
 
 
 def series_cases():
-    corpus = a05_corpus()
-    for name, _, t in corpus:
-        yield "series_length_profile", name, series_length_profile(shared_identity_union([t]), ["+1"])
-    for (na, a, ta), (nb, b, tb) in itertools.combinations_with_replacement(corpus, 2):
-        if a + b - 1 <= 24:  # the series programming's size bound
-            ms = shared_identity_union([ta, tb])
-            yield "series_length_profile", f"{na}+{nb}", series_length_profile(ms, ["+1", "+2"])
+    for label, ms, orientation in a05_spaces():
+        yield "series_length_profile", label, series_length_profile(ms, orientation)
     for n in range(1, 13):
         chain = multiideal_chain(zn_ring_space(n), ["R1"])
         yield "multiideal_chain", f"Z{n}", {"lengths": chain.lengths, "chain_count": chain.chain_count}

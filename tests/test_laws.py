@@ -1,12 +1,15 @@
-"""Group and ring laws decided on generating sets, against the full scans
-they replaced.
+"""Group and ring laws decided on generating sets, against full scans.
 
-``is_group_on`` decides associativity by Light's test and
-``multiring._ring_check`` decides its three laws on the additive generators;
-each scans every triple only to name the first failure.
-``_distributes_over`` and ``_cross_violation`` skip the triples outside the
-domains their products need.  The references below are the former
-full-cube code; every verdict and witness must equal theirs.
+Each law has one scan, with x and y over the elements and z over a given
+set.  ``core._associativity_witness`` and
+``multiring._distributivity_witness`` run with z over the generators to
+decide the law (Light's test for a group; the additive generators for a
+ring's three laws), and again with z over every element only to name the
+first failure.  ``_distributes_over`` and ``_cross_violation`` skip the
+triples outside the domains their products need.  The references below are
+full-cube code; every verdict and witness must equal theirs.  The seeded
+corpora (``group_subsets``, ``perturbed_groups``, ``perturbed_rings`` and
+the spaces) also feed ``tests/golden/make_lib_golden.py``.
 """
 
 import itertools
