@@ -18,7 +18,9 @@ universe indices.  The corpora are
 - the series lengths and chain counts of the a05 corpus and the ideal
   chains of Z_n;
 - ``automorphisms`` with both ``permute_ops`` values on every space above
-  whose carrier union has at most 8 elements.
+  whose carrier union has at most 8 elements;
+- ``check_boolean_laws`` on the universes of 0 to ``BOOLEAN_LAW_BOUND``
+  elements.
 
 Ring witnesses follow the iteration order of the carrier frozenset, so the
 file also pins that order on each Python version that replays it.
@@ -46,6 +48,7 @@ import test_laws as laws
 
 from multispace.constructions import abelian_groups_of_order, shared_identity_union, zn_ring_space
 from multispace.core import Component, MultiSpace, automorphisms, classify_table, is_group_on
+from multispace.foundations import BOOLEAN_LAW_BOUND, FiniteUniverse, check_boolean_laws
 from multispace.multigroup import SERIES_UNION_BOUND, is_multigroup, series_length_profile
 from multispace.multiring import is_multiring, multiideal_chain
 
@@ -136,9 +139,14 @@ def series_cases():
         yield "multiideal_chain", f"Z{n}", {"lengths": chain.lengths, "chain_count": chain.chain_count}
 
 
+def law_cases():
+    for n in range(BOOLEAN_LAW_BOUND + 1):
+        yield "check_boolean_laws", n, check_boolean_laws(FiniteUniverse.of([f"e{i}" for i in range(n)]))
+
+
 def sweep() -> str:
     """The golden text: one JSON case a line."""
-    cases = itertools.chain(group_cases(), space_cases(), series_cases())
+    cases = itertools.chain(group_cases(), space_cases(), series_cases(), law_cases())
     lines = (json.dumps([call, label, canon(result)]) for call, label, result in cases)
     return "[\n" + ",\n".join(lines) + "\n]\n"
 
