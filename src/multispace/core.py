@@ -560,19 +560,21 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
             raise ContractError(f"operation {t.name!r} leaves the carrier union")
     op_profile = {(t.name, x): _op_profile(t, x) for t in tables for x in union}
     if permute_ops:
-        sig = {t.name: sorted(op_profile[t.name, x] for x in union) for t in tables}
-        candidates = [
-            perm
-            for perm in itertools.permutations(range(len(tables)))
-            if all(sig[tables[i].name] == sig[tables[j].name] for i, j in enumerate(perm))
-        ]
+        # an operation may go only to one of equal sorted profile: permute
+        # within each such class, independently
+        classes: dict[tuple, list[OpTable]] = {}
+        for t in tables:
+            classes.setdefault(tuple(sorted(op_profile[t.name, x] for x in union)), []).append(t)
+        candidates = (
+            {t.name: img for cls, perm in zip(classes.values(), perms) for t, img in zip(cls, perm)}
+            for perms in itertools.product(*map(itertools.permutations, classes.values()))
+        )
     else:
-        candidates = [tuple(range(len(tables)))]
+        candidates = [{t.name: t for t in tables}]
 
     profile = {x: tuple(sorted((t.name, op_profile[t.name, x]) for t in tables)) for x in union}
     found: set[tuple[int, ...]] = set()
-    for perm in candidates:
-        images = {tables[i].name: tables[j] for i, j in enumerate(perm)}
+    for images in candidates:
         image_profile = {
             x: tuple(sorted((t.name, op_profile[images[t.name].name, x]) for t in tables))
             for x in union

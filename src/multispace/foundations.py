@@ -91,11 +91,64 @@ class LawReport:
         return all(r.passed for r in self.results)
 
 
+# The power-set laws, each written once: (law, name, arity, sides), where
+# ``sides(full, *args)`` returns the pairs of sides the law equates.  Sides
+# use only ``|``, ``&``, ``^``, 0 and ``full``, so they evaluate alike on one
+# subset and on many subsets held byte by byte in one int.
+_BOOLEAN_LAWS = (
+    ("L1", "idempotent", 1, lambda full, a: ((a | a, a), (a & a, a))),
+    ("L2", "commutative", 2, lambda full, a, b: ((a | b, b | a), (a & b, b & a))),
+    ("L3", "associative", 3,
+     lambda full, a, b, c: ((a | (b | c), (a | b) | c), (a & (b & c), (a & b) & c))),
+    ("L4", "absorption", 2, lambda full, a, b: ((a & (a | b), a), (a | (a & b), a))),
+    ("L5", "distributive", 3,
+     lambda full, a, b, c: ((a | (b & c), (a | b) & (a | c)), (a & (b | c), (a & b) | (a & c)))),
+    ("L6", "universal bound", 1,
+     lambda full, a: ((0 & a, 0), (0 | a, a), (full & a, a), (full | a, full))),
+    ("L7", "unary complement", 1, lambda full, a: ((a & (full ^ a), 0), (a | (full ^ a), full))),
+)
+
+
+def _first_failure(sides, arity: int, subsets: Sequence[int], full: int) -> Optional[tuple[int, ...]]:
+    """The first tuple of ``subsets``, in ``itertools.product`` order, at
+    which two sides of a pair from ``sides`` differ; None if there is none.
+
+    Bit-sliced: every subset fits one byte, and ``|``, ``&`` and ``^`` never
+    carry between bytes.  One chunk fixes the first argument and lays the
+    ``count^(arity - 1)`` tuples of the others over the bytes of one int, in
+    product order from the lowest byte up, so each side is one int
+    expression per chunk.  A tuple fails exactly when its byte of some
+    ``lhs ^ rhs`` is non-zero, and the lowest such byte of the first failing
+    chunk is the first failing tuple.
+    """
+    count = len(subsets)
+    width = count ** (arity - 1)
+    ones = int.from_bytes(b"\x01" * width, "little")
+    # byte i holds tuple i: its argument k is subset i // stride_k % count
+    strides = [count ** (arity - 2 - k) for k in range(arity - 1)]
+    lanes = []
+    for stride in strides:
+        column = b"".join(bytes([s]) * stride for s in subsets)
+        lanes.append(int.from_bytes(column * (width // (stride * count)), "little"))
+    wide_full = full * ones
+    for a in subsets:
+        diff = 0
+        for lhs, rhs in sides(wide_full, a * ones, *lanes):
+            diff |= lhs ^ rhs
+        if diff:
+            index = ((diff & -diff).bit_length() - 1) >> 3
+            return (a, *(subsets[index // stride % count] for stride in strides))
+    return None
+
+
 def check_boolean_laws(universe: FiniteUniverse) -> LawReport:
     """Verify the seven lattice/complement laws over the full power set.
 
     Exhaustive over all subsets (and pairs/triples of subsets as each law
-    requires), so the universe is capped at ``BOOLEAN_LAW_BOUND`` elements.
+    requires), so the universe is capped at ``BOOLEAN_LAW_BOUND`` elements;
+    the bound also keeps each subset inside one byte of ``_first_failure``.
+    The witness of a failing law is its first failing tuple in
+    ``itertools.product`` order over the subsets, listed by size.
     """
     n = len(universe)
     if n > BOOLEAN_LAW_BOUND:
@@ -107,37 +160,12 @@ def check_boolean_laws(universe: FiniteUniverse) -> LawReport:
         sum(1 << i for i in c) for r in range(n + 1) for c in itertools.combinations(range(n), r)
     ]
     results = []
-
-    def run(law: str, name: str, arity: int, pred) -> None:
+    for law, name, arity, sides in _BOOLEAN_LAWS:
+        failure = _first_failure(sides, arity, subsets, full)
         witness = None
-        for combo in itertools.product(subsets, repeat=arity):
-            if not pred(*combo):
-                witness = tuple(frozenset(i for i in range(n) if m >> i & 1) for m in combo)
-                break
+        if failure is not None:
+            witness = tuple(frozenset(i for i in range(n) if m >> i & 1) for m in failure)
         results.append(LawResult(law, name, witness is None, witness))
-
-    run("L1", "idempotent", 1, lambda a: a | a == a and a & a == a)
-    run("L2", "commutative", 2, lambda a, b: a | b == b | a and a & b == b & a)
-    run(
-        "L3",
-        "associative",
-        3,
-        lambda a, b, c: a | (b | c) == (a | b) | c and a & (b & c) == (a & b) & c,
-    )
-    run("L4", "absorption", 2, lambda a, b: a & (a | b) == a and a | (a & b) == a)
-    run(
-        "L5",
-        "distributive",
-        3,
-        lambda a, b, c: a | (b & c) == (a | b) & (a | c) and a & (b | c) == (a & b) | (a & c),
-    )
-    run(
-        "L6",
-        "universal bound",
-        1,
-        lambda a: 0 & a == 0 and 0 | a == a and full & a == a and full | a == full,
-    )
-    run("L7", "unary complement", 1, lambda a: a & (full ^ a) == 0 and a | (full ^ a) == full)
     return LawReport(universe, tuple(results))
 
 

@@ -496,8 +496,8 @@ class TestAutomorphisms:
         assert elapsed < 0.25, f"automorphisms of Z12 took {elapsed:.2f}s, budget 0.25s"
 
     def test_operations_with_other_profiles_are_never_paired(self):
-        # operation k has its first k + 1 cells defined: the operation filter
-        # keeps only the identity pairing of the 8! = 40320 permutations
+        # operation k has its first k + 1 cells defined: every operation is
+        # alone in its profile class, so the identity is the only pairing
         u = FiniteUniverse.of(["a", "b", "c"])
         ops = [
             OpTable(f"o{k}", u, (0, 1, 2), [[0 if 3 * i + j <= k else None for j in range(3)] for i in range(3)])
@@ -509,6 +509,21 @@ class TestAutomorphisms:
         elapsed = time.perf_counter() - started
         assert auts == automorphisms(ms, permute_ops=False) == ((0, 1, 2),)
         assert elapsed < 0.25, f"automorphisms of 8 operations took {elapsed:.2f}s, budget 0.25s"
+
+    def test_ten_operations_of_other_profiles_budget(self):
+        # permuting all 10! = 3628800 pairings and filtering them takes seconds;
+        # the product of the one-operation profile classes is the identity alone
+        u = FiniteUniverse.of(["a", "b", "c", "d"])
+        ops = [
+            OpTable(f"o{k}", u, (0, 1, 2, 3), [[0 if 4 * i + j <= k else None for j in range(4)] for i in range(4)])
+            for k in range(10)
+        ]
+        ms = MultiSpace(u, [Component(f"C{k}", (0, 1, 2, 3), (t.name,)) for k, t in enumerate(ops)], ops)
+        started = time.perf_counter()
+        auts = automorphisms(ms)
+        elapsed = time.perf_counter() - started
+        assert auts == ((0, 1, 2, 3),)
+        assert elapsed < 0.25, f"automorphisms of 10 operations took {elapsed:.2f}s, budget 0.25s"
 
     def test_fresh_undefined_elements_told_apart_by_domain(self):
         # h1 and h2 multiply to nothing, but each lies in one operation's

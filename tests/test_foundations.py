@@ -1,5 +1,8 @@
 import itertools
+import operator
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,8 @@ from multispace.foundations import (
     LawReport,
     LawResult,
     NeutrosophicComponent,
+    _BOOLEAN_LAWS,
+    _first_failure,
     check_boolean_laws,
     equivalence_classes,
     hasse_pairs,
@@ -55,6 +60,136 @@ def reference_boolean_laws(universe):
         witness = next((c for c in combos if not pred(*c)), None)
         results.append(LawResult(law, name, witness is None, witness))
     return LawReport(universe, tuple(results))
+
+
+def subsets_of(n):
+    """The subsets of an n-element universe as bitmasks, listed by size."""
+    return [sum(1 << i for i in c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+
+
+def product_order_failure(sides, arity, subsets, full):
+    """The loop the bit-sliced kernel replaced: one call per tuple, in
+    ``itertools.product`` order."""
+    for combo in itertools.product(subsets, repeat=arity):
+        if any(lhs != rhs for lhs, rhs in sides(full, *combo)):
+            return combo
+    return None
+
+
+OPS = {"|": operator.or_, "&": operator.and_, "^": operator.xor}
+
+
+def random_expr(rng, arity, depth):
+    """A random side over the arguments 0..arity-1, the constants and the
+    three bytewise operations."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([*range(arity), "0", "full"])
+    return (rng.choice(list(OPS)), random_expr(rng, arity, depth - 1), random_expr(rng, arity, depth - 1))
+
+
+def evaluate(expr, full, args):
+    if expr == "0":
+        return 0
+    if expr == "full":
+        return full
+    if isinstance(expr, int):
+        return args[expr]
+    op, left, right = expr
+    return OPS[op](evaluate(left, full, args), evaluate(right, full, args))
+
+
+def seeded_false_laws(arity, seed, count=8):
+    """``count`` random one-pair laws of ``arity`` that fail on a one-element
+    universe, hence on every non-empty one: the operations act bit by bit."""
+    rng = random.Random(seed)
+    laws = []
+    while len(laws) < count:
+        lhs, rhs = random_expr(rng, arity, 3), random_expr(rng, arity, 3)
+
+        def sides(full, *args, lhs=lhs, rhs=rhs):
+            return ((evaluate(lhs, full, args), evaluate(rhs, full, args)),)
+
+        if product_order_failure(sides, arity, subsets_of(1), 1) is not None:
+            laws.append(sides)
+    return laws
+
+
+def law_against_constants(arity, n, seed):
+    """A law that fails on the n-element universe exactly at the tuples
+    whose arguments all agree with their own seeded constant subsets at a
+    seeded element j: (a ^ k1) | (b ^ k2) | ... | (FULL ^ {j}) == full.
+    It fails whenever n > 0, and its first witness moves with the seed.
+    Each constant is spread over every byte of a bit-sliced ``full`` as
+    ``k * (full // FULL)``."""
+    rng = random.Random(1000 * seed + 10 * arity + n)
+    FULL = (1 << n) - 1
+    consts = [rng.randrange(FULL + 1) for _ in range(arity)]
+    skip = FULL ^ 1 << rng.randrange(n) if n else 0
+
+    def sides(full, *args):
+        ones = full // FULL if FULL else 0
+        lhs = skip * ones
+        for x, k in zip(args, consts):
+            lhs |= x ^ k * ones
+        return ((lhs, full),)
+
+    return sides
+
+
+FALSE_LAWS = [
+    (1, lambda full, a: ((full ^ a, a),)),
+    (2, lambda full, a, b: ((a | b, a),)),
+    (2, lambda full, a, b: ((a & b, a), (a | b, b | a))),
+    (3, lambda full, a, b, c: ((a & (b | c), a),)),
+    (3, lambda full, a, b, c: ((a | b | c, 0),)),
+    (3, lambda full, a, b, c: ((a | (b & c), (a | b) & (a | c)), (a ^ b ^ c, a | b | c))),
+] + [(arity, sides) for arity in (1, 2, 3) for sides in seeded_false_laws(arity, seed=arity)]
+
+
+class TestBooleanLawKernel:
+    @pytest.mark.parametrize("arity, sides", FALSE_LAWS)
+    def test_false_law_names_the_product_order_witness(self, arity, sides):
+        for n in range(7):
+            full, subsets = (1 << n) - 1, subsets_of(n)
+            want = product_order_failure(sides, arity, subsets, full)
+            assert _first_failure(sides, arity, subsets, full) == want
+            assert (want is None) == (n == 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("arity", (1, 2, 3))
+    def test_seeded_constants_move_the_witness(self, arity, seed):
+        for n in range(7):
+            full, subsets = (1 << n) - 1, subsets_of(n)
+            sides = law_against_constants(arity, n, seed)
+            want = product_order_failure(sides, arity, subsets, full)
+            assert _first_failure(sides, arity, subsets, full) == want
+            assert (want is None) == (n == 0)
+
+    @pytest.mark.parametrize("size", range(7))
+    def test_laws_hold_in_the_product_order_loop(self, size):
+        full, subsets = (1 << size) - 1, subsets_of(size)
+        for law, name, arity, sides in _BOOLEAN_LAWS:
+            assert product_order_failure(sides, arity, subsets, full) is None, law
+            assert _first_failure(sides, arity, subsets, full) is None, law
+
+    def test_memory_peak_at_bound(self):
+        # one chunk at a time: a single int over all 64^3 triples would
+        # take the whole budget by itself
+        u = FiniteUniverse.of([f"e{i}" for i in range(6)])
+        tracemalloc.start()
+        try:
+            check_boolean_laws(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, f"check_boolean_laws at |U| = 6 peaked at {peak} B, budget 256 KiB"
+
+    def test_kernel_budget_at_bound(self):
+        u = FiniteUniverse.of([f"e{i}" for i in range(6)])
+        started = time.perf_counter()
+        assert check_boolean_laws(u).all_pass
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.05, f"check_boolean_laws at |U| = 6 took {elapsed:.3f}s, budget 0.05s"
 
 
 class TestBooleanLaws:
