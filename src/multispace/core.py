@@ -551,7 +551,7 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
     n = len(union)
     if n > AUTOMORPHISM_BOUND:
         raise SizeLimitError(
-            f"automorphism search is factorial; union size {n} exceeds bound {AUTOMORPHISM_BOUND}"
+            f"automorphism search is factorial; union size {n} exceeds AUTOMORPHISM_BOUND = {AUTOMORPHISM_BOUND}"
         )
     pos = {x: i for i, x in enumerate(union)}
     tables = list(ms.ops)

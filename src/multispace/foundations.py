@@ -153,7 +153,7 @@ def check_boolean_laws(universe: FiniteUniverse) -> LawReport:
     n = len(universe)
     if n > BOOLEAN_LAW_BOUND:
         raise SizeLimitError(
-            f"boolean law check enumerates 2^|U| subsets; |U| = {n} exceeds bound {BOOLEAN_LAW_BOUND}"
+            f"boolean law check enumerates 2^|U| subsets; |U| = {n} exceeds BOOLEAN_LAW_BOUND = {BOOLEAN_LAW_BOUND}"
         )
     full = (1 << n) - 1
     subsets = [

@@ -311,18 +311,44 @@ def subgroups_of(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]
 
     A closure escaping the carrier means no subgroup of the carrier contains
     that generating set, so such candidates are discarded.  Every set grown
-    is closed, so its join with x is closed from x alone.
+    is closed, so its join with x is closed from x alone.  Two prunings cut
+    the joins (the cyclic extension method of Holt, Eick & O'Brien,
+    *Handbook of Computational Group Theory*, 2005):
+
+    - One join per cyclic subgroup.  Write cl for closure under the table,
+      and C(x) = cl({e, x}).  Every grown set H is closed and holds e, so
+      cl(H | {x}) contains C(x); if C(x) = C(y), then y lies in
+      cl(H | {x}) and x in cl(H | {y}), so the two joins are equal.  This
+      holds for any closure operator, partial tables included, so each
+      member joins only the smallest x of each C(x) inside the carrier
+      (an x with C(x) outside it only grows sets that escape).
+    - One join per right coset, when the carrier is a group.  Then for h in
+      H, hx lies in cl(H | {x}) and x = h^-1 (hx) in cl(H | {hx}), so
+      join(H, x) = join(H, hx): once x is joined, every hx is done.  On a
+      non-group an hx need not give the same join, so there only x = ex is
+      marked.
     """
     e = group_identity_on(table, carrier)
     if e is None:
         raise ContractError(f"no identity inside the given subset of {table.name!r}")
     grid = table.grid
+    cyclic: dict[frozenset[int], int] = {}
+    for x in sorted(carrier):
+        c = _close(grid, {e, x}, [x])
+        if c <= carrier:
+            cyclic.setdefault(c, x)
     base = frozenset({e})
+    group = is_group_on(table, carrier)[0]
     found = {base}
     queue = [base]
     while queue:
         current = queue.pop()
-        for x in carrier - current:
+        done = set(current)
+        hs = current if group else base
+        for x in cyclic.values():
+            if x in done:
+                continue
+            done.update(grid[h][x] for h in hs)
             bigger = _close(grid, {*current, x}, [x])
             if bigger <= carrier and bigger not in found:
                 found.add(bigger)
@@ -437,7 +463,8 @@ def _series_profile(ms: MultiSpace, steps):
     union = ms.element_union()
     if len(union) > SERIES_UNION_BOUND:
         raise SizeLimitError(
-            f"series programming bounded at {SERIES_UNION_BOUND} elements; got {len(union)}"
+            f"series programming walks levels of the element union; |union| = {len(union)} exceeds "
+            f"SERIES_UNION_BOUND = {SERIES_UNION_BOUND}"
         )
     graph: dict[tuple, list] = {}
     memo: dict[tuple, tuple[frozenset, int]] = {}
@@ -513,8 +540,8 @@ def _run_series(ms: MultiSpace, steps, kind: str) -> SeriesResult:
     start, successors, lengths, count = _series_profile(ms, steps)
     if count > SERIES_CHAIN_BOUND:
         raise SizeLimitError(
-            f"{count} maximal chains exceed the materialisation bound; "
-            "use series_length_profile for the invariant alone"
+            f"series materialisation lists every maximal chain; {count} chains exceed "
+            f"SERIES_CHAIN_BOUND = {SERIES_CHAIN_BOUND}; use series_length_profile for the invariant alone"
         )
 
     chains: list[SeriesChain] = []

@@ -41,7 +41,10 @@ class AmbientSpace:
         if self.n < 1:
             raise ContractError("ambient dimension must be >= 1")
         if self.p**self.n > AMBIENT_SIZE_BOUND:
-            raise SizeLimitError(f"ambient space of {self.p}^{self.n} vectors exceeds desk scale")
+            raise SizeLimitError(
+                f"ambient space enumerates p^n vectors; {self.p}^{self.n} = {self.p**self.n} exceeds "
+                f"AMBIENT_SIZE_BOUND = {AMBIENT_SIZE_BOUND}"
+            )
 
     def add(self, a: Vector, b: Vector) -> Vector:
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -291,7 +294,9 @@ def dim_formula(ms: MultiVectorSpace) -> DimReport:
     """
     k = len(ms.components)
     if k > DIM_FORMULA_BOUND:
-        raise SizeLimitError(f"dimension formula enumerates 2^k - 1 terms; k = {k} exceeds {DIM_FORMULA_BOUND}")
+        raise SizeLimitError(
+            f"dimension formula enumerates 2^k - 1 terms; k = {k} exceeds DIM_FORMULA_BOUND = {DIM_FORMULA_BOUND}"
+        )
     terms = []
     total = 0
     for r in range(1, k + 1):

@@ -22,6 +22,7 @@ from multispace.constructions import (
     latin_lower_bound,
     latin_multispace,
     shared_identity_union,
+    symmetric_table,
     zn_ring_space,
 )
 from multispace.core import (
@@ -362,3 +363,18 @@ def test_a12_automorphism_pattern():
         auts = automorphisms(ms)
         assert len(auts) == phi(m) ** k * math.factorial(k), (m, k)
     budget("automorphism pattern", started, 60)
+
+
+def test_a13_subgroup_lattice_budget():
+    """The 30 subgroups of S4, the largest group the series corpus holds,
+    in under 30 ms, best of three runs."""
+    _, s4 = symmetric_table(4)
+    carrier = frozenset(s4.domain)
+    best = math.inf
+    for _ in range(3):
+        started = time.perf_counter()
+        subs = subgroups_of(s4, carrier)
+        best = min(best, time.perf_counter() - started)
+    assert len(subs) == 30
+    assert best < 0.030, f"subgroups_of on S4 took {best * 1000:.1f} ms, budget 30 ms"
+    print(f"[acceptance] S4 subgroup lattice: PASS ({best * 1000:.1f} ms)")

@@ -392,7 +392,7 @@ class TestAutomorphisms:
             assert inverse in auts
 
     def test_size_bound(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="union size 13 exceeds AUTOMORPHISM_BOUND = 12"):
             automorphisms(disjoint_cyclic_union([7, 6]))
 
     @staticmethod

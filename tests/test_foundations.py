@@ -216,7 +216,7 @@ class TestBooleanLaws:
         assert check_boolean_laws(FiniteUniverse.of([])).all_pass
 
     def test_size_bound(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match=r"\|U\| = 7 exceeds BOOLEAN_LAW_BOUND = 6"):
             check_boolean_laws(FiniteUniverse.of([str(i) for i in range(7)]))
 
     def test_distributivity_by_hand(self):

@@ -20,7 +20,7 @@ from multispace.constructions import (
     zn_ring_tables,
 )
 from multispace.core import Component, MultiSpace, OpTable, group_identity_on, group_inverses_on
-from multispace.errors import ContractError, InternalCheckError
+from multispace.errors import ContractError, InternalCheckError, SizeLimitError
 from multispace.foundations import FiniteUniverse
 from multispace.multigroup import (
     IDEAL_CHAIN,
@@ -256,6 +256,13 @@ class TestSeries:
         chain = result.chains[0]
         assert [len(level) for level in chain.levels] == [8, 4, 2, 1]
 
+    def test_chain_bound_names_itself_and_the_count(self, monkeypatch):
+        table = next(t for name, _, t in abelian_groups_of_order(16) if name == "Z2xZ2xZ2xZ2")
+        assert composition_series(table).chain_count == 315
+        monkeypatch.setattr("multispace.multigroup.SERIES_CHAIN_BOUND", 314)
+        with pytest.raises(SizeLimitError, match="315 chains exceed SERIES_CHAIN_BOUND = 314"):
+            composition_series(table)
+
     def test_s3_series(self):
         _, t = symmetric_table(3)
         result = composition_series(t)
@@ -442,6 +449,51 @@ def closed_subsets_with(table, carrier, e):
     return out
 
 
+def reference_subgroups_of(table, carrier):
+    """The lattice before pruning: every member joins every element of the
+    carrier outside it."""
+    e = group_identity_on(table, carrier)
+    if e is None:
+        raise ContractError(f"no identity inside the given subset of {table.name!r}")
+    base = frozenset({e})
+    found = {base}
+    queue = [base]
+    while queue:
+        current = queue.pop()
+        for x in carrier - current:
+            bigger = _close(table.grid, {*current, x}, [x])
+            if bigger <= carrier and bigger not in found:
+                found.add(bigger)
+                queue.append(bigger)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def tables_with_identity_on_three():
+    """Every partial table on {0, 1, 2} with a two-sided identity: the
+    identity's row and column are fixed, and each of the other four cells
+    is an element or undefined, so 3 * 4^4 = 768 tables."""
+    universe = FiniteUniverse.of(["u0", "u1", "u2"])
+    for e in range(3):
+        rest = [(x, y) for x in range(3) for y in range(3) if e not in (x, y)]
+        for cells in itertools.product([0, 1, 2, None], repeat=len(rest)):
+            rows = [[y if x == e else x if y == e else None for y in range(3)] for x in range(3)]
+            for (x, y), v in zip(rest, cells):
+                rows[x][y] = v
+            yield OpTable("*", universe, (0, 1, 2), rows)
+
+
+def planted_identity_table(rng, n, density):
+    """A random partial table on n elements with a two-sided identity at a
+    random element; every other cell is defined with chance ``density``."""
+    universe = FiniteUniverse.of([f"u{i}" for i in range(n)])
+    e = rng.randrange(n)
+    rows = [
+        [y if x == e else x if y == e else rng.randrange(n) if rng.random() < density else None for y in range(n)]
+        for x in range(n)
+    ]
+    return OpTable("*", universe, tuple(range(n)), rows)
+
+
 def overlapping_space():
     """Two ops whose carriers meet in more than an identity: ``a`` is Z2 on
     {2, 3} with unit 3, and ``b`` binds Z2 on {0, 1} and the one-element
@@ -586,6 +638,50 @@ class TestSeriesLattice:
             assert set(subgroups_of(table, carrier)) == closed_subsets_with(table, carrier, e)
             checked += 1
         assert checked >= 20
+
+    def test_subgroups_of_every_partial_table_on_three_elements(self):
+        # every carrier with a unit, so closures that escape the carrier
+        # and carriers that are not groups are both covered
+        tables = 0
+        for table in tables_with_identity_on_three():
+            tables += 1
+            for r in (1, 2, 3):
+                for carrier in map(frozenset, itertools.combinations(range(3), r)):
+                    e = group_identity_on(table, carrier)
+                    if e is not None:
+                        assert set(subgroups_of(table, carrier)) == closed_subsets_with(table, carrier, e)
+        assert tables == 768
+
+    def test_subgroups_of_planted_identity_tables(self):
+        rng = random.Random(1612)
+        for _ in range(2000):
+            table = planted_identity_table(rng, rng.randint(4, 6), rng.choice([0.5, 0.8, 1.0]))
+            carrier = frozenset(table.domain)
+            e = group_identity_on(table, carrier)
+            assert set(subgroups_of(table, carrier)) == closed_subsets_with(table, carrier, e)
+
+    def test_subgroups_of_matches_the_unpruned_lattice_on_the_series_corpus(self):
+        corpus = [(name, t) for n in range(1, 17) for name, _, t in abelian_groups_of_order(n)]
+        corpus += [(name, t) for name, _, t in all_groups_up_to_8() if name in ("S3", "D4", "Q8")]
+        corpus.append(("S4", symmetric_table(4)[1]))
+        counts = {}
+        for name, table in corpus:
+            carrier = frozenset(table.domain)
+            subs = subgroups_of(table, carrier)
+            assert subs == reference_subgroups_of(table, carrier), name
+            counts[name] = len(subs)
+        pinned = {"Z2xZ2xZ2xZ2": 67, "Z2xZ2xZ4": 27, "Z4xZ4": 15, "S4": 30, "D4": 10, "Q8": 6}
+        assert {name: counts[name] for name in pinned} == pinned
+
+    def test_ideals_of_matches_the_unpruned_lattice_on_zn(self):
+        from multispace.multiring import ideals_of
+
+        for n in range(1, 13):
+            _, add, mul = zn_ring_tables(n)
+            whole = frozenset(range(n))
+            subs = reference_subgroups_of(add, whole)
+            assert subgroups_of(add, whole) == subs, n
+            assert ideals_of(add, mul, whole) == list(filter(_absorbs(mul, whole), subs)), n
 
     def test_join_from_the_new_element_only(self):
         rng = random.Random(7)

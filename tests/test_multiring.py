@@ -287,7 +287,7 @@ class TestArtin:
             assert (report.per_component, report.longest_chain) == reference_artin(ms), moduli
 
     def test_bounded_like_the_series_programming(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match=r"\|union\| = 25 exceeds SERIES_UNION_BOUND = 24"):
             is_artin(shared_zero_ring_union([13, 13]))
 
     def test_finite_always_artin(self):

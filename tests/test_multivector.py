@@ -100,6 +100,11 @@ class TestLinearAlgebraBasics:
         with pytest.raises(ContractError):
             AmbientSpace(4, 2)
 
+    def test_ambient_size_bound(self):
+        assert AmbientSpace(2, 12).zero() == (0,) * 12
+        with pytest.raises(SizeLimitError, match=r"2\^13 = 8192 exceeds AMBIENT_SIZE_BOUND = 4096"):
+            AmbientSpace(2, 13)
+
     def test_component_must_be_subspace_closed(self):
         amb = gf2_cube()
         mvs = MultiVectorSpace.from_generators(amb, [[(1, 0, 0), (0, 1, 0)]])
@@ -316,7 +321,7 @@ class TestDimFormula:
     def test_component_bound(self):
         amb = AmbientSpace(2, 2)
         mvs = MultiVectorSpace.from_generators(amb, [[(1, 0)]] * 6)
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="k = 6 exceeds DIM_FORMULA_BOUND = 5"):
             dim_formula(mvs)
 
 
