@@ -12,6 +12,7 @@ from .core import (
     Component,
     ExprChain,
     Equation,
+    FiniteUniverse,
     HOLE,
     MultiSpace,
     OpTable,
@@ -25,17 +26,18 @@ from .core import (
     solve_equation,
     solve_system,
 )
-from .foundations import (
-    BinaryRelation,
-    FiniteUniverse,
-    NeutrosophicComponent,
-    check_boolean_laws,
-    equivalence_classes,
-    neutrosophic_union,
-    poset_check,
-    poset_extremes,
-    valuate_union,
-)
+
+
+def __getattr__(name: str):
+    # every public name not imported above lives in ``foundations``: it is
+    # resolved on first use (PEP 562), so importing the package, or running
+    # a CLI command, does not execute that module
+    if name in __all__:
+        from . import foundations
+
+        return getattr(foundations, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BinaryRelation",

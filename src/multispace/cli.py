@@ -36,8 +36,8 @@ def _lazy(name: str):
     return module
 
 
-constructions, io, multigroup, multiring, multimetric, multivector = map(
-    _lazy, ("constructions", "io", "multigroup", "multiring", "multimetric", "multivector")
+constructions, foundations, io, multigroup, multiring, multimetric, multivector = map(
+    _lazy, ("constructions", "foundations", "io", "multigroup", "multiring", "multimetric", "multivector")
 )
 
 EXIT_HOLDS = 0

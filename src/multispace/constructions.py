@@ -8,10 +8,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Optional, Sequence
 
-from .core import Component, MultiSpace, OpTable, classify_table, group_identity_on
+from .core import Component, FiniteUniverse, MultiSpace, OpTable, classify_table, group_identity_on
 from .errors import (
     CapacityError,
     ContractError,
@@ -21,28 +21,26 @@ from .errors import (
     SizeLimitError,
     UnknownNameError,
 )
-from .foundations import FiniteUniverse
 
 LATIN_ENUMERATION_BOUND = 4
 
 
-@dataclass(frozen=True)
-class LatinSquare:
+class LatinSquare(namedtuple("LatinSquare", "n grid")):
     """An n x n grid in which every symbol index appears once per row and column."""
 
-    n: int
-    grid: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        want = set(range(self.n))
-        if len(self.grid) != self.n or any(len(row) != self.n for row in self.grid):
-            raise ShapeError(f"grid is not {self.n}x{self.n}")
-        for i, row in enumerate(self.grid):
+    def __new__(cls, n: int, grid: tuple[tuple[int, ...], ...]):
+        want = set(range(n))
+        if len(grid) != n or any(len(row) != n for row in grid):
+            raise ShapeError(f"grid is not {n}x{n}")
+        for i, row in enumerate(grid):
             if set(row) != want:
-                raise ShapeError(f"row {i} is not a permutation of 0..{self.n - 1}")
-        for j in range(self.n):
-            if {row[j] for row in self.grid} != want:
-                raise ShapeError(f"column {j} is not a permutation of 0..{self.n - 1}")
+                raise ShapeError(f"row {i} is not a permutation of 0..{n - 1}")
+        for j in range(n):
+            if {row[j] for row in grid} != want:
+                raise ShapeError(f"column {j} is not a permutation of 0..{n - 1}")
+        return super().__new__(cls, n, grid)
 
 
 def latin_lower_bound(n: int) -> int:

@@ -9,8 +9,8 @@ exception; errors are reserved for contract violations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from collections import namedtuple
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     ContractError,
@@ -19,11 +19,55 @@ from .errors import (
     UnknownNameError,
     UnknownOperationError,
 )
-from .foundations import FiniteUniverse
 
 UNDEFINED = None
 
 AUTOMORPHISM_BOUND = 12
+
+
+class FiniteUniverse(namedtuple("FiniteUniverse", "elements")):
+    """An ordered list of distinct symbol names; order defines element indices.
+
+    ``len``, iteration and ``in`` speak of indices and names, not of the one
+    field, so copies and pickles are rebuilt from ``elements`` by
+    ``__getnewargs__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, elements: tuple[str, ...]):
+        if len(set(elements)) != len(elements):
+            raise ContractError("universe contains duplicate symbols")
+        return super().__new__(cls, elements)
+
+    def __getnewargs__(self):
+        return (self.elements,)
+
+    @classmethod
+    def of(cls, names: Sequence[str]) -> "FiniteUniverse":
+        return cls(tuple(names))
+
+    def index(self, name: str) -> int:
+        try:
+            return self.elements.index(name)
+        except ValueError:
+            raise UnknownNameError(f"unknown symbol {name!r}") from None
+
+    def name(self, idx: int) -> str:
+        return self.elements[idx]
+
+    def names(self, indices) -> tuple[str, ...]:
+        elements = self.elements
+        return tuple(elements[i] for i in sorted(indices))
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __iter__(self):
+        return iter(range(len(self.elements)))
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.elements
 
 
 class OpTable:
@@ -101,26 +145,23 @@ class OpTable:
         return f"OpTable({self.name!r}, domain={self.universe.names(self.domain)})"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(namedtuple("Component", "name carrier op_names double", defaults=(False,))):
     """A named carrier bound to one or more operations.
 
     ``double=True`` marks a ring-style component whose two op names are the
     ordered pair (addition, multiplication).
     """
 
-    name: str
-    carrier: tuple[int, ...]
-    op_names: tuple[str, ...]
-    double: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if list(self.carrier) != sorted(set(self.carrier)):
-            raise ContractError(f"component {self.name!r}: carrier must be sorted, duplicate-free")
-        if not self.op_names:
-            raise ContractError(f"component {self.name!r}: needs at least one operation")
-        if self.double and len(self.op_names) != 2:
-            raise ContractError(f"component {self.name!r}: double components bind exactly two ops")
+    def __new__(cls, name: str, carrier: tuple[int, ...], op_names: tuple[str, ...], double: bool = False):
+        if list(carrier) != sorted(set(carrier)):
+            raise ContractError(f"component {name!r}: carrier must be sorted, duplicate-free")
+        if not op_names:
+            raise ContractError(f"component {name!r}: needs at least one operation")
+        if double and len(op_names) != 2:
+            raise ContractError(f"component {name!r}: double components bind exactly two ops")
+        return super().__new__(cls, name, carrier, op_names, double)
 
     @property
     def add_name(self) -> str:
@@ -209,18 +250,17 @@ class MultiSpace:
         )
 
 
-@dataclass(frozen=True)
-class ExprChain:
+class ExprChain(namedtuple("ExprChain", "operands op_names")):
     """A left-associative mixed-operation expression: x1 op1 x2 op2 x3 ..."""
 
-    operands: tuple[int, ...]
-    op_names: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.operands:
+    def __new__(cls, operands: tuple[int, ...], op_names: tuple[str, ...]):
+        if not operands:
             raise ContractError("expression chains must be non-empty")
-        if len(self.op_names) != len(self.operands) - 1:
+        if len(op_names) != len(operands) - 1:
             raise ContractError("a chain of n operands needs exactly n-1 operations")
+        return super().__new__(cls, operands, op_names)
 
 
 def eval_chain(ms: MultiSpace, chain: ExprChain) -> Optional[int]:
@@ -234,8 +274,7 @@ def eval_chain(ms: MultiSpace, chain: ExprChain) -> Optional[int]:
     return acc
 
 
-@dataclass(frozen=True)
-class UnitReport:
+class UnitReport(NamedTuple):
     left_units: tuple[int, ...]
     right_units: tuple[int, ...]
     unit: Optional[int]
@@ -256,8 +295,7 @@ def find_units(t: OpTable) -> UnitReport:
     return UnitReport(lefts, rights, unit)
 
 
-@dataclass(frozen=True)
-class InverseReport:
+class InverseReport(NamedTuple):
     element: int
     left: tuple[int, ...]
     right: tuple[int, ...]
@@ -321,20 +359,18 @@ class _Hole:
 HOLE = _Hole()
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(namedtuple("Equation", "operands op_names rhs")):
     """A chain template with exactly one HOLE operand, equated to ``rhs``."""
 
-    operands: tuple
-    op_names: tuple[str, ...]
-    rhs: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        holes = [i for i, x in enumerate(self.operands) if x is HOLE]
+    def __new__(cls, operands: tuple, op_names: tuple[str, ...], rhs: int):
+        holes = [i for i, x in enumerate(operands) if x is HOLE]
         if len(holes) != 1:
             raise ContractError("an equation template needs exactly one hole")
-        if len(self.op_names) != len(self.operands) - 1:
+        if len(op_names) != len(operands) - 1:
             raise ContractError("a chain of n operands needs exactly n-1 operations")
+        return super().__new__(cls, operands, op_names, rhs)
 
     def substitute(self, value: int) -> ExprChain:
         ops = tuple(value if x is HOLE else x for x in self.operands)
@@ -350,8 +386,7 @@ def solve_system(ms: MultiSpace, equations: Sequence[Equation]) -> tuple[int, ..
     return tuple(sorted(solutions or ()))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     label: str
     unit: Optional[int]
     witness: Optional[dict]
@@ -498,8 +533,7 @@ def group_inverses_on(t: OpTable, subset: frozenset[int]) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class SubStructureReport:
+class SubStructureReport(NamedTuple):
     verdict: bool
     by_component: bool
     by_closure: bool

@@ -7,62 +7,26 @@ Everything here is exhaustive over explicitly enumerated finite universes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import ContractError, SizeLimitError, UnknownNameError
+from .core import FiniteUniverse
+from .errors import ContractError, SizeLimitError
 
 BOOLEAN_LAW_BOUND = 6
 
 
-@dataclass(frozen=True)
-class FiniteUniverse:
-    """An ordered list of distinct symbol names; order defines element indices."""
-
-    elements: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.elements)) != len(self.elements):
-            raise ContractError("universe contains duplicate symbols")
-
-    @classmethod
-    def of(cls, names: Sequence[str]) -> "FiniteUniverse":
-        return cls(tuple(names))
-
-    def index(self, name: str) -> int:
-        try:
-            return self.elements.index(name)
-        except ValueError:
-            raise UnknownNameError(f"unknown symbol {name!r}") from None
-
-    def name(self, idx: int) -> str:
-        return self.elements[idx]
-
-    def names(self, indices) -> tuple[str, ...]:
-        return tuple(self.elements[i] for i in sorted(indices))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(range(len(self.elements)))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.elements
-
-
-@dataclass(frozen=True)
-class BinaryRelation:
+class BinaryRelation(namedtuple("BinaryRelation", "universe pairs")):
     """A set of ordered index pairs over a finite universe."""
 
-    universe: FiniteUniverse
-    pairs: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.universe)
-        for x, y in self.pairs:
+    def __new__(cls, universe: FiniteUniverse, pairs: frozenset[tuple[int, int]]):
+        n = len(universe)
+        for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
                 raise ContractError(f"pair ({x},{y}) out of range for universe of size {n}")
+        return super().__new__(cls, universe, pairs)
 
     @classmethod
     def from_names(cls, universe: FiniteUniverse, named_pairs) -> "BinaryRelation":
@@ -73,16 +37,14 @@ class BinaryRelation:
         return (x, y) in self.pairs
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(NamedTuple):
     law: str
     name: str
     passed: bool
     witness: Optional[tuple]
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     universe: FiniteUniverse
     results: tuple[LawResult, ...]
 
@@ -169,8 +131,7 @@ def check_boolean_laws(universe: FiniteUniverse) -> LawReport:
     return LawReport(universe, tuple(results))
 
 
-@dataclass(frozen=True)
-class PosetVerdict:
+class PosetVerdict(NamedTuple):
     is_poset: bool
     is_total: bool
     violated: Optional[str]
@@ -230,8 +191,7 @@ def hasse_pairs(rel: BinaryRelation) -> frozenset[tuple[int, int]]:
     return frozenset(covers)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     classes: tuple[tuple[int, ...], ...]
     uniform_class_size: Optional[int]
     quotient_check: Optional[bool]
@@ -307,8 +267,7 @@ class NeutrosophicComponent:
         )
 
 
-@dataclass(frozen=True)
-class UnionClassification:
+class UnionClassification(NamedTuple):
     case: int
     abstract_set: Optional[frozenset[int]]
     description: str

@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Optional
 
-from .core import Component, MultiSpace, OpTable
+from .core import Component, FiniteUniverse, MultiSpace, OpTable
 from .errors import ContractError, InputError
-from .foundations import FiniteUniverse
 
 if TYPE_CHECKING:
     from fractions import Fraction

@@ -8,9 +8,9 @@ routes (componentwise criterion vs. direct scan) that must agree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     Component,
@@ -33,20 +33,18 @@ NORMAL_SERIES = "normal_series"
 IDEAL_CHAIN = "ideal_chain"
 
 
-@dataclass(frozen=True)
-class SubsetView:
+class SubsetView(namedtuple("SubsetView", "parent elements op_names")):
     """A subset of a parent space's elements plus a subset of its operations."""
 
-    parent: MultiSpace
-    elements: frozenset[int]
-    op_names: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        union = set(self.parent.element_union())
-        if not self.elements <= union:
+    def __new__(cls, parent: MultiSpace, elements: frozenset[int], op_names: tuple[str, ...]):
+        union = set(parent.element_union())
+        if not elements <= union:
             raise ContractError("subset elements must lie in the parent carrier union")
-        for name in self.op_names:
-            self.parent.op(name)
+        for name in op_names:
+            parent.op(name)
+        return super().__new__(cls, parent, elements, op_names)
 
     @classmethod
     def of_names(cls, parent: MultiSpace, names: Sequence[str], op_names=None) -> "SubsetView":
@@ -56,8 +54,7 @@ class SubsetView:
         return cls(parent, elements, tuple(op_names))
 
 
-@dataclass(frozen=True)
-class SeriesChain:
+class SeriesChain(NamedTuple):
     levels: tuple[frozenset[int], ...]
     step_ops: tuple[str, ...]
     kind: str
@@ -84,15 +81,13 @@ def group_bindings(ms: MultiSpace) -> list[tuple[Component, str]]:
     return out
 
 
-@dataclass(frozen=True)
-class DistributionCheck:
+class DistributionCheck(NamedTuple):
     pair: tuple[str, str]
     orientation: Optional[str]  # "first", "second", "both", or None
     witness: Optional[tuple]
 
 
-@dataclass(frozen=True)
-class MultiGroupReport:
+class MultiGroupReport(NamedTuple):
     verdict: bool
     group_checks: tuple[tuple[str, str, bool, Optional[dict]], ...]
     complete: bool
@@ -229,10 +224,11 @@ def is_submultigroup(sub: SubsetView) -> SubStructureReport:
     by_component = witness_a is None
 
     witness_b: Optional[dict] = None
-    allowed = sub.elements | {UNDEFINED}
+    elements = sub.elements
+    allowed = elements | {UNDEFINED}
     for op_name in sub.op_names:
         grid = ms.op(op_name).grid
-        products = ((x, y, grid[x][y]) for x in sub.elements for y in sub.elements)
+        products = ((x, y, grid[x][y]) for x in elements for y in elements)
         bad = next((p for p in products if p[2] not in allowed), None)
         if bad is not None:
             witness_b = {"kind": "closure", "op": op_name, "pair": bad[:2], "result": bad[2]}
@@ -243,12 +239,12 @@ def is_submultigroup(sub: SubsetView) -> SubStructureReport:
 
 def coset_of(sub: SubsetView, x: int) -> frozenset[int]:
     """x(sub) = every defined x op h with h in the subset, over the sub's ops."""
-    out = set()
+    out, elements = set(), sub.elements
     for op_name in sub.op_names:
         table = sub.parent.op(op_name)
         if table.in_domain(x):
             row = table.grid[x]
-            out.update(row[h] for h in sub.elements if row[h] is not UNDEFINED)
+            out.update(row[h] for h in elements if row[h] is not UNDEFINED)
     return frozenset(out)
 
 
@@ -392,8 +388,7 @@ def maximal_normal_subgroups(table: OpTable, carrier: frozenset[int]) -> list[fr
     return _maximal(subgroups_of(table, carrier), carrier, _normal_test(table, carrier))
 
 
-@dataclass(frozen=True)
-class LagrangeReport:
+class LagrangeReport(NamedTuple):
     group_order: int
     subgroup_orders: tuple[int, ...]
     all_divide: bool
@@ -437,8 +432,7 @@ def is_normal(sub: SubsetView) -> SubStructureReport:
 
 # -- the oriented series programming --------------------------------------
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     chains: tuple[SeriesChain, ...]
     lengths: tuple[int, ...]
     invariant: bool

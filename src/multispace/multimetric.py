@@ -11,9 +11,9 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import CombinatorError, ContractError, InputError, ShapeError, UnknownNameError
 
@@ -32,29 +32,26 @@ def _frac(x) -> Fraction:
     raise InputError(f"cannot read {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class MetricTable:
+class MetricTable(namedtuple("MetricTable", "points d")):
     """A symmetric nonnegative rational distance grid on labelled points;
     ``int`` entries are stored as ``Fraction``s."""
 
-    points: tuple[str, ...]
-    d: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.points)
-        positions = {p: i for i, p in enumerate(self.points)}
-        if len(positions) != n:
+    def __new__(cls, points: tuple[str, ...], d: tuple[tuple[Fraction, ...], ...]):
+        n = len(points)
+        if len(set(points)) != n:
             raise ShapeError("duplicate point labels")
-        if len(self.d) != n or any(len(row) != n for row in self.d):
+        if len(d) != n or any(len(row) != n for row in d):
             raise ShapeError(f"distance grid is not {n}x{n}")
-        for row in self.d:
+        for row in d:
             for x in row:
                 if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
                     raise ContractError(f"distance {x!r} is not an exact rational")
-        if not all(isinstance(x, Fraction) for row in self.d for x in row):
+        if not all(isinstance(x, Fraction) for row in d for x in row):
             # int entries would turn halves and ratios into floats
-            object.__setattr__(self, "d", tuple(tuple(map(Fraction, row)) for row in self.d))
-        object.__setattr__(self, "_positions", positions)
+            d = tuple(tuple(map(Fraction, row)) for row in d)
+        return super().__new__(cls, points, d)
 
     @classmethod
     def from_rows(cls, points: Sequence[str], rows) -> "MetricTable":
@@ -69,16 +66,15 @@ class MetricTable:
 
     def index(self, label: str) -> int:
         try:
-            return self._positions[label]
-        except KeyError:
+            return self.points.index(label)
+        except ValueError:
             raise UnknownNameError(f"unknown point {label!r}") from None
 
     def dist(self, a: str, b: str) -> Fraction:
         return self.d[self.index(a)][self.index(b)]
 
 
-@dataclass(frozen=True)
-class MetricVerdict:
+class MetricVerdict(NamedTuple):
     valid: bool
     axiom: Optional[str]
     witness: Optional[tuple]
@@ -148,8 +144,7 @@ class MultiMetricSpace:
         return tuple(i for i, t in enumerate(self.components) if label in t.points)
 
 
-@dataclass(frozen=True)
-class CombinatorSpec:
+class CombinatorSpec(NamedTuple):
     """One of the admissible metric combinators, or a sampled custom one."""
 
     kind: str  # sum | weighted_sum | bounded_sum | max | custom
@@ -181,10 +176,11 @@ def _sample_tuples(metrics: Sequence[MetricTable], rng: random.Random, count: in
     """Nonnegative rational m-tuples: realised distance tuples plus noise."""
     m = len(metrics)
     n = len(metrics[0].points)
+    grids = [t.d for t in metrics]
     pool = []
     for i in range(n):
         for j in range(n):
-            pool.append(tuple(t.d[i][j] for t in metrics))
+            pool.append(tuple(d[i][j] for d in grids))
     while len(pool) < count:
         pool.append(tuple(Fraction(rng.randint(0, 24), rng.randint(1, 8)) for _ in range(m)))
     rng.shuffle(pool)
@@ -259,8 +255,8 @@ def combine_metrics(
     for xs, ys, a, b, u, w in mirrored:
         if u + w < g(tuple(map(operator.add, a, b))):
             raise CombinatorError(f"superadditivity-compatibility fails at {xs} + {ys}")
-    n = len(points)
-    rows = [[fn(tuple(t.d[i][j] for t in metrics)) for j in range(n)] for i in range(n)]
+    n, grids = len(points), [t.d for t in metrics]
+    rows = [[fn(tuple(d[i][j] for d in grids)) for j in range(n)] for i in range(n)]
     combined = MetricTable.from_rows(points, rows)
     verdict = validate_metric(combined)
     if not verdict.valid:
@@ -287,25 +283,23 @@ def r_disk(ms: MultiMetricSpace, x: str, radius) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    """A finitely presented sequence: explicit prefix, then a repeating tail."""
+class SequenceSpec(namedtuple("SequenceSpec", "prefix tail_kind tail")):
+    """A finitely presented sequence: explicit prefix, then a repeating tail
+    of kind ``constant`` or ``periodic``."""
 
-    prefix: tuple[str, ...]
-    tail_kind: str  # constant | periodic
-    tail: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tail_kind not in ("constant", "periodic"):
-            raise InputError(f"unsupported tail kind {self.tail_kind!r}")
-        if not self.tail:
+    def __new__(cls, prefix: tuple[str, ...], tail_kind: str, tail: tuple[str, ...]):
+        if tail_kind not in ("constant", "periodic"):
+            raise InputError(f"unsupported tail kind {tail_kind!r}")
+        if not tail:
             raise InputError("tail must be non-empty")
-        if self.tail_kind == "constant" and len(self.tail) != 1:
+        if tail_kind == "constant" and len(tail) != 1:
             raise InputError("constant tails list exactly one point")
+        return super().__new__(cls, prefix, tail_kind, tail)
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(NamedTuple):
     convergent: bool
     limit: Optional[str]
     cauchy: bool
@@ -345,8 +339,7 @@ class MappingTable:
         return self.mapping[x]
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     verdict: bool
     alpha: Optional[Fraction]
     component_map: tuple[tuple[int, int, Fraction], ...]
@@ -359,9 +352,9 @@ def is_contraction(ms: MultiMetricSpace, T: MappingTable, strict: bool = False) 
     T.validate(ms)
     entries = []
     for i, src in enumerate(ms.components):
-        images = [T(x) for x in src.points]
+        images = {T(x) for x in src.points}
         for j, dst in enumerate(ms.components):
-            if any(y not in dst.points for y in images):
+            if not images <= set(dst.points):
                 continue
             worst = Fraction(0)
             for a, b in itertools.combinations(src.points, 2):
@@ -381,16 +374,14 @@ def is_contraction(ms: MultiMetricSpace, T: MappingTable, strict: bool = False) 
     return ContractionReport(verdict, alpha, tuple(entries))
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     seed: str
     path: tuple[str, ...]
     stabilized: bool
     settles_at: Optional[str]
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     points: tuple[str, ...]
     count: int
     bound_ok: Optional[bool]

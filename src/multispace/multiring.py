@@ -5,9 +5,8 @@ programming, Artin detection, and orthogonal-idempotent decomposition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     Component,
@@ -129,8 +128,7 @@ def _zero_divisors(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> tuple
     )
 
 
-@dataclass(frozen=True)
-class MultiRingReport:
+class MultiRingReport(NamedTuple):
     verdict: bool
     ring_checks: tuple[tuple[str, Optional[dict]], ...]
     complete: bool
@@ -242,21 +240,22 @@ def is_submultiring(sub: SubsetView) -> SubStructureReport:
     witness_a = _componentwise(sub, parts, lambda add, mul, carrier, meet: _subring_witness(add, mul, meet))
 
     witness_b = None
-    allowed = sub.elements | {UNDEFINED}
+    elements = sub.elements
+    allowed = elements | {UNDEFINED}
     for name, carrier, add, mul in parts:
-        meet = sub.elements & carrier
+        meet = elements & carrier
         if meet:
             ok, w = is_group_on(add, meet)
             if not ok:
                 witness_b = {"component": name, **w}
                 break
         grid = mul.grid
-        pairs = ((x, y) for x in sub.elements for y in sub.elements)
+        pairs = ((x, y) for x in elements for y in elements)
         pair = next((p for p in pairs if grid[p[0]][p[1]] not in allowed), None)
         if pair is not None:
             witness_b = {"kind": "mul_closure", "op": mul.name, "pair": pair}
             break
-    by_closure = witness_b is None and sub.elements <= frozenset().union(*(c for _, c, *_ in parts))
+    by_closure = witness_b is None and elements <= frozenset().union(*(c for _, c, *_ in parts))
     return _agree("sub-multi-ring", witness_a is None, witness_a, "closure", by_closure, witness_b)
 
 
@@ -354,8 +353,7 @@ def _ideal_steps(ms: MultiSpace, names: Sequence[str]) -> list[tuple]:
     ]
 
 
-@dataclass(frozen=True)
-class ArtinReport:
+class ArtinReport(NamedTuple):
     verdict: bool
     per_component: tuple[tuple[str, bool, int], ...]
     longest_chain: int
@@ -374,8 +372,7 @@ def is_artin(ms: MultiSpace) -> ArtinReport:
 
 # -- idempotents and decomposition ----------------------------------------
 
-@dataclass(frozen=True)
-class IdempotentReport:
+class IdempotentReport(NamedTuple):
     component: str
     elements: tuple[int, ...]
     product_matrix: tuple[tuple[int, ...], ...]
@@ -414,8 +411,7 @@ def idempotents(ms: MultiSpace, component_name: str) -> IdempotentReport:
     return IdempotentReport(component_name, idems, matrix, zero, unit, tuple(families))
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
+class ComponentDecomposition(NamedTuple):
     component: str
     family: tuple[int, ...]
     pieces: tuple[frozenset[int], ...]
@@ -426,8 +422,7 @@ class ComponentDecomposition:
     two_sided_symmetric: bool
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     components: tuple[ComponentDecomposition, ...]
 
     @property

@@ -10,8 +10,8 @@ sum and its next term lie together in some component.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import SubStructureReport, _agree
 from .errors import ContractError, SizeLimitError
@@ -28,35 +28,38 @@ def _is_prime(p: int) -> bool:
     return all(p % d for d in range(2, int(p**0.5) + 1))
 
 
-@dataclass(frozen=True)
-class AmbientSpace:
+class AmbientSpace(namedtuple("AmbientSpace", "p n")):
     """Coordinate tuples of length n over the prime field GF(p)."""
 
-    p: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ContractError(f"field order {self.p} is not prime")
-        if self.n < 1:
+    def __new__(cls, p: int, n: int):
+        if not _is_prime(p):
+            raise ContractError(f"field order {p} is not prime")
+        if n < 1:
             raise ContractError("ambient dimension must be >= 1")
-        if self.p**self.n > AMBIENT_SIZE_BOUND:
+        if p**n > AMBIENT_SIZE_BOUND:
             raise SizeLimitError(
-                f"ambient space enumerates p^n vectors; {self.p}^{self.n} = {self.p**self.n} exceeds "
+                f"ambient space enumerates p^n vectors; {p}^{n} = {p**n} exceeds "
                 f"AMBIENT_SIZE_BOUND = {AMBIENT_SIZE_BOUND}"
             )
+        return super().__new__(cls, p, n)
 
+    # one field read per call, not per coordinate: a tuple field costs more than a local
     def add(self, a: Vector, b: Vector) -> Vector:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
 
     def scale(self, k: int, a: Vector) -> Vector:
-        return tuple((k * x) % self.p for x in a)
+        p = self.p
+        return tuple((k * x) % p for x in a)
 
     def zero(self) -> Vector:
         return (0,) * self.n
 
     def check_vector(self, v) -> Vector:
-        v = tuple(int(c) % self.p for c in v)
+        p = self.p
+        v = tuple(int(c) % p for c in v)
         if len(v) != self.n:
             raise ContractError(f"vector {v} does not have {self.n} coordinates")
         return v
@@ -107,8 +110,7 @@ def canonical_basis(ambient: AmbientSpace, vectors: Iterable[Vector]) -> tuple[V
     return tuple(tuple(basis[lead]) for lead in leads)
 
 
-@dataclass(frozen=True)
-class VectorComponent:
+class VectorComponent(NamedTuple):
     name: str
     generators: tuple[Vector, ...]
     vectors: frozenset[Vector]
@@ -183,25 +185,24 @@ def _closure_witness(ambient: AmbientSpace, union, components) -> Optional[dict]
     """The first alpha*a + b outside ``union``, for a and b in ``union`` with
     alpha*a and b in one component, scanning component pairs in order; or
     None when the union is closed."""
-    for comp_i in components:
-        for comp_j in components:
+    for vectors_i in (c.vectors for c in components):
+        for vectors_j in (c.vectors for c in components):
             for a in union:
-                if a not in comp_i.vectors:
+                if a not in vectors_i:
                     continue
                 for alpha in range(ambient.p):
                     w = ambient.scale(alpha, a)
-                    if w not in comp_j.vectors:
+                    if w not in vectors_j:
                         continue
                     for b in union:
-                        if b in comp_j.vectors:
+                        if b in vectors_j:
                             out = ambient.add(w, b)
                             if out not in union:
                                 return {"alpha": alpha, "a": a, "b": b, "result": out}
     return None
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     independent: bool
     certificate: Optional[tuple[int, ...]]
     case: Optional[int]  # 1: all chains defined; 2: some chains undefined
@@ -278,8 +279,7 @@ def greedy_basis(ms: MultiVectorSpace, order: Optional[Sequence[Vector]] = None)
     return tuple(working)
 
 
-@dataclass(frozen=True)
-class DimReport:
+class DimReport(NamedTuple):
     formula_value: int
     greedy_value: int
     agree: bool
@@ -309,8 +309,7 @@ def dim_formula(ms: MultiVectorSpace) -> DimReport:
     return DimReport(total, greedy, total == greedy, tuple(terms))
 
 
-@dataclass(frozen=True)
-class AdditiveReport:
+class AdditiveReport(NamedTuple):
     dim_union: int
     dim_first: int
     dim_second: int

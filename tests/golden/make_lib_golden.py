@@ -2,9 +2,9 @@
 and witnesses on the seeded corpora.
 
 Each case is one line ``[call, label, result]``.  ``result`` is the call's
-return value in canonical JSON form: a dataclass becomes the dict of its
-fields, a set becomes a sorted list, a tuple a list, and elements stay
-universe indices.  The corpora are
+return value in canonical JSON form: a record becomes the dict of its
+declared fields, a set becomes a sorted list, a tuple a list, and elements
+stay universe indices.  The corpora are
 
 - ``is_group_on`` and ``classify_table`` on the groups of order at most 8
   and S4, each over its domain, its subgroups and random subsets, and on
@@ -35,7 +35,6 @@ change to a verdict or witness regenerates the file in the same commit.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import pathlib
@@ -59,9 +58,10 @@ AUTOMORPHISM_UNION = 8
 
 
 def canon(value):
-    """``value`` as JSON: dataclasses as dicts of their fields, sets sorted."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: canon(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    """``value`` as JSON: records as dicts of their declared fields, sets sorted."""
+    fields = getattr(type(value), "_fields", None)
+    if fields is not None:  # a record; also a tuple, so tested first
+        return {name: canon(getattr(value, name)) for name in fields}
     if isinstance(value, dict):
         return {str(k): canon(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):

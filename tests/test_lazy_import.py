@@ -4,7 +4,9 @@
 is imported, but runs an analysis module's body only on first attribute
 access, so a command loads only the modules it uses.  Tracing tools that wrap
 the package's functions read all nine modules from ``sys.modules`` right
-after importing the CLI.
+after importing the CLI.  The package itself executes only ``core`` and
+``errors``; the names it takes from ``foundations`` load that module on
+first use.
 """
 
 import os
@@ -30,12 +32,12 @@ PUBLIC_NAMES = [
 ]
 
 
-def run_fresh(code: str) -> str:
-    """stdout of ``code`` run by a new interpreter that imports from ``src``."""
+def run_fresh(code: str, *flags: str) -> str:
+    """stdout of ``code`` run by a new interpreter, started with ``flags``,
+    that imports from ``src``."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, env=env, check=False
-    )
+    argv = [sys.executable, *flags, "-c", textwrap.dedent(code)]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -83,3 +85,38 @@ def test_io_alone_parses_vector_metric_and_map_files():
         print(len(mvs.components), [len(t.points) for t in tables], sorted(mapping.mapping))
     """)
     assert out.strip() == "3 [2, 2] ['a', 'b', 'c', 'd']"
+
+
+# the cases below run under ``-S``, so that no site hook imports modules first
+def test_multigroup_check_builds_no_dataclass_and_leaves_foundations_unexecuted():
+    out = run_fresh(f"""
+        import contextlib, io, sys, types
+        from multispace import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["check", {str(FIXTURES / "z8_group.mspace.json")!r}, "--level", "multigroup"])
+        print(code)
+        print("dataclasses" in sys.modules, "inspect" in sys.modules)
+        print(type(sys.modules["multispace.foundations"]) is types.ModuleType)
+    """, "-S")
+    assert out.splitlines() == ["0", "False False", "False"]
+
+
+def test_importing_the_package_does_not_load_foundations():
+    out = run_fresh("""
+        import sys
+        import multispace
+        print("multispace.foundations" in sys.modules)
+    """, "-S")
+    assert out.split() == ["False"]
+
+
+def test_public_names_resolve_without_the_cli():
+    out = run_fresh("""
+        import multispace
+        print(all(hasattr(multispace, name) for name in multispace.__all__))
+        import multispace.foundations as foundations
+        print(multispace.BinaryRelation is foundations.BinaryRelation)
+        print(foundations.FiniteUniverse is multispace.FiniteUniverse)
+        print(hasattr(multispace, "no_such_name"))
+    """, "-S")
+    assert out.split() == ["True", "True", "True", "False"]
