@@ -198,9 +198,7 @@ class MultiSpace:
             for op_name in comp.op_names:
                 table = self._op_map.get(op_name)
                 if table is None:
-                    raise ContractError(
-                        f"component {comp.name!r} binds unknown operation {op_name!r}"
-                    )
+                    raise ContractError(f"component {comp.name!r} binds unknown operation {op_name!r}")
                 if not set(comp.carrier) <= set(table.domain):
                     raise ContractError(
                         f"operation {op_name!r} domain does not cover component {comp.name!r}"
@@ -447,6 +445,15 @@ def is_group_on(t: OpTable, subset: frozenset[int]) -> tuple[bool, Optional[dict
     return True, None
 
 
+def _mask(elements) -> int:
+    """The int bitmask of distinct universe indices: bit x for element x."""
+    return sum(1 << x for x in elements)
+
+
+def _elements(mask: int) -> list[int]:
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
 def _generators(grid, elems) -> list[int]:
     """Generators of ``elems``, a set that ``grid`` maps into itself: every
     element is a left-normed product (...((a1 a2) a3)...) ak of them.
@@ -613,9 +620,7 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
             x: tuple(sorted((t.name, op_profile[images[t.name].name, x]) for t in tables))
             for x in union
         }
-        cand = {
-            x: [y for y in union if image_profile[y] == profile[x]] for x in union
-        }
+        cand = {x: [y for y in union if image_profile[y] == profile[x]] for x in union}
 
         sigma: dict[int, int] = {}
         used: set[int] = set()

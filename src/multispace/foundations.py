@@ -10,7 +10,7 @@ import itertools
 from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
 
-from .core import FiniteUniverse
+from .core import FiniteUniverse, _elements, _mask
 from .errors import ContractError, SizeLimitError
 
 BOOLEAN_LAW_BOUND = 6
@@ -118,15 +118,13 @@ def check_boolean_laws(universe: FiniteUniverse) -> LawReport:
             f"boolean law check enumerates 2^|U| subsets; |U| = {n} exceeds BOOLEAN_LAW_BOUND = {BOOLEAN_LAW_BOUND}"
         )
     full = (1 << n) - 1
-    subsets = [
-        sum(1 << i for i in c) for r in range(n + 1) for c in itertools.combinations(range(n), r)
-    ]
+    subsets = [_mask(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
     results = []
     for law, name, arity, sides in _BOOLEAN_LAWS:
         failure = _first_failure(sides, arity, subsets, full)
         witness = None
         if failure is not None:
-            witness = tuple(frozenset(i for i in range(n) if m >> i & 1) for m in failure)
+            witness = tuple(frozenset(_elements(m)) for m in failure)
         results.append(LawResult(law, name, witness is None, witness))
     return LawReport(universe, tuple(results))
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -19,6 +19,8 @@ from .core import (
     SubStructureReport,
     UNDEFINED,
     _agree,
+    _elements,
+    _mask,
     classify_table,
     group_identity_on,
     group_inverses_on,
@@ -39,8 +41,7 @@ class SubsetView(namedtuple("SubsetView", "parent elements op_names")):
     __slots__ = ()
 
     def __new__(cls, parent: MultiSpace, elements: frozenset[int], op_names: tuple[str, ...]):
-        union = set(parent.element_union())
-        if not elements <= union:
+        if not elements <= set(parent.element_union()):
             raise ContractError("subset elements must lie in the parent carrier union")
         for name in op_names:
             parent.op(name)
@@ -73,11 +74,8 @@ def group_bindings(ms: MultiSpace) -> list[tuple[Component, str]]:
     out = []
     for comp in ms.components:
         if comp.double:
-            raise ContractError(
-                f"component {comp.name!r} is double-operation; use the multiring checks"
-            )
-        for op_name in comp.op_names:
-            out.append((comp, op_name))
+            raise ContractError(f"component {comp.name!r} is double-operation; use the multiring checks")
+        out.extend((comp, op_name) for op_name in comp.op_names)
     return out
 
 
@@ -159,12 +157,8 @@ def is_multigroup(ms: MultiSpace) -> MultiGroupReport:
         distribution.append(check)
         if orientation is None and witness is None:
             witness = {"kind": "distribution", "pair": (a, b), "triple": first}
-    verdict = all(ok for _, _, ok, _ in group_checks) and all(
-        d.orientation is not None for d in distribution
-    )
-    return MultiGroupReport(
-        verdict, tuple(group_checks), ms.is_completed(), tuple(distribution), witness
-    )
+    verdict = all(ok for _, _, ok, _ in group_checks) and all(d.orientation is not None for d in distribution)
+    return MultiGroupReport(verdict, tuple(group_checks), ms.is_completed(), tuple(distribution), witness)
 
 
 def _require(ms: MultiSpace, verifier, what: str) -> None:
@@ -302,54 +296,63 @@ def _close(grid, out: set, frontier: list) -> frozenset[int]:
     return frozenset(out)
 
 
-def subgroups_of(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
-    """Every subgroup of the group (carrier; table), by closure growing.
-
-    A closure escaping the carrier means no subgroup of the carrier contains
-    that generating set, so such candidates are discarded.  Every set grown
-    is closed, so its join with x is closed from x alone.  Two prunings cut
-    the joins (the cyclic extension method of Holt, Eick & O'Brien,
-    *Handbook of Computational Group Theory*, 2005):
-
-    - One join per cyclic subgroup.  Write cl for closure under the table,
-      and C(x) = cl({e, x}).  Every grown set H is closed and holds e, so
-      cl(H | {x}) contains C(x); if C(x) = C(y), then y lies in
-      cl(H | {x}) and x in cl(H | {y}), so the two joins are equal.  This
-      holds for any closure operator, partial tables included, so each
-      member joins only the smallest x of each C(x) inside the carrier
-      (an x with C(x) outside it only grows sets that escape).
-    - One join per right coset, when the carrier is a group.  Then for h in
-      H, hx lies in cl(H | {x}) and x = h^-1 (hx) in cl(H | {hx}), so
-      join(H, x) = join(H, hx): once x is joined, every hx is done.  On a
-      non-group an hx need not give the same join, so there only x = ex is
-      marked.
+def _lattice(table: OpTable, carrier: frozenset[int]) -> tuple[dict[int, tuple], Optional[dict]]:
+    """Every subgroup of (carrier; table) by closure growing: a dict from int
+    bitmask (bit x for element x) to generators, ordered as ``subgroups_of``,
+    and the inverses if the carrier is a group (else None, no generators).
+    Members H hold e and are closed; closures escaping the carrier are
+    dropped.  H joins one x per cyclic subgroup C(x) = cl({e, x}): if
+    C(x) = C(y), y lies in cl(H | {x}) and x in cl(H | {y}), for any closure
+    cl, partial tables included.  In a group it joins one x per right coset
+    too, as hx lies in cl(H | {x}) and x = h^-1 (hx) in cl(H | {hx}) (the
+    cyclic extension method, Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*, 2005).  There C(x) is the powers of x, the
+    last before e is x^-1, and (Dimino's method, Butler, *Fundamental
+    Algorithms for Permutation Groups*, 1991) H = <gens(H)> joins x by
+    growing the coset Hx under right multiplication by gens(H) + (x,) alone,
+    |K|·|gens| products for the join K: the set grown holds e and only
+    products of generators and is closed under right multiplication by each
+    (H gens(H) lies in H), so it is the monoid they generate, which is K as
+    g^-1 = g^(n-1) for g of order n.  Elsewhere joins are ``_close``'s.
     """
     e = group_identity_on(table, carrier)
     if e is None:
         raise ContractError(f"no identity inside the given subset of {table.name!r}")
-    grid = table.grid
-    cyclic: dict[frozenset[int], int] = {}
+    grid, top, group = table.grid, _mask(carrier), is_group_on(table, carrier)[0]
+    inverse, cyclic, found, queue = ({e: e} if group else None), {}, {1 << e: ()}, [1 << e]
     for x in sorted(carrier):
-        c = _close(grid, {e, x}, [x])
-        if c <= carrier:
+        c, p = (1 << e, x) if group else (_mask(_close(grid, {e, x}, [x])), e)
+        while p != e:
+            c, p, inverse[x] = c | 1 << p, grid[p][x], p
+        if c | top == top:
             cyclic.setdefault(c, x)
-    base = frozenset({e})
-    group = is_group_on(table, carrier)[0]
-    found = {base}
-    queue = [base]
     while queue:
         current = queue.pop()
-        done = set(current)
-        hs = current if group else base
+        done, hs, gens = current, _elements(current), found[current]
         for x in cyclic.values():
-            if x in done:
+            if done >> x & 1:
                 continue
-            done.update(grid[h][x] for h in hs)
-            bigger = _close(grid, {*current, x}, [x])
-            if bigger <= carrier and bigger not in found:
-                found.add(bigger)
+            if not group:
+                done, bigger = done | 1 << x, _mask(_close(grid, {*hs, x}, [x]))
+            else:
+                frontier = [grid[h][x] for h in hs]
+                bigger = current | _mask(frontier)
+                done |= bigger
+                while frontier:
+                    row = grid[frontier.pop()]
+                    for v in map(row.__getitem__, gens + (x,)):
+                        if not bigger >> v & 1:
+                            bigger |= 1 << v
+                            frontier.append(v)
+            if bigger | top == top and bigger not in found:
+                found[bigger] = gens + (x,) if group else ()
                 queue.append(bigger)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    return dict(sorted(found.items(), key=lambda m: (m[0].bit_count(), _elements(m[0])))), inverse
+
+
+def subgroups_of(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
+    """Every subgroup of (carrier; table) by size, then sorted elements."""
+    return [frozenset(_elements(m)) for m in _lattice(table, carrier)[0]]
 
 
 def is_normal_subgroup(table: OpTable, carrier: frozenset[int], sub: frozenset[int]) -> bool:
@@ -377,15 +380,32 @@ def _normal_test(table: OpTable, part: frozenset[int]):
     return lambda s: not _conjugate_escape(table.grid, part, inverse, s, s)
 
 
-def _maximal(subs, part: frozenset[int], test) -> list[frozenset[int]]:
-    """The maximal members of ``subs`` properly inside ``part`` that pass
-    ``test``, in the order of ``subs``."""
-    kept = [s for s in subs if s < part and test(s)]
-    return [s for s in kept if not any(s < t for t in kept)]
+def _normal_in(table: OpTable, part: int, gens, inverse: Optional[dict]):
+    """The test ``test(mask, sub_gens)`` that a lattice member N is normal in
+    the member ``part`` = <``gens``>.  In a group lattice (``inverse`` given)
+    it checks g h g^-1 in N for g in gens(part), h in gens(N): conjugation by
+    g is a homomorphism, so it maps N = <gens(N)> into N once it maps gens(N)
+    there, and the g that do so are closed under products, so they are all
+    of part once they hold gens(part).  Else it is ``_normal_test``."""
+    if inverse is None:
+        test = _normal_test(table, frozenset(_elements(part)))
+        return lambda mask, _: test(frozenset(_elements(mask)))
+    grid = table.grid
+    pairs = [(grid[g], inverse[g]) for g in gens]
+    return lambda mask, sub_gens: all(mask >> grid[row[h]][ginv] & 1 for row, ginv in pairs for h in sub_gens)
+
+
+def _maximal(lattice: dict[int, tuple], part: int, test) -> list[int]:
+    """The maximal members of ``lattice`` properly inside ``part`` that pass
+    ``test(mask, gens)``, in lattice order."""
+    kept = [m for m, gens in lattice.items() if m != part and m | part == part and test(m, gens)]
+    return [m for m in kept if not any(m != t and m | t == t for t in kept)]
 
 
 def maximal_normal_subgroups(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
-    return _maximal(subgroups_of(table, carrier), carrier, _normal_test(table, carrier))
+    (lattice, inverse), top = _lattice(table, carrier), _mask(carrier)
+    test = _normal_in(table, top, lattice.get(top), inverse)
+    return [frozenset(_elements(m)) for m in _maximal(lattice, top, test)]
 
 
 class LagrangeReport(NamedTuple):
@@ -402,9 +422,7 @@ def lagrange_check(table: OpTable) -> LagrangeReport:
     carrier = frozenset(table.domain)
     subs = subgroups_of(table, carrier)
     orders = tuple(sorted({len(s) for s in subs}))
-    return LagrangeReport(
-        len(carrier), orders, all(len(carrier) % len(s) == 0 for s in subs), tuple(subs)
-    )
+    return LagrangeReport(len(carrier), orders, all(len(carrier) % len(s) == 0 for s in subs), tuple(subs))
 
 
 def is_normal(sub: SubsetView) -> SubStructureReport:
@@ -444,15 +462,13 @@ class SeriesResult(NamedTuple):
 
 
 def _series_profile(ms: MultiSpace, steps):
-    """(start level, memoised successors, sorted chain lengths, chain count),
-    by one memoised DP over the series programming.
-
-    ``steps`` holds one ``(label, carrier, table, maximal)`` per oriented
-    step.  A level's part in the step's carrier descends through each
-    sub-structure in ``maximal(part)`` (maximal normal subgroups, or maximal
-    ideals for ideal chains); the rest of the level rides along untouched.
-    When the part bottoms out at the identity of ``table`` the next step
-    takes over.
+    """(start level, memoised successors, sorted chain lengths, chain count)
+    by one memoised DP over bitmask levels.  ``steps`` holds one ``(label,
+    carrier mask, table, maximal)`` per oriented step: a level's part in the
+    carrier descends through each n in ``maximal(part)`` (maximal normal
+    subgroups or ideals) to ``level ^ part ^ n``, the rest riding along,
+    until the part is one u with uu = u (the identity of ``table`` on it)
+    and the next step takes over.
     """
     union = ms.element_union()
     if len(union) > SERIES_UNION_BOUND:
@@ -460,74 +476,56 @@ def _series_profile(ms: MultiSpace, steps):
             f"series programming walks levels of the element union; |union| = {len(union)} exceeds "
             f"SERIES_UNION_BOUND = {SERIES_UNION_BOUND}"
         )
-    graph: dict[tuple, list] = {}
-    memo: dict[tuple, tuple[frozenset, int]] = {}
+    memo: dict[tuple[int, int], tuple[int, int, list]] = {}
 
-    def successors(level: frozenset, k: int) -> list:
+    def solve(level: int, k: int) -> tuple[int, int, list]:
+        """(chain lengths as a bitmask, chain count, successors) at (level, k)."""
         key = (level, k)
-        if key not in graph:
-            graph[key] = []
+        if key not in memo:
+            nexts: list = []
             for j in range(k, len(steps)):
                 label, carrier, table, maximal = steps[j]
                 part = level & carrier
-                if part != frozenset({group_identity_on(table, part)}):
-                    graph[key] = [(level - (part - n), j, label) for n in maximal(part)]
+                u = part.bit_length() - 1
+                if not part or part & (part - 1) or table.grid[u][u] != u:
+                    nexts = [(level ^ part ^ n, j, label) for n in maximal(part)]
                     break
-        return graph[key]
-
-    def solve(level: frozenset, k: int) -> tuple[frozenset, int]:
-        key = (level, k)
-        if key not in memo:
-            nexts = successors(level, k)
-            if not nexts:
-                memo[key] = (frozenset({0}), 1)
-            else:
-                lengths: set[int] = set()
-                count = 0
-                for nxt, kk, _ in nexts:
-                    sub_lengths, sub_count = solve(nxt, kk)
-                    lengths.update(1 + l for l in sub_lengths)
-                    count += sub_count
-                memo[key] = (frozenset(lengths), count)
+            lengths, count = 0, 0
+            for nxt, kk, _ in nexts:
+                sub_lengths, sub_count, _ = solve(nxt, kk)
+                lengths, count = lengths | sub_lengths << 1, count + sub_count
+            memo[key] = (lengths, count, nexts) if count else (1, 1, nexts)
         return memo[key]
 
-    start = frozenset(union)
-    lengths, count = solve(start, 0)
-    return start, successors, tuple(sorted(lengths)), count
+    start = _mask(union)
+    lengths, count, _ = solve(start, 0)
+    return start, lambda level, k: memo[level, k][2], tuple(_elements(lengths)), count
 
 
 def _series_step(label: str, carrier: frozenset[int], table: OpTable, keep) -> tuple:
-    """One ``(label, carrier, table, maximal)`` series step: a part descends
-    through its maximal sub-structures that pass the test ``keep(part)``.
-
-    ``subgroups_of`` runs once, on the first part the series engine reaches.
-    The engine enters a step at one part and every later part is a member of
-    that lattice, whose members inside it are the part's own lattice; a part
-    outside it raises ``InternalCheckError``.
+    """One ``(label, carrier mask, table, maximal)`` series step: a bitmask
+    part descends through its maximal sub-structures that pass the test
+    ``keep(part, gens(part), inverse)``.  ``_lattice`` runs on the first part
+    the engine reaches; every later part is a member of that lattice, whose
+    members inside it are its own lattice, or raises ``InternalCheckError``.
     """
-    lattice = members = None
+    lattice = inverse = None
 
-    def maximal(part):
-        nonlocal lattice, members
+    def maximal(part: int) -> list[int]:
+        nonlocal lattice, inverse
         if lattice is None:
-            lattice = subgroups_of(table, part)
-            members = set(lattice)
-        if part not in members:
-            raise InternalCheckError(f"series step {label!r} reached {sorted(part)}, outside its lattice")
-        return _maximal(lattice, part, keep(part))
+            lattice, inverse = _lattice(table, frozenset(_elements(part)))
+        if part not in lattice:
+            raise InternalCheckError(f"series step {label!r} reached {_elements(part)}, outside its lattice")
+        return _maximal(lattice, part, keep(part, lattice[part], inverse))
 
-    return label, carrier, table, maximal
+    return label, _mask(carrier), table, maximal
 
 
 def _normal_steps(ms: MultiSpace, orientation: Sequence[str]) -> list[tuple]:
-    """One series step per operation: the carriers bound to it, descending
-    through maximal normal subgroups."""
-    return [
-        _series_step(
-            name, frozenset(ms.carriers_of_op(name)), ms.op(name), partial(_normal_test, ms.op(name))
-        )
-        for name in orientation
-    ]
+    """One series step per operation, on its carriers: maximal normal subgroups."""
+    tables = map(ms.op, orientation)
+    return [_series_step(t.name, frozenset(ms.carriers_of_op(t.name)), t, partial(_normal_in, t)) for t in tables]
 
 
 def _run_series(ms: MultiSpace, steps, kind: str) -> SeriesResult:
@@ -539,16 +537,16 @@ def _run_series(ms: MultiSpace, steps, kind: str) -> SeriesResult:
         )
 
     chains: list[SeriesChain] = []
+    frozen = cache(lambda level: frozenset(_elements(level)))  # one frozenset per distinct level
 
-    def walk(level: frozenset, k: int, levels: tuple, ops: tuple) -> None:
+    def walk(level: int, k: int, levels: tuple, ops: tuple) -> None:
         nexts = successors(level, k)
         if not nexts:
             chains.append(SeriesChain(levels, ops, kind))
-            return
         for nxt, kk, label in nexts:
-            walk(nxt, kk, levels + (nxt,), ops + (label,))
+            walk(nxt, kk, levels + (frozen(nxt),), ops + (label,))
 
-    walk(start, 0, (start,), ())
+    walk(start, 0, (frozen(start),), ())
     return SeriesResult(tuple(chains), lengths, len(lengths) == 1, count)
 
 

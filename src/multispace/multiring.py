@@ -16,7 +16,9 @@ from .core import (
     UNDEFINED,
     _agree,
     _associativity_witness,
+    _elements,
     _generators,
+    _mask,
     group_identity_on,
     is_group_on,
 )
@@ -27,21 +29,19 @@ from .multigroup import (
     SubsetView,
     _check_orientation,
     _componentwise,
+    _lattice,
     _maximal,
     _require,
     _run_series,
     _series_profile,
     _series_step,
-    subgroups_of,
 )
 
 
 def double_components(ms: MultiSpace) -> list[Component]:
     for comp in ms.components:
         if not comp.double:
-            raise ContractError(
-                f"component {comp.name!r} is single-operation; use the multigroup checks"
-            )
+            raise ContractError(f"component {comp.name!r} is single-operation; use the multigroup checks")
     return list(ms.components)
 
 
@@ -164,9 +164,7 @@ def is_multiring(ms: MultiSpace) -> MultiRingReport:
     if cross_witness and witness is None:
         witness = cross_witness
 
-    multifield = all(
-        _field_check(ms.op(c.add_name), ms.op(c.mul_name), frozenset(c.carrier)) for c in comps
-    )
+    multifield = all(_field_check(ms.op(c.add_name), ms.op(c.mul_name), frozenset(c.carrier)) for c in comps)
     divisors = tuple(
         (c.name, _zero_divisors(ms.op(c.add_name), ms.op(c.mul_name), frozenset(c.carrier)))
         for c in comps
@@ -313,14 +311,17 @@ def is_multiideal(sub: SubsetView) -> SubStructureReport:
 def ideals_of(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
     """Every ideal of the finite ring (carrier; add, mul): additive subgroups
     absorbing multiplication by the whole carrier on both sides."""
-    return list(filter(_absorbs(mul, carrier), subgroups_of(add, carrier)))
+    lattice, test = _lattice(add, carrier)[0], _absorbs(mul, _mask(carrier))
+    return [frozenset(_elements(m)) for m, gens in lattice.items() if test(m, gens)]
 
 
-def _absorbs(mul: OpTable, part: frozenset[int]):
-    """The test that a subset absorbs multiplication by ``part``.  An element
-    of ``part`` outside mul's domain has only undefined products, which no
-    subset absorbs."""
-    return lambda s: not _absorption_escape(mul.grid, part, s, s)
+def _absorbs(mul: OpTable, part: int, *_):
+    """The test ``test(mask, gens)`` that a bitmask absorbs multiplication by
+    the bitmask ``part``: the exhaustive ``_absorption_escape`` scan, so a
+    series step's generators and inverses go unused.  An element of ``part``
+    outside mul's domain has only undefined products, which none absorbs."""
+    M, rs = mul.grid, _elements(part)
+    return lambda mask, gens: not _absorption_escape(M, rs, _elements(mask), frozenset(_elements(mask)))
 
 
 def _absorption_escape(M, rs, elements, allowed) -> Optional[tuple]:
@@ -333,7 +334,8 @@ def _absorption_escape(M, rs, elements, allowed) -> Optional[tuple]:
 
 
 def maximal_ideals(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
-    return _maximal(subgroups_of(add, carrier), carrier, _absorbs(mul, carrier))
+    top = _mask(carrier)
+    return [frozenset(_elements(m)) for m in _maximal(_lattice(add, carrier)[0], top, _absorbs(mul, top))]
 
 
 def multiideal_chain(ms: MultiSpace, orientation: Sequence[str]) -> SeriesResult:
@@ -401,10 +403,7 @@ def idempotents(ms: MultiSpace, component_name: str) -> IdempotentReport:
         nonzero = [e for e in idems if e != zero]
         for r in range(1, len(nonzero) + 1):
             for combo in itertools.combinations(nonzero, r):
-                if any(
-                    M[a][b] != zero or M[b][a] != zero
-                    for a, b in itertools.combinations(combo, 2)
-                ):
+                if any(M[a][b] != zero or M[b][a] != zero for a, b in itertools.combinations(combo, 2)):
                     continue
                 if _sum(A, combo) == unit:
                     families.append(combo)

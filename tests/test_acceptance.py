@@ -37,6 +37,7 @@ from multispace.core import (
 from multispace.foundations import FiniteUniverse
 from multispace.multigroup import (
     SubsetView,
+    composition_series,
     coset_partition,
     maximal_normal_series,
     series_length_profile,
@@ -378,3 +379,17 @@ def test_a13_subgroup_lattice_budget():
     assert len(subs) == 30
     assert best < 0.030, f"subgroups_of on S4 took {best * 1000:.1f} ms, budget 30 ms"
     print(f"[acceptance] S4 subgroup lattice: PASS ({best * 1000:.1f} ms)")
+
+
+def test_a14_composition_series_budget():
+    """The three composition series of S4, from its subgroup lattice with
+    normality tested on generators, in under 6 ms, best of three runs."""
+    _, s4 = symmetric_table(4)
+    best = math.inf
+    for _ in range(3):
+        started = time.perf_counter()
+        result = composition_series(s4)
+        best = min(best, time.perf_counter() - started)
+    assert (result.lengths, result.chain_count) == ((4,), 3)
+    assert best < 0.006, f"composition_series on S4 took {best * 1000:.1f} ms, budget 6 ms"
+    print(f"[acceptance] S4 composition series: PASS ({best * 1000:.1f} ms)")

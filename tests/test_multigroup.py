@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from functools import partial
 
 import pytest
@@ -27,8 +28,10 @@ from multispace.multigroup import (
     NORMAL_SERIES,
     SubsetView,
     _close,
+    _conjugate_escape,
+    _lattice,
+    _normal_in,
     _normal_steps,
-    _normal_test,
     _run_series,
     _series_profile,
     _series_step,
@@ -40,6 +43,7 @@ from multispace.multigroup import (
     is_submultigroup,
     lagrange_check,
     maximal_normal_series,
+    maximal_normal_subgroups,
     series_length_profile,
     subgroup_closure,
     subgroups_of,
@@ -386,11 +390,26 @@ def reference_maximal(table, part, mul=None):
     return [s for s in kept if not any(s < t for t in kept)]
 
 
+def as_set(mask):
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def as_mask(elements):
+    return sum(1 << x for x in set(elements))
+
+
+def on_sets(maximal):
+    """A step's ``maximal``, which takes and gives bitmasks, on frozensets."""
+    return lambda part: [as_set(n) for n in maximal(as_mask(part))]
+
+
 def reference_steps(steps, muls):
-    return [
-        (label, carrier, table, lambda part, t=table, m=mul: reference_maximal(t, part, m))
-        for (label, carrier, table, _), mul in zip(steps, muls)
-    ]
+    """``steps`` with ``maximal`` replaced by the per-part route, on the
+    engine's bitmask parts."""
+    def per_part(table, mul):
+        return lambda part: [as_mask(s) for s in reference_maximal(table, as_set(part), mul)]
+
+    return [(label, carrier, table, per_part(table, mul)) for (label, carrier, table, _), mul in zip(steps, muls)]
 
 
 def recorded(steps, muls, log):
@@ -417,7 +436,7 @@ def assert_same_series(ms, steps, muls, kind=NORMAL_SERIES):
     assert _run_series(ms, recorded(steps, muls, log), kind) == reference
     assert log or len(ms.element_union()) == 1
     for table, mul, part, got in log:
-        assert got == reference_maximal(table, part, mul)
+        assert [as_set(n) for n in got] == reference_maximal(table, as_set(part), mul)
     return reference
 
 
@@ -581,13 +600,13 @@ class TestSeriesLattice:
 
     def test_step_reads_later_parts_off_its_first_lattice(self):
         _, z6 = cyclic_group_table(6)
-        _, _, _, maximal = _series_step("+", frozenset(range(6)), z6, partial(_normal_test, z6))
+        maximal = on_sets(_series_step("+", frozenset(range(6)), z6, partial(_normal_in, z6))[3])
         whole = frozenset(range(6))
         assert maximal(whole) == reference_maximal(z6, whole) == [frozenset({0, 3}), frozenset({0, 2, 4})]
         for part in map(frozenset, ({0, 2, 4}, {0, 3}, {0})):
             assert maximal(part) == reference_maximal(z6, part)
         # a first part with no unit raises as the per-part route does
-        _, _, _, maximal = _series_step("+", frozenset(range(6)), z6, partial(_normal_test, z6))
+        maximal = on_sets(_series_step("+", frozenset(range(6)), z6, partial(_normal_in, z6))[3])
         for route in (maximal, maximal, lambda part: reference_maximal(z6, part)):
             with pytest.raises(ContractError, match="no identity"):
                 route(frozenset({1, 2}))
@@ -596,14 +615,14 @@ class TestSeriesLattice:
         # Z6 is not in the lattice of {0, 2, 4}; filtering that lattice would
         # return [{0, 2, 4}] where the answer is [{0, 3}, {0, 2, 4}]
         _, z6 = cyclic_group_table(6)
-        _, _, _, maximal = _series_step("+", frozenset(range(6)), z6, partial(_normal_test, z6))
+        maximal = on_sets(_series_step("+", frozenset(range(6)), z6, partial(_normal_in, z6))[3])
         assert maximal(frozenset({0, 2, 4})) == [frozenset({0})]
         with pytest.raises(InternalCheckError, match="outside its lattice"):
             maximal(frozenset(range(6)))
 
     def test_ideal_step_reads_later_parts_off_its_first_lattice(self):
         _, add, mul = zn_ring_tables(12)
-        _, _, _, maximal = _series_step("R", frozenset(range(12)), add, partial(_absorbs, mul))
+        maximal = on_sets(_series_step("R", frozenset(range(12)), add, partial(_absorbs, mul))[3])
         assert maximal(frozenset(range(12))) == [frozenset(range(0, 12, 3)), frozenset(range(0, 12, 2))]
         for part in map(frozenset, (range(12), range(0, 12, 2), {0, 4, 8}, {0, 6})):
             assert maximal(part) == reference_maximal(add, part, mul)
@@ -681,7 +700,51 @@ class TestSeriesLattice:
             whole = frozenset(range(n))
             subs = reference_subgroups_of(add, whole)
             assert subgroups_of(add, whole) == subs, n
-            assert ideals_of(add, mul, whole) == list(filter(_absorbs(mul, whole), subs)), n
+            M = mul.grid
+            ideals = [s for s in subs if all(M[r][a] in s and M[a][r] in s for r in whole for a in s)]
+            assert ideals_of(add, mul, whole) == ideals, n
+
+    def test_generator_normality_matches_the_conjugation_scan(self):
+        # every (member, part) pair with the member inside the part, on the
+        # lattices of the series corpus: the test on gens(part) x gens(N)
+        # against the exhaustive scan over part x N
+        corpus = [(name, t) for n in range(1, 17) for name, _, t in abelian_groups_of_order(n)]
+        corpus += [(name, t) for name, _, t in all_groups_up_to_8() if name in ("S3", "D4", "Q8")]
+        corpus.append(("S4", symmetric_table(4)[1]))
+        verdicts = {True: 0, False: 0}
+        for name, table in corpus:
+            whole = frozenset(table.domain)
+            lattice, inverse = _lattice(table, whole)
+            assert inverse is not None and [as_set(m) for m in lattice] == subgroups_of(table, whole), name
+            e = group_identity_on(table, whole)
+            for member, gens in lattice.items():
+                # the generators of a member generate it
+                assert subgroup_closure(table, frozenset(gens) | {e}) == as_set(member), name
+            for part, gens in lattice.items():
+                P = as_set(part)
+                test, inverses = _normal_in(table, part, gens, inverse), group_inverses_on(table, P)
+                for member, sub_gens in lattice.items():
+                    N = as_set(member)
+                    if N <= P:
+                        scan = _conjugate_escape(table.grid, P, inverses, N, N) is None
+                        assert test(member, sub_gens) == scan, (name, sorted(P), sorted(N))
+                        verdicts[scan] += 1
+        assert verdicts == {True: 1198, False: 64}
+
+    def test_maximal_normal_subgroups_of_every_partial_table_on_three_elements(self):
+        # carriers that are not groups take the exhaustive route
+        for table in tables_with_identity_on_three():
+            for r in (1, 2, 3):
+                for carrier in map(frozenset, itertools.combinations(range(3), r)):
+                    if group_identity_on(table, carrier) is None:
+                        continue
+                    try:
+                        expected = reference_maximal(table, carrier)
+                    except ContractError as exc:
+                        with pytest.raises(ContractError, match=re.escape(str(exc))):
+                            maximal_normal_subgroups(table, carrier)
+                    else:
+                        assert maximal_normal_subgroups(table, carrier) == expected
 
     def test_join_from_the_new_element_only(self):
         rng = random.Random(7)
