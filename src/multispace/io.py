@@ -33,6 +33,13 @@ def _malformed(what: str, exc: Exception) -> InputError:
     return InputError(f"malformed {what} file: {reason}")
 
 
+def _int(x, where: str) -> int:
+    """An integer field read exactly: a float or bool is an error, never truncated."""
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"{where}: {x!r} is not an integer")
+    return int(x)
+
+
 def space_to_dict(ms: MultiSpace, construction: Optional[dict] = None) -> dict:
     names = ms.universe.elements
     out = {
@@ -109,8 +116,9 @@ def vector_space_from_dict(data: dict) -> MultiVectorSpace:
     from .multivector import AmbientSpace, MultiVectorSpace
 
     try:
-        ambient = AmbientSpace(int(data["field_order"]), int(data["ambient_dimension"]))
-        gens = [[tuple(v) for v in spec["generators"]] for spec in data["components"]]
+        ambient = AmbientSpace(*(_int(data[key], key) for key in ("field_order", "ambient_dimension")))
+        gens = [[tuple(_int(x, f"component {c}, row {i}, column {j}") for j, x in enumerate(v, 1))
+                 for i, v in enumerate(spec["generators"], 1)] for c, spec in enumerate(data["components"], 1)]
         names = [spec["name"] for spec in data["components"]]
         return MultiVectorSpace.from_generators(ambient, gens, names)
     except (KeyError, TypeError, ValueError, ContractError) as exc:
@@ -141,9 +149,10 @@ def metric_components_from_dict(data: dict) -> list[MetricTable]:
     from .multimetric import MetricTable
 
     def entry(v, c: int, i: int, j: int) -> Fraction:
-        if int(v[1]) == 0:
-            raise InputError(f"malformed metric file: component {c}, row {i}, column {j}: zero denominator")
-        return Fraction(int(v[0]), int(v[1]))
+        where = f"component {c}, row {i}, column {j}"
+        if _int(v[1], where) == 0:
+            raise InputError(f"malformed metric file: {where}: zero denominator")
+        return Fraction(_int(v[0], where), int(v[1]))
 
     try:
         out = []

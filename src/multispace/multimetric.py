@@ -23,9 +23,9 @@ COMBINATOR_SAMPLES = 120
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, (tuple, list)) and len(x) == 2:
+    if isinstance(x, (tuple, list)) and len(x) == 2 and not any(isinstance(k, (bool, float)) for k in x):
         return Fraction(int(x[0]), int(x[1]))
     if isinstance(x, str):
         return Fraction(x)
@@ -133,12 +133,7 @@ class MultiMetricSpace:
         return len(self.components)
 
     def union_points(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for t in self.components:
-            for p in t.points:
-                if p not in out:
-                    out.append(p)
-        return tuple(out)
+        return tuple(dict.fromkeys(p for t in self.components for p in t.points))
 
     def components_containing(self, label: str) -> tuple[int, ...]:
         return tuple(i for i, t in enumerate(self.components) if label in t.points)
@@ -187,14 +182,24 @@ def _sample_tuples(metrics: Sequence[MetricTable], rng: random.Random, count: in
     return pool[:count]
 
 
+def _bounded_sum(pairs) -> Fraction:
+    """Sum of x/(1 + x) = p/(p + q) over x = p/q given as (p, q), normalised once."""
+    num, den = 0, 1
+    for p, q in pairs:
+        num, den = num * (p + q) + p * den, den * (p + q)
+    return Fraction(num, den)
+
+
 def _integer_route(spec: CombinatorSpec, samples):
-    """For the positively homogeneous kinds (sum, weighted_sum, max): F on
-    integers and the samples scaled to integers.  Every sample is scaled by
-    twice the lcm of all sample denominators, so halves stay integral, and
-    the weights by the lcm of their own; F on the scaled samples is then F on
-    the samples times one positive constant, so every hypothesis compares the
-    same way.  None for the other kinds."""
-    if spec.kind == "sum":
+    """For the built-in kinds: F on integers and the samples scaled to
+    integers, each by twice the lcm of all sample denominators so that halves
+    stay integral, the weights by the lcm of their own.  F on the scaled
+    samples is F on the samples times one positive constant for sum,
+    weighted_sum and max, so every hypothesis compares the same way, and F
+    itself for bounded_sum.  None for custom."""
+    if spec.kind == "bounded_sum":
+        g = lambda a: _bounded_sum((x, scale) for x in a)
+    elif spec.kind == "sum":
         g = sum
     elif spec.kind == "max":
         g = max
@@ -255,6 +260,8 @@ def combine_metrics(
     for xs, ys, a, b, u, w in mirrored:
         if u + w < g(tuple(map(operator.add, a, b))):
             raise CombinatorError(f"superadditivity-compatibility fails at {xs} + {ys}")
+    if spec.kind == "bounded_sum":
+        fn = lambda xs: _bounded_sum((x.numerator, x.denominator) for x in xs)
     n, grids = len(points), [t.d for t in metrics]
     rows = [[fn(tuple(d[i][j] for d in grids)) for j in range(n)] for i in range(n)]
     combined = MetricTable.from_rows(points, rows)
@@ -356,14 +363,9 @@ def is_contraction(ms: MultiMetricSpace, T: MappingTable, strict: bool = False) 
         for j, dst in enumerate(ms.components):
             if not images <= set(dst.points):
                 continue
-            worst = Fraction(0)
-            for a, b in itertools.combinations(src.points, 2):
-                num = dst.dist(T(a), T(b))
-                den = src.dist(a, b)
-                ratio = num / den
-                if ratio > worst:
-                    worst = ratio
-            entries.append((i, j, worst))
+            pairs = itertools.combinations(src.points, 2)
+            ratios = (dst.dist(T(a), T(b)) / src.dist(a, b) for a, b in pairs)
+            entries.append((i, j, max(ratios, default=Fraction(0))))
     contracting = [e for e in entries if e[2] < 1]
     if strict:
         verdict = all(any(e[0] == i and e[2] < 1 for e in entries) for i in range(ms.m))

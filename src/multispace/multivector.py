@@ -10,7 +10,8 @@ sum and its next term lie together in some component.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import abc, namedtuple
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import SubStructureReport, _agree
@@ -110,6 +111,19 @@ def canonical_basis(ambient: AmbientSpace, vectors: Iterable[Vector]) -> tuple[V
     return tuple(tuple(basis[lead]) for lead in leads)
 
 
+def _is_span(ambient: AmbientSpace, vectors, generators) -> bool:
+    """``vectors == span(ambient, generators)`` without enumerating the span: a set of
+    p^rank tuples v, each sum(v[lead(b)] * b) over the reduced echelon basis, v[lead(b)] in GF(p)."""
+    basis = canonical_basis(ambient, [ambient.check_vector(g) for g in generators])
+    p, n, leads = ambient.p, ambient.n, [b.index(1) for b in basis]
+    columns, field = list(zip(*basis)) or [()] * n, range(p)
+    return isinstance(vectors, abc.Set) and len(vectors) == p ** len(basis) and all(
+        isinstance(v, tuple) and len(v) == n and all(map(field.__contains__, cs := [v[i] for i in leads]))
+        and v == tuple([sum(map(mul, cs, col)) % p for col in columns])
+        for v in vectors
+    )
+
+
 class VectorComponent(NamedTuple):
     name: str
     generators: tuple[Vector, ...]
@@ -125,7 +139,7 @@ class MultiVectorSpace:
         self.ambient = ambient
         self.components = tuple(components)
         for comp in self.components:
-            if comp.vectors != span(ambient, comp.generators):
+            if not _is_span(ambient, comp.vectors, comp.generators):
                 raise ContractError(f"component {comp.name!r} is not closed: not a subspace")
 
     @classmethod

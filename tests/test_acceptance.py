@@ -393,3 +393,19 @@ def test_a14_composition_series_budget():
     assert (result.lengths, result.chain_count) == ((4,), 3)
     assert best < 0.006, f"composition_series on S4 took {best * 1000:.1f} ms, budget 6 ms"
     print(f"[acceptance] S4 composition series: PASS ({best * 1000:.1f} ms)")
+
+
+def test_a15_bounded_sum_budget():
+    """rho/(1+rho) of three metrics on seven points, its hypotheses checked
+    and its table built on integers, in under 5 ms, best of three runs."""
+    rng = random.Random(15)
+    labels = [f"p{i}" for i in range(7)]
+    metrics = [random_metric(rng, labels) for _ in range(3)]
+    best = math.inf
+    for _ in range(3):
+        started = time.perf_counter()
+        combined = combine_metrics(metrics, CombinatorSpec("bounded_sum"), seed=15)
+        best = min(best, time.perf_counter() - started)
+    assert combined.d[0][1] == sum(t.d[0][1] / (1 + t.d[0][1]) for t in metrics)
+    assert best < 0.005, f"bounded_sum combine_metrics took {best * 1000:.1f} ms, budget 5 ms"
+    print(f"[acceptance] bounded_sum combinator: PASS ({best * 1000:.1f} ms)")

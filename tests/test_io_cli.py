@@ -99,6 +99,46 @@ class TestCheck:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize(
+        "ab, code, message",
+        [
+            ([5, 2], 1, None),  # 5/2 > 1 + 1 breaks the triangle inequality
+            ([2.5, 1], 2, "component 1, row 1, column 2: 2.5 is not an integer"),
+            ([5, 2.0], 2, "component 1, row 1, column 2: 2.0 is not an integer"),
+            ([True, 1], 2, "component 1, row 1, column 2: True is not an integer"),
+        ],
+    )
+    def test_metric_entries_read_exactly(self, tmp_path, capsys, ab, code, message):
+        one = [1, 1]
+        grid = [[[0, 1], ab, one], [ab, [0, 1], one], [one, one, [0, 1]]]
+        path = tmp_path / "inexact.metric.json"
+        path.write_text(json.dumps({"format_version": "1", "kind": "multimetric",
+                                    "components": [{"points": ["a", "b", "c"], "d": grid}]}))
+        got, out, err = run(capsys, "check", str(path))
+        assert got == code
+        assert ("triangle" in out) if message is None else (f"malformed metric file: {message}" in err)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("field_order", 2.0, "field_order: 2.0 is not an integer"),
+            ("ambient_dimension", True, "ambient_dimension: True is not an integer"),
+            ("coordinate", 1.5, "component 2, row 1, column 2: 1.5 is not an integer"),
+            ("coordinate", False, "component 2, row 1, column 2: False is not an integer"),
+        ],
+    )
+    def test_vector_integers_read_exactly(self, tmp_path, capsys, field, value, message):
+        data = json.loads((FIXTURES / "three_lines.vector.json").read_text())
+        if field == "coordinate":
+            data["components"][1]["generators"][0][1] = value
+        else:
+            data[field] = value
+        path = tmp_path / "inexact.vector.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert f"malformed vector file: {message}" in err
+
     def test_metric_fixture(self, capsys):
         code, _, _ = run(capsys, "check", str(FIXTURES / "two_component.metric.json"))
         assert code == 0

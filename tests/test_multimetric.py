@@ -236,6 +236,12 @@ class TestExactEntries:
         with pytest.raises(ContractError, match="not an exact rational"):
             MetricTable(("a", "b"), ((0, bad), (bad, 0)))
 
+    @pytest.mark.parametrize("bad", [True, (1.5, 2), (3, 2.0), [True, 2]])
+    def test_rows_read_exactly(self, bad):
+        with pytest.raises(InputError, match="as an exact rational$"):
+            MetricTable.from_rows(["a", "b"], [[0, bad], [bad, 0]])
+        assert MetricTable.from_rows(["a", "b"], [[0, (3, 2)], [[3, 2], 0]]).d[0][1] == F(3, 2)
+
     def test_float_grid_never_validated(self):
         with pytest.raises(ContractError):
             validate_metric(MetricTable(("a", "b"), ((0, 0.5), (0.5, 0))))
@@ -324,9 +330,10 @@ class TestCombineInputs:
 
 
 class TestIntegerRoute:
-    """The homogeneous kinds check their hypotheses on integers; F on the
-    scaled samples must be F on the samples times one positive constant,
-    also at every half and every mirrored sum."""
+    """Every built-in kind checks its hypotheses on integers.  For the
+    homogeneous kinds F on the scaled samples must be F on the samples times
+    one positive constant, also at every half and every mirrored sum; the
+    bounded_sum kernel must equal F there exactly."""
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -336,18 +343,17 @@ class TestIntegerRoute:
         metrics = [mixed_metric(rng, labels) for _ in range(rng.randint(1, 3))]
         samples = _sample_tuples(metrics, random.Random(seed), COMBINATOR_SAMPLES)
         for spec in builtin_specs(rng, len(metrics)):
-            route = _integer_route(spec, samples)
-            if spec.kind == "bounded_sum":
-                assert route is None
-                continue
-            g, scaled = route
+            g, scaled = _integer_route(spec, samples)
             fn = spec.function(len(metrics))
-            nonzero = next(k for k, xs in enumerate(samples) if any(xs))
-            c = F(g(scaled[nonzero])) / fn(samples[nonzero])
+            if spec.kind == "bounded_sum":
+                c, value_type = 1, F
+            else:
+                nonzero = next(k for k, xs in enumerate(samples) if any(xs))
+                c, value_type = F(g(scaled[nonzero])) / fn(samples[nonzero]), int
             assert c > 0
             for xs, a in zip(samples, scaled):
                 assert all(type(x) is int for x in a)
-                assert type(g(a)) is int and g(a) == c * fn(xs)
+                assert type(g(a)) is value_type and g(a) == c * fn(xs)
                 half = tuple(x // 2 for x in a)
                 assert g(half) == c * fn(tuple(x / 2 for x in xs))
             for k in range(len(samples)):
@@ -357,7 +363,6 @@ class TestIntegerRoute:
 
     def test_other_kinds_keep_fractions(self):
         samples = [(F(1, 3), F(0))]
-        assert _integer_route(CombinatorSpec("bounded_sum"), samples) is None
         assert _integer_route(CombinatorSpec("custom", fn=sum), samples) is None
 
 

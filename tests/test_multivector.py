@@ -7,6 +7,7 @@ from multispace.errors import ContractError, SizeLimitError
 from multispace.multivector import (
     AmbientSpace,
     MultiVectorSpace,
+    VectorComponent,
     additive_formula_check,
     canonical_basis,
     component_bases,
@@ -57,6 +58,64 @@ def reference_greedy_basis(ms, order=None):
                 changed = True
                 break
     return tuple(working)
+
+
+def reference_constructor(ambient, comp):
+    """The constructor's closure check as it was, spanning the generators a
+    second time: the error text it raises, or None when it accepts."""
+    try:
+        if comp.vectors != span(ambient, comp.generators):
+            return f"component {comp.name!r} is not closed: not a subspace"
+    except ContractError as exc:
+        return str(exc)
+    return None
+
+
+def constructor_outcome(ambient, comp):
+    try:
+        MultiVectorSpace(ambient, [comp])
+    except ContractError as exc:
+        return str(exc)
+    return None
+
+
+PERTURBATIONS = ("whole", "missing", "extra", "longer", "shorter", "plus_p", "float", "half_basis",
+                 "list", "set", "keys", "bad_generator")
+
+
+def perturbed_component(rng, ambient):
+    """A component whose vectors are its span, broken one way or kept whole,
+    with generators that may carry coordinates outside 0..p-1."""
+    p, n = ambient.p, ambient.n
+    gens = [tuple(rng.randrange(-p, 2 * p) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+    whole = span(ambient, gens)
+    vectors = set(whole)
+    v = rng.choice(sorted(whole))
+    case = rng.choice(PERTURBATIONS)
+    basis = canonical_basis(ambient, gens)
+    if case == "half_basis" and basis:
+        # each coordinate is half a basis coordinate: a consistent combination,
+        # but with coefficient 1/2, outside GF(p)
+        vectors.discard(v)
+        vectors.add(tuple(x / 2 for x in rng.choice(basis)))
+    elif case == "missing":
+        vectors.discard(v)
+    elif case == "extra":
+        vectors.add(tuple(rng.randrange(p) for _ in range(n)))
+    elif case in ("longer", "shorter", "plus_p", "float"):
+        vectors.discard(v)
+        k = rng.randrange(n)
+        changed = {
+            "longer": v + (0,),
+            "shorter": v[:-1],
+            "plus_p": v[:k] + (v[k] + p,) + v[k + 1 :],
+            "float": v[:k] + (v[k] + rng.choice([0.0, 0.5]),) + v[k + 1 :],
+        }[case]
+        vectors.add(changed)
+    elif case == "bad_generator":
+        gens.append((1,) * (n + 1))
+    container = {"list": list, "set": set, "keys": lambda vs: dict.fromkeys(vs).keys()}
+    return case, VectorComponent("V1", tuple(gens), container.get(case, frozenset)(vectors), "+1", ".1")
 
 
 def random_space(rng, ambient, k, size):
@@ -281,6 +340,25 @@ class TestReplacedRoutes:
                 tuple(rng.randrange(-p, 2 * p) for _ in range(amb.n)) for _ in range(rng.randint(0, 8))
             ]
             assert rank(amb, vectors) == reference_rank(amb, vectors)
+
+    def test_constructor_matches_second_span(self):
+        rng = random.Random(41)
+        verdicts = set()
+        for _ in range(3000):
+            p = rng.choice([2, 3, 5])
+            ambient = AmbientSpace(p, rng.randint(1, 2 if p == 5 else 3))
+            case, comp = perturbed_component(rng, ambient)
+            want = reference_constructor(ambient, comp)
+            assert constructor_outcome(ambient, comp) == want, (case, ambient, comp)
+            verdicts.add((case, want is None))
+        # every case ran; whole spans in any set type are accepted, a list never
+        assert {case for case, _ in verdicts} == set(PERTURBATIONS)
+        assert {("whole", True), ("set", True), ("keys", True), ("list", False), ("half_basis", False)} <= verdicts
+
+    def test_unclosed_component_message(self):
+        comp = VectorComponent("W", ((1, 0, 0),), frozenset({(0, 0, 0), (1, 1, 0)}), "+1", ".1")
+        with pytest.raises(ContractError, match=r"^component 'W' is not closed: not a subspace$"):
+            MultiVectorSpace(gf2_cube(), [comp])
 
     def test_greedy_basis_matches_restart_loop(self):
         rng = random.Random(37)
