@@ -308,12 +308,18 @@ def _lattice(table: OpTable, carrier: frozenset[int]) -> tuple[dict[int, tuple],
     cyclic extension method, Holt, Eick & O'Brien, *Handbook of
     Computational Group Theory*, 2005).  There C(x) is the powers of x, the
     last before e is x^-1, and (Dimino's method, Butler, *Fundamental
-    Algorithms for Permutation Groups*, 1991) H = <gens(H)> joins x by
-    growing the coset Hx under right multiplication by gens(H) + (x,) alone,
-    |K|·|gens| products for the join K: the set grown holds e and only
-    products of generators and is closed under right multiplication by each
-    (H gens(H) lies in H), so it is the monoid they generate, which is K as
-    g^-1 = g^(n-1) for g of order n.  Elsewhere joins are ``_close``'s.
+    Algorithms for Permutation Groups*, 1991) H = <gens(H)> joins x as a
+    union of right cosets: start from H | Hx, multiply only the coset
+    representatives (x, then each new one) by gens(H) + (x,), and add the
+    whole coset Hv for each product v not yet held, about |K| +
+    (|K|/|H|)·|gens| products for the join K.  The union is closed under
+    right multiplication by each generator g: for h r in a coset Hr, r g
+    lies in a held coset Hr' (it is added if new), so h r g = h (r g) lies
+    in H Hr' = Hr'; and e g lies in H for g in gens(H), e x = x in Hx.  So
+    the union holds e and only products of generators and is closed under
+    right multiplication by each, so it is the monoid they generate, which
+    is K as g^-1 = g^(n-1) for g of order n.  Elsewhere joins are
+    ``_close``'s.
     """
     e = group_identity_on(table, carrier)
     if e is None:
@@ -329,21 +335,21 @@ def _lattice(table: OpTable, carrier: frozenset[int]) -> tuple[dict[int, tuple],
     while queue:
         current = queue.pop()
         done, hs, gens = current, _elements(current), found[current]
+        rows = [grid[h] for h in hs]
         for x in cyclic.values():
             if done >> x & 1:
                 continue
             if not group:
                 done, bigger = done | 1 << x, _mask(_close(grid, {*hs, x}, [x]))
             else:
-                frontier = [grid[h][x] for h in hs]
-                bigger = current | _mask(frontier)
-                done |= bigger
-                while frontier:
-                    row = grid[frontier.pop()]
+                bigger = current | _mask([r[x] for r in rows])
+                done, reps = done | bigger, [x]
+                while reps:
+                    row = grid[reps.pop()]
                     for v in map(row.__getitem__, gens + (x,)):
                         if not bigger >> v & 1:
-                            bigger |= 1 << v
-                            frontier.append(v)
+                            bigger |= _mask([r[v] for r in rows])
+                            reps.append(v)
             if bigger | top == top and bigger not in found:
                 found[bigger] = gens + (x,) if group else ()
                 queue.append(bigger)
@@ -397,9 +403,26 @@ def _normal_in(table: OpTable, part: int, gens, inverse: Optional[dict]):
 
 def _maximal(lattice: dict[int, tuple], part: int, test) -> list[int]:
     """The maximal members of ``lattice`` properly inside ``part`` that pass
-    ``test(mask, gens)``, in lattice order."""
-    kept = [m for m, gens in lattice.items() if m != part and m | part == part and test(m, gens)]
-    return [m for m in kept if not any(m != t and m | t == t for t in kept)]
+    ``test(mask, gens)``, in lattice order, by one scan from the largest
+    member down.  A member smaller than ``part`` and inside it is tested
+    unless it lies inside a top already found, and becomes a top if it
+    passes.  The lattice is ordered by size, so every strictly larger member
+    is scanned before a member m.  A top t is maximal: a passing member
+    s > t inside ``part`` was scanned first and became a top or lay inside
+    one, so t, inside s, would have been skipped.  A maximal passing m is a
+    top: a top holding m would pass and be larger.  This holds for any
+    ``test``, and a member under a passing one is never tested, as the
+    passing one is a top or lies inside one."""
+    tops = []
+    for m, gens in reversed(lattice.items()):
+        if m != part and m | part == part:
+            for t in tops:  # a plain loop: all() over a generator costs more here
+                if m | t == t:
+                    break
+            else:
+                if test(m, gens):
+                    tops.append(m)
+    return tops[::-1]
 
 
 def maximal_normal_subgroups(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:

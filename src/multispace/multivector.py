@@ -59,8 +59,13 @@ class AmbientSpace(namedtuple("AmbientSpace", "p n")):
         return (0,) * self.n
 
     def check_vector(self, v) -> Vector:
-        p = self.p
-        v = tuple(int(c) % p for c in v)
+        """``v`` as a tuple reduced mod p; a coordinate that is not an int
+        (a float, bool or str) is an error, never truncated."""
+        p, v = self.p, tuple(v)
+        for i, c in enumerate(v):
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ContractError(f"coordinate {i} of vector {v} is {c!r}, not an integer")
+        v = tuple(c % p for c in v)
         if len(v) != self.n:
             raise ContractError(f"vector {v} does not have {self.n} coordinates")
         return v

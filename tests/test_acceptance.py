@@ -17,6 +17,7 @@ from multispace.constructions import (
     LatinSquare,
     abelian_groups_of_order,
     all_groups_up_to_8,
+    direct_product_table,
     disjoint_cyclic_union,
     enumerate_latin_squares,
     latin_lower_bound,
@@ -409,3 +410,19 @@ def test_a15_bounded_sum_budget():
     assert combined.d[0][1] == sum(t.d[0][1] / (1 + t.d[0][1]) for t in metrics)
     assert best < 0.005, f"bounded_sum combine_metrics took {best * 1000:.1f} ms, budget 5 ms"
     print(f"[acceptance] bounded_sum combinator: PASS ({best * 1000:.1f} ms)")
+
+
+def test_a16_series_profile_budget():
+    """The 315 maximal normal series of Z2xZ2xZ2xZ2, the group behind the
+    slowest series instances, profiled from its subgroup lattice by one
+    descending scan per part, in under 3.8 ms, best of three runs."""
+    _, z2_4 = direct_product_table([2, 2, 2, 2])
+    ms = shared_identity_union([z2_4])
+    best = math.inf
+    for _ in range(3):
+        started = time.perf_counter()
+        profile = series_length_profile(ms, ["+1"])
+        best = min(best, time.perf_counter() - started)
+    assert profile == ((4,), 315)
+    assert best < 0.0038, f"series_length_profile on Z2xZ2xZ2xZ2 took {best * 1000:.1f} ms, budget 3.8 ms"
+    print(f"[acceptance] Z2xZ2xZ2xZ2 series profile: PASS ({best * 1000:.1f} ms)")

@@ -30,6 +30,7 @@ from multispace.multigroup import (
     _close,
     _conjugate_escape,
     _lattice,
+    _maximal,
     _normal_in,
     _normal_steps,
     _run_series,
@@ -390,6 +391,39 @@ def reference_maximal(table, part, mul=None):
     return [s for s in kept if not any(s < t for t in kept)]
 
 
+def reference_maximal_filter(lattice, part, test):
+    """The quadratic filter that ``_maximal`` replaced: test every member
+    properly inside ``part``, then keep those inside no other kept member."""
+    kept = [m for m, gens in lattice.items() if m != part and m | part == part and test(m, gens)]
+    return [m for m in kept if not any(m != t and m | t == t for t in kept)]
+
+
+def assert_maximal_matches_filter(lattice, part, test):
+    """``_maximal`` gives the filter's answer, and calls ``test`` exactly on
+    the members properly inside ``part`` and properly inside no top it
+    returns, largest first."""
+    tested = []
+
+    def logged(m, gens):
+        tested.append(m)
+        return test(m, gens)
+
+    got = _maximal(lattice, part, logged)
+    assert got == reference_maximal_filter(lattice, part, test)
+    assert tested == [
+        m for m in reversed(lattice) if m != part and m | part == part and not any(m != t and m | t == t for t in got)
+    ]
+    return got
+
+
+def random_predicates(rng, lattice):
+    """Three seeded predicates on the members, each passing a member with
+    its own chance, plus the predicates that pass all and none."""
+    chances = [rng.random() for _ in range(3)]
+    passing = [frozenset(m for m in lattice if rng.random() < chance) for chance in chances]
+    return [lambda m, _, p=p: m in p for p in passing] + [lambda m, _: True, lambda m, _: False]
+
+
 def as_set(mask):
     return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
 
@@ -730,6 +764,51 @@ class TestSeriesLattice:
                         assert test(member, sub_gens) == scan, (name, sorted(P), sorted(N))
                         verdicts[scan] += 1
         assert verdicts == {True: 1198, False: 64}
+
+    def test_descending_scan_matches_the_filter_on_group_lattices(self):
+        # every member as the part, under seeded predicates and normality
+        rng = random.Random(20)
+        corpus = [(name, t) for n in range(1, 17) for name, _, t in abelian_groups_of_order(n)]
+        corpus += [(name, t) for name, _, t in all_groups_up_to_8() if name in ("S3", "D4", "Q8")]
+        corpus.append(("S4", symmetric_table(4)[1]))
+        normal_tops = 0
+        for _, table in corpus:
+            lattice, inverse = _lattice(table, frozenset(table.domain))
+            predicates = random_predicates(rng, lattice)
+            for part, gens in lattice.items():
+                for test in predicates:
+                    assert_maximal_matches_filter(lattice, part, test)
+                normal_tops += len(assert_maximal_matches_filter(lattice, part, _normal_in(table, part, gens, inverse)))
+        assert normal_tops == 531
+
+    def test_descending_scan_matches_the_filter_on_ideal_lattices(self):
+        rng = random.Random(12)
+        for n in range(1, 13):
+            _, add, mul = zn_ring_tables(n)
+            lattice = _lattice(add, frozenset(range(n)))[0]
+            predicates = random_predicates(rng, lattice)
+            for part in lattice:
+                for test in predicates + [_absorbs(mul, part)]:
+                    assert_maximal_matches_filter(lattice, part, test)
+
+    def test_descending_scan_matches_the_filter_on_partial_tables(self):
+        # the lattices that are not groups, of every partial table on three
+        # elements with a unit, under seeded predicates
+        rng = random.Random(3)
+        lattices = 0
+        for table in tables_with_identity_on_three():
+            for r in (2, 3):
+                for carrier in map(frozenset, itertools.combinations(range(3), r)):
+                    if group_identity_on(table, carrier) is None:
+                        continue
+                    lattice, inverse = _lattice(table, carrier)
+                    if inverse is not None:
+                        continue
+                    lattices += 1
+                    for part in lattice:
+                        for test in random_predicates(rng, lattice):
+                            assert_maximal_matches_filter(lattice, part, test)
+        assert lattices == 1935
 
     def test_maximal_normal_subgroups_of_every_partial_table_on_three_elements(self):
         # carriers that are not groups take the exhaustive route

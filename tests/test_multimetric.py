@@ -242,6 +242,11 @@ class TestExactEntries:
             MetricTable.from_rows(["a", "b"], [[0, bad], [bad, 0]])
         assert MetricTable.from_rows(["a", "b"], [[0, (3, 2)], [[3, 2], 0]]).d[0][1] == F(3, 2)
 
+    @pytest.mark.parametrize("pair", [(F(3, 2), 1), [3, F(2)], (F(9, 4), F(3, 2)), (-3, -2)])
+    def test_fraction_parts_read_exactly(self, pair):
+        # int() on each part read (F(3, 2), 1) as 1
+        assert MetricTable.from_rows(["a", "b"], [[0, pair], [pair, 0]]).d[0][1] == F(3, 2)
+
     def test_float_grid_never_validated(self):
         with pytest.raises(ContractError):
             validate_metric(MetricTable(("a", "b"), ((0, 0.5), (0.5, 0))))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -168,6 +169,22 @@ class TestLinearAlgebraBasics:
         amb = gf2_cube()
         mvs = MultiVectorSpace.from_generators(amb, [[(1, 0, 0), (0, 1, 0)]])
         assert len(mvs.components[0].vectors) == 4
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "1"])
+    def test_non_integer_coordinate_rejected(self, bad):
+        # (1.5, 2.9) was read as (1, 2); the error names the coordinate
+        amb = AmbientSpace(3, 2)
+        message = rf"^coordinate 1 of vector \(2, {re.escape(repr(bad))}\) is {re.escape(repr(bad))}, not an integer$"
+        with pytest.raises(ContractError, match=message):
+            span(amb, [(1, 1), (2, bad)])
+        with pytest.raises(ContractError, match=message):
+            MultiVectorSpace.from_generators(amb, [[(1, 0)], [(2, bad)]])
+
+    def test_integer_coordinates_reduced_mod_p(self):
+        amb = AmbientSpace(3, 2)
+        assert span(amb, [(4, -1)]) == span(amb, [(1, 2)]) == {(0, 0), (1, 2), (2, 1)}
+        mvs = MultiVectorSpace.from_generators(amb, [[[7, 5]]])
+        assert mvs.components[0].generators == ((1, 2),)
 
 
 class TestSubspaceCriterion:
