@@ -9,7 +9,7 @@ exception; errors are reserved for contract violations.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -587,6 +587,27 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
     its image's domain and undefined products to undefined ones, so elements
     whose products are all undefined are still told apart by their domains.
     Results are canonical: tuples aligned with ``ms.element_union()``, sorted.
+
+    Each pairing of operations is searched by backtracking with propagation
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 2005),
+    and propagation alone accepts a full map sigma:
+
+    - Let the later of x and a (possibly a = x) sit at trail index k.  When
+      x is processed, ``trail[: k + 1]`` holds a and x, so ``assign`` checks
+      both x*a and a*x in every table.  So once the trail covers the union,
+      every pair has been checked in every table.
+    - ``v is not w`` fails a product undefined on one side only, in either
+      direction, so the defined pairs of source and image correspond.
+    - If x is outside a table's domain, ``assign`` skips that table for x;
+      sigma(x) shares x's ``("out",)`` profile for the image table, so
+      every product of x and of sigma(x) there is undefined on both sides.
+    - The ``used`` check makes sigma injective, hence a bijection of the
+      finite union.
+
+    Operations with the same domain and grid are searched once, as their
+    first: a map preserves the whole list of operations up to a permutation
+    exactly when it permutes the distinct tables, each onto one of the same
+    multiplicity, so k identical operations are one table, not k! pairings.
     """
     union = ms.element_union()
     n = len(union)
@@ -595,17 +616,22 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
             f"automorphism search is factorial; union size {n} exceeds AUTOMORPHISM_BOUND = {AUTOMORPHISM_BOUND}"
         )
     pos = {x: i for i, x in enumerate(union)}
-    tables = list(ms.ops)
+    multiplicity = Counter((t.domain, t.grid) for t in ms.ops)
+    distinct: dict[tuple, OpTable] = {}
+    for t in ms.ops:
+        distinct.setdefault((t.domain, t.grid), t)
+    tables = list(distinct.values())
     for t in tables:
         if not pos.keys() >= set(t.domain) or any(v not in pos for _, _, v in t.defined_pairs()):
             raise ContractError(f"operation {t.name!r} leaves the carrier union")
     op_profile = {(t.name, x): _op_profile(t, x) for t in tables for x in union}
     if permute_ops:
-        # an operation may go only to one of equal sorted profile: permute
-        # within each such class, independently
+        # an operation may go only to one of equal sorted profile and
+        # multiplicity: permute within each such class, independently
         classes: dict[tuple, list[OpTable]] = {}
         for t in tables:
-            classes.setdefault(tuple(sorted(op_profile[t.name, x] for x in union)), []).append(t)
+            key = (multiplicity[t.domain, t.grid], *sorted(op_profile[t.name, x] for x in union))
+            classes.setdefault(key, []).append(t)
         candidates = (
             {t.name: img for cls, perm in zip(classes.values(), perms) for t, img in zip(cls, perm)}
             for perms in itertools.product(*map(itertools.permutations, classes.values()))
@@ -662,21 +688,11 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
                 k += 1
             return True
 
-        def complete(mapping: dict[int, int]) -> bool:
-            for t in tables:
-                img = images[t.name]
-                for x, y, v in t.defined_pairs():
-                    if img.grid[mapping[x]][mapping[y]] != mapping[v]:
-                        return False
-            return True
-
         def search(i: int) -> None:
             while i < n and union[i] in sigma:
                 i += 1
             if i == n:
-                mapping = dict(sigma)
-                if complete(mapping):
-                    found.add(tuple(pos[mapping[x]] for x in union))
+                found.add(tuple(pos[sigma[x]] for x in union))
                 return
             x = union[i]
             for y in cand[x]:

@@ -34,10 +34,10 @@ def _malformed(what: str, exc: Exception) -> InputError:
 
 
 def _int(x, where: str) -> int:
-    """An integer field read exactly: a float or bool is an error, never truncated."""
-    if isinstance(x, (bool, float)):
+    """An integer field read exactly: only a JSON integer, never a float, bool or string."""
+    if type(x) is not int:
         raise ValueError(f"{where}: {x!r} is not an integer")
-    return int(x)
+    return x
 
 
 def space_to_dict(ms: MultiSpace, construction: Optional[dict] = None) -> dict:
@@ -150,9 +150,10 @@ def metric_components_from_dict(data: dict) -> list[MetricTable]:
 
     def entry(v, c: int, i: int, j: int) -> Fraction:
         where = f"component {c}, row {i}, column {j}"
-        if _int(v[1], where) == 0:
+        den = _int(v[1], where)
+        if den == 0:
             raise InputError(f"malformed metric file: {where}: zero denominator")
-        return Fraction(_int(v[0], where), int(v[1]))
+        return Fraction(_int(v[0], where), den)
 
     try:
         out = []

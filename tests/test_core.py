@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from multispace import core
 from multispace.constructions import (
     ABSORB,
     UNDEFINED_FILL,
@@ -364,6 +365,24 @@ def automorphism_sweep():
         x, y = rng.randrange(len(rows)), rng.randrange(len(rows))
         rows[x][y] = rng.choice([v for v in t.domain if v != rows[x][y]])
         yield f"perturbed-{i}-{name}", single_component_space(OpTable(t.name, t.universe, t.domain, rows))
+    # without the injectivity check, propagation maps both of these onto (2, 1, 2)
+    u = FiniteUniverse.of(["a", "b", "c"])
+    injective = ([[1, None, 1], [1, 2, 1], [1, None, 1]], [[0, None, 0], [None, 2, None], [2, None, 2]])
+    for i, rows in enumerate(injective):
+        yield f"injective-{i}", single_component_space(OpTable("*", u, (0, 1, 2), rows))
+    _, z3 = cyclic_group_table(3)
+    yield "z3-copies-3", one_op_components([z3] * 3)
+    # Z3 twice and Z3 with identity 1 once: swapping 0 and 1 swaps the two
+    # tables, which is no automorphism, as the first comes twice
+    swap = (1, 0, 2)
+    moved = [[swap[z3.entries[swap[a]][swap[b]]] for b in range(3)] for a in range(3)]
+    yield "z3-twice-moved-once", one_op_components([z3, z3, OpTable("*", z3.universe, z3.domain, moved)])
+
+
+def one_op_components(tables):
+    """One one-operation component per table, all on the first table's carrier."""
+    ops = [OpTable(f"o{i}", t.universe, t.domain, t.entries) for i, t in enumerate(tables)]
+    return MultiSpace(ops[0].universe, [Component(f"C{i}", t.domain, (t.name,)) for i, t in enumerate(ops)], ops)
 
 
 class TestAutomorphisms:
@@ -494,6 +513,25 @@ class TestAutomorphisms:
         elapsed = time.perf_counter() - started
         assert len(auts) == 4
         assert elapsed < 0.25, f"automorphisms of Z12 took {elapsed:.2f}s, budget 0.25s"
+
+    def test_z2_to_the_fourth_budget(self, monkeypatch):
+        # |Aut(Z2^4)| = |GL(4, 2)| = 20160 maps, each accepted by propagation alone
+        monkeypatch.setattr(core, "AUTOMORPHISM_BOUND", 16)
+        ms = single_component_space(direct_product_table([2, 2, 2, 2])[1])
+        started = time.perf_counter()
+        auts = automorphisms(ms)
+        elapsed = time.perf_counter() - started
+        assert len(set(auts)) == 20160
+        assert elapsed < 2.5, f"automorphisms of Z2^4 took {elapsed:.2f}s, budget 2.5s"
+
+    def test_identical_operations_paired_once_budget(self):
+        # seven equal tables are searched as one, not in 7! pairings
+        ms = one_op_components([cyclic_group_table(3)[1]] * 7)
+        started = time.perf_counter()
+        auts = automorphisms(ms)
+        elapsed = time.perf_counter() - started
+        assert auts == automorphisms(ms, permute_ops=False) == ((0, 1, 2), (0, 2, 1))
+        assert elapsed < 0.1, f"automorphisms of 7 copies of Z3 took {elapsed:.2f}s, budget 0.1s"
 
     def test_operations_with_other_profiles_are_never_paired(self):
         # operation k has its first k + 1 cells defined: every operation is

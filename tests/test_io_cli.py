@@ -106,6 +106,8 @@ class TestCheck:
             ([2.5, 1], 2, "component 1, row 1, column 2: 2.5 is not an integer"),
             ([5, 2.0], 2, "component 1, row 1, column 2: 2.0 is not an integer"),
             ([True, 1], 2, "component 1, row 1, column 2: True is not an integer"),
+            (["5", 2], 2, "component 1, row 1, column 2: '5' is not an integer"),
+            ([5, "2"], 2, "component 1, row 1, column 2: '2' is not an integer"),
         ],
     )
     def test_metric_entries_read_exactly(self, tmp_path, capsys, ab, code, message):
@@ -125,6 +127,8 @@ class TestCheck:
             ("ambient_dimension", True, "ambient_dimension: True is not an integer"),
             ("coordinate", 1.5, "component 2, row 1, column 2: 1.5 is not an integer"),
             ("coordinate", False, "component 2, row 1, column 2: False is not an integer"),
+            ("field_order", "3", "field_order: '3' is not an integer"),
+            ("coordinate", "1", "component 2, row 1, column 2: '1' is not an integer"),
         ],
     )
     def test_vector_integers_read_exactly(self, tmp_path, capsys, field, value, message):
