@@ -33,11 +33,20 @@ def _malformed(what: str, exc: Exception) -> InputError:
     return InputError(f"malformed {what} file: {reason}")
 
 
-def _int(x, where: str) -> int:
-    """An integer field read exactly: only a JSON integer, never a float, bool or string."""
-    if type(x) is not int:
-        raise ValueError(f"{where}: {x!r} is not an integer")
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean", list: "an array", dict: "an object"}
+
+
+def _exact(x, kind: type, where: str):
+    """A field read exactly: only a JSON value of ``kind``, so never a float,
+    bool or string for an integer, a string for an array, or 1 for a boolean."""
+    if type(x) is not kind:
+        raise ValueError(f"{where}: {x!r} is not {_JSON_TYPES[kind]}")
     return x
+
+
+def _names(x, where: str) -> list[str]:
+    """A JSON array of JSON strings."""
+    return [_exact(name, str, where) for name in _exact(x, list, where)]
 
 
 def space_to_dict(ms: MultiSpace, construction: Optional[dict] = None) -> dict:
@@ -73,29 +82,29 @@ def space_to_dict(ms: MultiSpace, construction: Optional[dict] = None) -> dict:
 
 def space_from_dict(data: dict) -> tuple[MultiSpace, Optional[dict]]:
     try:
-        universe = FiniteUniverse.of(data["universe"])
+        universe = FiniteUniverse.of(_names(data["universe"], "universe"))
         ops = []
-        for spec in data["operations"]:
-            domain = [universe.index(n) for n in spec["domain"]]
+        for k, spec in enumerate(_exact(data["operations"], list, "operations"), 1):
+            where = f"operation {k}"
+            domain = [universe.index(n) for n in _exact(spec["domain"], list, f"{where}, domain")]
             table = [
-                [None if v is None else universe.index(v) for v in row]
-                for row in spec["table"]
+                [None if v is None else universe.index(v) for v in _exact(row, list, f"{where}, table row {i}")]
+                for i, row in enumerate(_exact(spec["table"], list, f"{where}, table"), 1)
             ]
-            ops.append(OpTable(spec["name"], universe, domain, table))
+            ops.append(OpTable(_exact(spec["name"], str, f"{where}, name"), universe, domain, table))
         components = []
-        for spec in data["components"]:
-            if not isinstance(spec["name"], str):  # component names key dicts downstream
-                raise TypeError(f"component name {spec['name']!r} is not a string")
+        for k, spec in enumerate(_exact(data["components"], list, "components"), 1):
+            where = f"component {k}"
             components.append(
                 Component(
-                    spec["name"],
-                    tuple(sorted(universe.index(n) for n in spec["carrier"])),
-                    tuple(spec["ops"]),
-                    bool(spec.get("double", False)),
+                    _exact(spec["name"], str, f"{where}, name"),  # component names key dicts downstream
+                    tuple(sorted(universe.index(n) for n in _exact(spec["carrier"], list, f"{where}, carrier"))),
+                    tuple(_names(spec["ops"], f"{where}, ops")),
+                    _exact(spec.get("double", False), bool, f"{where}, double"),
                 )
             )
         return MultiSpace(universe, components, ops), data.get("construction")
-    except (KeyError, TypeError, ContractError) as exc:
+    except (KeyError, TypeError, ValueError, ContractError) as exc:
         raise _malformed("structure", exc) from exc
 
 
@@ -116,10 +125,17 @@ def vector_space_from_dict(data: dict) -> MultiVectorSpace:
     from .multivector import AmbientSpace, MultiVectorSpace
 
     try:
-        ambient = AmbientSpace(*(_int(data[key], key) for key in ("field_order", "ambient_dimension")))
-        gens = [[tuple(_int(x, f"component {c}, row {i}, column {j}") for j, x in enumerate(v, 1))
-                 for i, v in enumerate(spec["generators"], 1)] for c, spec in enumerate(data["components"], 1)]
-        names = [spec["name"] for spec in data["components"]]
+        ambient = AmbientSpace(*(_exact(data[key], int, key) for key in ("field_order", "ambient_dimension")))
+        comps = _exact(data["components"], list, "components")
+        gens = [
+            [
+                tuple(_exact(x, int, f"component {c}, row {i}, column {j}")
+                      for j, x in enumerate(_exact(v, list, f"component {c}, row {i}"), 1))
+                for i, v in enumerate(_exact(spec["generators"], list, f"component {c}, generators"), 1)
+            ]
+            for c, spec in enumerate(comps, 1)
+        ]
+        names = _names([spec["name"] for spec in comps], "component names")
         return MultiVectorSpace.from_generators(ambient, gens, names)
     except (KeyError, TypeError, ValueError, ContractError) as exc:
         raise _malformed("vector", exc) from exc
@@ -150,19 +166,21 @@ def metric_components_from_dict(data: dict) -> list[MetricTable]:
 
     def entry(v, c: int, i: int, j: int) -> Fraction:
         where = f"component {c}, row {i}, column {j}"
-        den = _int(v[1], where)
+        if len(_exact(v, list, where)) != 2:
+            raise ValueError(f"{where}: {v!r} is not a [numerator, denominator] pair")
+        den = _exact(v[1], int, where)
         if den == 0:
             raise InputError(f"malformed metric file: {where}: zero denominator")
-        return Fraction(_int(v[0], where), den)
+        return Fraction(_exact(v[0], int, where), den)
 
     try:
         out = []
-        for c, spec in enumerate(data["components"], 1):
+        for c, spec in enumerate(_exact(data["components"], list, "components"), 1):
             rows = [
-                [entry(v, c, i, j) for j, v in enumerate(row, 1)]
-                for i, row in enumerate(spec["d"], 1)
+                [entry(v, c, i, j) for j, v in enumerate(_exact(row, list, f"component {c}, row {i}"), 1)]
+                for i, row in enumerate(_exact(spec["d"], list, f"component {c}, d"), 1)
             ]
-            out.append(MetricTable.from_rows(spec["points"], rows))
+            out.append(MetricTable.from_rows(_names(spec["points"], f"component {c}, points"), rows))
         return out
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise _malformed("metric", exc) from exc
@@ -180,8 +198,11 @@ def mapping_from_dict(data: dict) -> MappingTable:
     from .multimetric import MappingTable
 
     try:
-        return MappingTable(dict(data["map"]))
-    except (KeyError, TypeError) as exc:
+        mapping = _exact(data["map"], dict, "map")
+        for key, image in mapping.items():
+            _exact(image, str, f"map, {key!r}")
+        return MappingTable(mapping)
+    except (KeyError, TypeError, ValueError) as exc:
         raise _malformed("mapping", exc) from exc
 
 

@@ -64,6 +64,7 @@ from multispace.multimetric import (
     validate_metric,
 )
 
+import oracles
 from test_multimetric import random_metric
 
 
@@ -71,16 +72,6 @@ def budget(name, started, limit):
     elapsed = time.monotonic() - started
     assert elapsed < limit, f"{name} took {elapsed:.1f}s, budget {limit}s"
     print(f"[acceptance] {name}: PASS ({elapsed:.2f}s)")
-
-
-def omega(n):
-    count, d = 0, 2
-    while n > 1:
-        while n % d == 0:
-            n //= d
-            count += 1
-        d += 1
-    return count
 
 
 def test_a01_worked_example_fidelity(paper_latin_space):
@@ -174,7 +165,7 @@ def test_a05_series_length_invariance():
         ms = shared_identity_union([table])
         result = maximal_normal_series(ms, ["+1"])
         assert result.invariant, name
-        assert result.length == omega(n), name
+        assert result.length == oracles.omega(n), name
         profile_lengths, profile_count = series_length_profile(ms, ["+1"])
         assert profile_lengths == result.lengths and profile_count == result.chain_count
 
@@ -184,7 +175,7 @@ def test_a05_series_length_invariance():
             continue  # stays inside the series programming's size bound
         ms = shared_identity_union([ta, tb])
         lengths, count = series_length_profile(ms, ["+1", "+2"])
-        assert lengths == (omega(a) + omega(b),), (na, nb)
+        assert lengths == (oracles.omega(a) + oracles.omega(b),), (na, nb)
         assert count >= 1
         pair_count += 1
     assert pair_count >= 250
@@ -194,9 +185,6 @@ def test_a05_series_length_invariance():
 def test_a06_multiideal_machinery():
     """Dual-oracle agreement on every subset of Z_n (n <= 12); Z6 chains."""
     started = time.monotonic()
-
-    def zn_ideals(n):
-        return {frozenset(range(0, n, d)) for d in range(1, n + 1) if n % d == 0}
 
     for n in range(1, 13):
         ms = zn_ring_space(n)
@@ -209,7 +197,7 @@ def test_a06_multiideal_machinery():
                 if is_multiideal(sub).verdict:
                     found.add(frozenset(combo))
                     assert is_submultiring(sub).verdict
-        assert found == zn_ideals(n), n
+        assert found == oracles.zn_ideals(n), n
 
     result = multiideal_chain(zn_ring_space(6), ["R1"])
     assert result.chain_count == 2

@@ -1,8 +1,10 @@
 """CLI fuzz: mutated fixture files and argument lists, run in-process.
 
 Every run must end in exit code 0, 1 or 2 with no exception escaping
-``cli.main``.  The CLI registers its analysis modules lazily, so this also
-reaches names that load on first use along paths no other test takes.
+``cli.main``, and a file that ``check`` accepts must read back: the object
+read from it equals the object read from its ``*_to_dict``.  The CLI
+registers its analysis modules lazily, so this also reaches names that load
+on first use along paths no other test takes.
 """
 
 import contextlib
@@ -13,7 +15,7 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from multispace import cli
+from multispace import cli, io
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 FIXTURE_DATA = {p.name: json.loads(p.read_text()) for p in sorted(FIXTURES.iterdir())}
@@ -23,6 +25,14 @@ SYMBOLS = sorted(
     | {"e", "zz", ""}
 )
 OP_NAMES = ["+", "*", "+1", "+2", "x1", "x2", "C1", "C2", "R1", "nope"]
+
+# kind -> (reader, writer, the fields that make two read objects equal)
+READ_BACK = {
+    "multispace": (lambda data: io.space_from_dict(data)[0], io.space_to_dict,
+                   lambda ms: (ms.universe, [(t.name, t.domain, t.grid) for t in ms.ops], ms.components)),
+    "multivector": (io.vector_space_from_dict, io.vector_space_to_dict, lambda mvs: (mvs.ambient, mvs.components)),
+    "multimetric": (io.metric_components_from_dict, io.metric_components_to_dict, lambda tables: tables),
+}
 
 leaves = st.one_of(
     st.none(),
@@ -183,3 +193,8 @@ def test_cli_exit_codes_on_mutated_inputs(workdir, route, data):
     code, err = _run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    if code == 0 and route[0] == "check":
+        data = json.loads(path.read_text())
+        read, write, fields = READ_BACK[data["kind"]]
+        first = read(data)
+        assert fields(read(json.loads(json.dumps(write(first))))) == fields(first), argv

@@ -13,8 +13,6 @@ from multispace.errors import ContractError, SizeLimitError
 from multispace.foundations import (
     BinaryRelation,
     FiniteUniverse,
-    LawReport,
-    LawResult,
     NeutrosophicComponent,
     _BOOLEAN_LAWS,
     _first_failure,
@@ -27,6 +25,8 @@ from multispace.foundations import (
     valuate_union,
 )
 
+import oracles
+
 
 def rel_from_pred(names, pred):
     u = FiniteUniverse.of(names)
@@ -36,44 +36,9 @@ def rel_from_pred(names, pred):
     return BinaryRelation(u, pairs)
 
 
-def reference_boolean_laws(universe):
-    """The frozenset power-set check that the bitmask version replaced."""
-    n = len(universe)
-    full = frozenset(range(n))
-    empty = frozenset()
-    subsets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
-    laws = [
-        ("L1", "idempotent", 1, lambda a: a | a == a and a & a == a),
-        ("L2", "commutative", 2, lambda a, b: a | b == b | a and a & b == b & a),
-        ("L3", "associative", 3,
-         lambda a, b, c: a | (b | c) == (a | b) | c and a & (b & c) == (a & b) & c),
-        ("L4", "absorption", 2, lambda a, b: a & (a | b) == a and a | (a & b) == a),
-        ("L5", "distributive", 3,
-         lambda a, b, c: a | (b & c) == (a | b) & (a | c) and a & (b | c) == (a & b) | (a & c)),
-        ("L6", "universal bound", 1,
-         lambda a: empty & a == empty and empty | a == a and full & a == a and full | a == full),
-        ("L7", "unary complement", 1, lambda a: a & (full - a) == empty and a | (full - a) == full),
-    ]
-    results = []
-    for law, name, arity, pred in laws:
-        combos = itertools.product(subsets, repeat=arity)
-        witness = next((c for c in combos if not pred(*c)), None)
-        results.append(LawResult(law, name, witness is None, witness))
-    return LawReport(universe, tuple(results))
-
-
 def subsets_of(n):
     """The subsets of an n-element universe as bitmasks, listed by size."""
     return [sum(1 << i for i in c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
-
-
-def product_order_failure(sides, arity, subsets, full):
-    """The loop the bit-sliced kernel replaced: one call per tuple, in
-    ``itertools.product`` order."""
-    for combo in itertools.product(subsets, repeat=arity):
-        if any(lhs != rhs for lhs, rhs in sides(full, *combo)):
-            return combo
-    return None
 
 
 OPS = {"|": operator.or_, "&": operator.and_, "^": operator.xor}
@@ -109,7 +74,7 @@ def seeded_false_laws(arity, seed, count=8):
         def sides(full, *args, lhs=lhs, rhs=rhs):
             return ((evaluate(lhs, full, args), evaluate(rhs, full, args)),)
 
-        if product_order_failure(sides, arity, subsets_of(1), 1) is not None:
+        if oracles.first_failure(sides, arity, subsets_of(1), 1) is not None:
             laws.append(sides)
     return laws
 
@@ -151,7 +116,7 @@ class TestBooleanLawKernel:
     def test_false_law_names_the_product_order_witness(self, arity, sides):
         for n in range(7):
             full, subsets = (1 << n) - 1, subsets_of(n)
-            want = product_order_failure(sides, arity, subsets, full)
+            want = oracles.first_failure(sides, arity, subsets, full)
             assert _first_failure(sides, arity, subsets, full) == want
             assert (want is None) == (n == 0)
 
@@ -161,7 +126,7 @@ class TestBooleanLawKernel:
         for n in range(7):
             full, subsets = (1 << n) - 1, subsets_of(n)
             sides = law_against_constants(arity, n, seed)
-            want = product_order_failure(sides, arity, subsets, full)
+            want = oracles.first_failure(sides, arity, subsets, full)
             assert _first_failure(sides, arity, subsets, full) == want
             assert (want is None) == (n == 0)
 
@@ -169,7 +134,7 @@ class TestBooleanLawKernel:
     def test_laws_hold_in_the_product_order_loop(self, size):
         full, subsets = (1 << size) - 1, subsets_of(size)
         for law, name, arity, sides in _BOOLEAN_LAWS:
-            assert product_order_failure(sides, arity, subsets, full) is None, law
+            assert oracles.first_failure(sides, arity, subsets, full) is None, law
             assert _first_failure(sides, arity, subsets, full) is None, law
 
     def test_memory_peak_at_bound(self):
@@ -196,7 +161,7 @@ class TestBooleanLaws:
     @pytest.mark.parametrize("size", range(6))
     def test_matches_frozenset_reference(self, size):
         u = FiniteUniverse.of([f"e{i}" for i in range(size)])
-        assert check_boolean_laws(u) == reference_boolean_laws(u)
+        assert check_boolean_laws(u) == oracles.boolean_laws(u)
 
     def test_runtime_budget_at_bound(self):
         u = FiniteUniverse.of([f"e{i}" for i in range(6)])

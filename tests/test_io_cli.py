@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import pathlib
 import re
 
@@ -46,12 +48,6 @@ class TestRoundTrips:
     def test_kind_must_be_a_string(self):
         with pytest.raises(InputError, match="kind must be a string"):
             io.parse_text('{"format_version": "1", "kind": []}')
-
-    def test_component_name_must_be_a_string(self):
-        data = json.loads((FIXTURES / "z6_ring.mspace.json").read_text())
-        data["components"][0]["name"] = []
-        with pytest.raises(InputError, match="component name"):
-            io.space_from_dict(data)
 
     def test_zero_denominator_is_malformed_metric(self):
         for c, i, j in [(1, 1, 2), (2, 2, 1)]:
@@ -121,27 +117,45 @@ class TestCheck:
         assert ("triangle" in out) if message is None else (f"malformed metric file: {message}" in err)
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "fixture, path, value, message",
         [
-            ("field_order", 2.0, "field_order: 2.0 is not an integer"),
-            ("ambient_dimension", True, "ambient_dimension: True is not an integer"),
-            ("coordinate", 1.5, "component 2, row 1, column 2: 1.5 is not an integer"),
-            ("coordinate", False, "component 2, row 1, column 2: False is not an integer"),
-            ("field_order", "3", "field_order: '3' is not an integer"),
-            ("coordinate", "1", "component 2, row 1, column 2: '1' is not an integer"),
+            ("three_lines.vector.json", ["field_order"], 2.0, "field_order: 2.0 is not an integer"),
+            ("three_lines.vector.json", ["ambient_dimension"], True, "ambient_dimension: True is not an integer"),
+            ("three_lines.vector.json", ["field_order"], "3", "field_order: '3' is not an integer"),
+            *(("three_lines.vector.json", ["components", 1, "generators", 0, 1], x,
+               f"component 2, row 1, column 2: {x!r} is not an integer") for x in (1.5, False, "1")),
+            ("latin3.mspace.json", ["universe"], "123", "universe: '123' is not an array"),
+            ("latin3.mspace.json", ["universe", 0], 1, "universe: 1 is not a string"),
+            ("latin3.mspace.json", ["components", 0, "name"], [], "component 1, name: [] is not a string"),
+            ("latin3.mspace.json", ["components", 0, "carrier"], "1", "component 1, carrier: '1' is not an array"),
+            ("latin3.mspace.json", ["operations", 0, "domain"], "1", "operation 1, domain: '1' is not an array"),
+            ("latin3.mspace.json", ["operations", 0, "table", 0], "1", "operation 1, table row 1: '1' is not an array"),
+            ("latin3.mspace.json", ["components", 0, "double"], "false",
+             "component 1, double: 'false' is not a boolean"),
+            ("latin3.mspace.json", ["components", 0, "double"], 0, "component 1, double: 0 is not a boolean"),
+            ("two_component.metric.json", ["components", 0, "points"], "ab",
+             "component 1, points: 'ab' is not an array"),
+            ("two_component.metric.json", ["components", 0, "d", 0, 0], [0, 1, 1],
+             "component 1, row 1, column 1: [0, 1, 1] is not a [numerator, denominator] pair"),
+            ("three_lines.vector.json", ["components", 0, "generators", 0], "1",
+             "component 1, row 1: '1' is not an array"),
+            ("two_constants.map.json", ["map"], [["a", "a"]], "map: [['a', 'a']] is not an object"),
+            ("two_constants.map.json", ["map", "a"], ["a"], "map, 'a': ['a'] is not a string"),
         ],
     )
-    def test_vector_integers_read_exactly(self, tmp_path, capsys, field, value, message):
-        data = json.loads((FIXTURES / "three_lines.vector.json").read_text())
-        if field == "coordinate":
-            data["components"][1]["generators"][0][1] = value
-        else:
-            data[field] = value
-        path = tmp_path / "inexact.vector.json"
-        path.write_text(json.dumps(data))
-        code, _, err = run(capsys, "check", str(path))
+    def test_fields_read_exactly(self, tmp_path, capsys, fixture, path, value, message):
+        data = json.loads((FIXTURES / fixture).read_text())
+        functools.reduce(operator.getitem, path[:-1], data)[path[-1]] = value
+        (tmp_path / fixture).write_text(json.dumps(data))
+        if fixture.endswith(".map.json"):
+            metric = str(FIXTURES / "two_component.metric.json")
+            argv = ["analyze", "fixed-point", metric, "--map", str(tmp_path / fixture)]
+        else:  # the multigroup level reads double
+            argv = ["check", str(tmp_path / fixture), "--level", "multigroup" if "mspace" in fixture else "auto"]
+        code, _, err = run(capsys, *argv)
+        what = {"mspace": "structure", "metric": "metric", "vector": "vector", "map": "mapping"}[fixture.split(".")[1]]
         assert code == 2
-        assert f"malformed vector file: {message}" in err
+        assert f"malformed {what} file: {message}" in err
 
     def test_metric_fixture(self, capsys):
         code, _, _ = run(capsys, "check", str(FIXTURES / "two_component.metric.json"))

@@ -31,6 +31,9 @@ from multispace.multimetric import (
     validate_metric,
 )
 
+import oracles
+from conftest import outcome
+
 
 def random_metric(rng, labels):
     """Either an embedded-line metric or a [1,2]-valued one (both exact)."""
@@ -54,66 +57,9 @@ def mixed_metric(rng, labels):
     return MetricTable.from_line({lab: v for v, lab in values.items()})
 
 
-def reference_validate(t):
-    """validate_metric as it was on Fractions: the oracle for the integer route."""
-    n = len(t.points)
-    for i in range(n):
-        for j in range(n):
-            v = t.d[i][j]
-            if v < 0:
-                return MetricVerdict(False, "nonnegativity", (t.points[i], t.points[j]))
-            if (v == 0) != (i == j):
-                return MetricVerdict(False, "definiteness", (t.points[i], t.points[j]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if t.d[i][j] != t.d[j][i]:
-                return MetricVerdict(False, "symmetry", (t.points[i], t.points[j]))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if t.d[i][j] + t.d[j][k] < t.d[i][k]:
-            return MetricVerdict(False, "triangle", (t.points[i], t.points[j], t.points[k]))
-    return MetricVerdict(True, None, None)
-
-
-def reference_combine(metrics, spec, seed=0):
-    """combine_metrics as it was on Fractions, F re-evaluated at every use."""
-    if not metrics:
-        raise ContractError("need at least one metric")
-    points = metrics[0].points
-    for t in metrics:
-        if t.points != points:
-            raise ShapeError("all metrics must share one point set, in one order")
-    m = len(metrics)
-    fn = spec.function(m)
-    rng = random.Random(seed)
-    zero = tuple(F(0) for _ in range(m))
-    if fn(zero) != 0:
-        raise CombinatorError(f"F(0,...,0) = {fn(zero)} != 0")
-    samples = _sample_tuples(metrics, rng, COMBINATOR_SAMPLES)
-    for xs in samples:
-        if any(xs) and fn(xs) == 0:
-            raise CombinatorError(f"zero-only-at-zero fails at {xs}")
-        shrunk = tuple(x / 2 for x in xs)
-        if fn(xs) < fn(shrunk):
-            raise CombinatorError(f"monotonicity fails between {shrunk} and {xs}")
-    for xs, ys in zip(samples, reversed(samples)):
-        added = tuple(x + y for x, y in zip(xs, ys))
-        if fn(xs) + fn(ys) < fn(added):
-            raise CombinatorError(f"superadditivity-compatibility fails at {xs} + {ys}")
-    n = len(points)
-    rows = [[fn(tuple(t.d[i][j] for t in metrics)) for j in range(n)] for i in range(n)]
-    combined = MetricTable.from_rows(points, rows)
-    verdict = reference_validate(combined)
-    if not verdict.valid:
-        raise CombinatorError(f"combined table violates {verdict.axiom} at {verdict.witness}")
-    return combined
-
-
-def outcome(call, *args, **kwargs):
-    """A call's result, or its exception's type and text."""
-    try:
-        return call(*args, **kwargs)
-    except Exception as exc:  # compared, never swallowed
-        return type(exc), str(exc)
+def combined_by_oracle(metrics, spec, seed=0):
+    """``oracles.combine_metrics`` on the samples ``combine_metrics`` draws at ``seed``."""
+    return oracles.combine_metrics(metrics, spec, _sample_tuples(metrics, random.Random(seed), COMBINATOR_SAMPLES))
 
 
 def builtin_specs(rng, m):
@@ -381,7 +327,7 @@ class TestCombineMatchesReference:
         metrics = [make(rng, labels) for _ in range(rng.randint(1, 3))]
         for spec in builtin_specs(rng, len(metrics)):
             combined = combine_metrics(metrics, spec, seed=seed)
-            assert combined == reference_combine(metrics, spec, seed=seed)
+            assert combined == combined_by_oracle(metrics, spec, seed=seed)
             assert all(type(x) is F for row in combined.d for x in row)
 
     @pytest.mark.parametrize(
@@ -403,7 +349,7 @@ class TestCombineMatchesReference:
         spec = CombinatorSpec("custom", fn=fn)
         for seed in range(3):
             got = outcome(combine_metrics, metrics, spec, seed=seed)
-            assert got == outcome(reference_combine, metrics, spec, seed=seed)
+            assert got == outcome(combined_by_oracle, metrics, spec, seed=seed)
             assert got[0] is CombinatorError
 
     def test_raising_custom_raises_at_the_same_sample(self):
@@ -415,7 +361,7 @@ class TestCombineMatchesReference:
         t = MetricTable.from_line({"a": 0, "b": F(3, 2), "c": F(9, 4)})
         for seed in range(5):
             got = outcome(combine_metrics, [t, t], CombinatorSpec("custom", fn=fn), seed=seed)
-            want = outcome(reference_combine, [t, t], CombinatorSpec("custom", fn=fn), seed=seed)
+            want = outcome(combined_by_oracle, [t, t], CombinatorSpec("custom", fn=fn), seed=seed)
             assert got == want and got[0] is ValueError
 
     def test_custom_evaluated_once_per_sample_in_reference_order(self):
@@ -429,7 +375,7 @@ class TestCombineMatchesReference:
         t = MetricTable.from_line({"a": 0, "b": 1, "c": F(5, 3)})
         calls, reference_calls = [], []
         combined = combine_metrics([t, t], CombinatorSpec("custom", fn=recording(calls)))
-        want = reference_combine([t, t], CombinatorSpec("custom", fn=recording(reference_calls)))
+        want = combined_by_oracle([t, t], CombinatorSpec("custom", fn=recording(reference_calls)))
         assert combined == want
         # once at zero, at every sample, its half and its mirrored sum, then every entry
         assert len(calls) == 1 + 3 * COMBINATOR_SAMPLES + len(t.points) ** 2
@@ -476,7 +422,7 @@ class TestValidateMatchesReference:
             labels, grid = perturbed_grid(rng, axiom)
             t = MetricTable.from_rows(labels, grid)
             verdict = validate_metric(t)
-            assert verdict == reference_validate(t)
+            assert verdict == oracles.validate_metric(t)
             hits += verdict.axiom == axiom
         assert hits >= 100
 
@@ -486,7 +432,7 @@ class TestValidateMatchesReference:
     def test_random_grids_same_verdict(self, grid):
         labels = [f"r{i}" for i in range(len(grid))]
         t = MetricTable.from_rows(labels, grid)
-        assert validate_metric(t) == reference_validate(t)
+        assert validate_metric(t) == oracles.validate_metric(t)
 
     @given(st.integers(0, 10_000), st.sampled_from(["symmetry", "triangle"]))
     @settings(max_examples=100, deadline=None)
@@ -494,12 +440,12 @@ class TestValidateMatchesReference:
         labels, grid = perturbed_grid(random.Random(seed), axiom)
         for a, b in itertools.combinations(range(len(labels)), 2):
             t = MetricTable.from_rows(labels, grid)
-            assert validate_metric(t) == reference_validate(t)
+            assert validate_metric(t) == oracles.validate_metric(t)
             grid[a][b], grid[b][a] = grid[b][a], grid[a][b]
 
     def test_int_grid_same_verdict(self):
         t = MetricTable(("a", "b", "c"), ((0, 1, 3), (1, 0, 1), (3, 1, 0)))
-        assert validate_metric(t) == reference_validate(t) == MetricVerdict(
+        assert validate_metric(t) == oracles.validate_metric(t) == MetricVerdict(
             False, "triangle", ("a", "b", "c")
         )
 

@@ -28,14 +28,7 @@ from multispace.multiring import (
     multiideal_chain,
 )
 
-
-def zn_ideals(n):
-    """Number-theory oracle: the ideals of Z_n are exactly dZ_n for d | n."""
-    return {
-        frozenset(range(0, n, d)) if d else frozenset({0})
-        for d in range(1, n + 1)
-        if n % d == 0
-    }
+import oracles
 
 
 def constant_addition_z4():
@@ -120,7 +113,7 @@ class TestSubMultiring:
             for combo in itertools.combinations(union, r):
                 sub = SubsetView(ms, frozenset(combo), tuple(t.name for t in ms.ops))
                 found += is_submultiring(sub).verdict
-        assert found == len(zn_ideals(4)) * len(zn_ideals(6))
+        assert found == len(oracles.zn_ideals(4)) * len(oracles.zn_ideals(6))
 
     def test_additive_subgroup_not_closed_under_mul(self):
         # GF(4) as bit pairs: + is xor, * is carry-less product mod x^2 + x + 1
@@ -160,7 +153,7 @@ class TestMultiIdeal:
                 if is_multiideal(sub).verdict:
                     assert is_submultiring(sub).verdict
                     found.add(frozenset(combo))
-        assert found == zn_ideals(n)
+        assert found == oracles.zn_ideals(n)
 
     def test_shared_zero_union_ideal(self):
         ms = shared_zero_ring_union([4, 6])
@@ -181,7 +174,7 @@ class TestMultiIdeal:
                 sub = SubsetView(ms, frozenset(combo), tuple(t.name for t in ms.ops))
                 if is_multiideal(sub).verdict:
                     found += 1
-        assert found == len(zn_ideals(4)) * len(zn_ideals(6))
+        assert found == len(oracles.zn_ideals(4)) * len(oracles.zn_ideals(6))
 
     def test_element_outside_the_kept_components_is_named(self):
         # {0} is an ideal of R1, and c2_1 (index 4) lies only in R2
@@ -195,7 +188,7 @@ class TestIdealMachinery:
     def test_ideals_of_z12(self):
         _, add, mul = zn_ring_tables(12)
         found = set(ideals_of(add, mul, frozenset(range(12))))
-        assert found == zn_ideals(12)
+        assert found == oracles.zn_ideals(12)
 
     def test_maximal_ideals_of_z12(self):
         _, add, mul = zn_ring_tables(12)
@@ -246,24 +239,6 @@ class TestIdealChains:
                 assert nxt in ideals_of(add, mul, prev)
 
 
-def reference_artin(ms):
-    """The former ``is_artin`` descent: per component, the longest chain of
-    maximal ideals, by its own memoised depth over ``maximal_ideals``."""
-    per_component = []
-    for comp in ms.components:
-        add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
-        memo = {}
-
-        def depth(level):
-            if level not in memo:
-                nexts = maximal_ideals(add, mul, level)
-                memo[level] = 0 if not nexts else 1 + max(depth(n) for n in nexts)
-            return memo[level]
-
-        per_component.append((comp.name, True, depth(frozenset(comp.carrier))))
-    return tuple(per_component), max(d for _, _, d in per_component)
-
-
 def shared_zero_moduli(limit):
     """Every multiset of 2 or 3 moduli in 1..13 whose shared-zero union has
     at most ``limit`` elements."""
@@ -278,13 +253,13 @@ class TestArtin:
     def test_matches_reference_on_zn(self, n):
         ms = zn_ring_space(n)
         report = is_artin(ms)
-        assert (report.per_component, report.longest_chain) == reference_artin(ms)
+        assert (report.per_component, report.longest_chain) == oracles.artin_depths(ms)
 
     def test_matches_reference_on_shared_zero_unions(self):
         for moduli in shared_zero_moduli(24):
             ms = shared_zero_ring_union(moduli)
             report = is_artin(ms)
-            assert (report.per_component, report.longest_chain) == reference_artin(ms), moduli
+            assert (report.per_component, report.longest_chain) == oracles.artin_depths(ms), moduli
 
     def test_bounded_like_the_series_programming(self):
         with pytest.raises(SizeLimitError, match=r"\|union\| = 25 exceeds SERIES_UNION_BOUND = 24"):

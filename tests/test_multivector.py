@@ -20,64 +20,8 @@ from multispace.multivector import (
     span,
 )
 
-
-def reference_rank(ambient, vectors):
-    """Rank by column-by-column Gauss-Jordan elimination, independent of
-    ``canonical_basis`` (the library's rank before it became the size of
-    the canonical basis)."""
-    p = ambient.p
-    rows = [list(v) for v in vectors]
-    r = 0
-    for col in range(ambient.n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] % p:
-                factor = rows[i][col]
-                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def reference_greedy_basis(ms, order=None):
-    """The restart loop: remove the first vector whose removal keeps the
-    rank, then rescan from the start, until no vector is removable."""
-    working = sorted(component_bases(ms)) if order is None else list(order)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(working)):
-            rest = working[:i] + working[i + 1 :]
-            if reference_rank(ms.ambient, rest) == reference_rank(ms.ambient, working):
-                working = rest
-                changed = True
-                break
-    return tuple(working)
-
-
-def reference_constructor(ambient, comp):
-    """The constructor's closure check as it was, spanning the generators a
-    second time: the error text it raises, or None when it accepts."""
-    try:
-        if comp.vectors != span(ambient, comp.generators):
-            return f"component {comp.name!r} is not closed: not a subspace"
-    except ContractError as exc:
-        return str(exc)
-    return None
-
-
-def constructor_outcome(ambient, comp):
-    try:
-        MultiVectorSpace(ambient, [comp])
-    except ContractError as exc:
-        return str(exc)
-    return None
+import oracles
+from conftest import outcome
 
 
 PERTURBATIONS = ("whole", "missing", "extra", "longer", "shorter", "plus_p", "float", "half_basis",
@@ -356,7 +300,7 @@ class TestReplacedRoutes:
             vectors = [
                 tuple(rng.randrange(-p, 2 * p) for _ in range(amb.n)) for _ in range(rng.randint(0, 8))
             ]
-            assert rank(amb, vectors) == reference_rank(amb, vectors)
+            assert rank(amb, vectors) == oracles.rank(amb, vectors)
 
     def test_constructor_matches_second_span(self):
         rng = random.Random(41)
@@ -365,8 +309,8 @@ class TestReplacedRoutes:
             p = rng.choice([2, 3, 5])
             ambient = AmbientSpace(p, rng.randint(1, 2 if p == 5 else 3))
             case, comp = perturbed_component(rng, ambient)
-            want = reference_constructor(ambient, comp)
-            assert constructor_outcome(ambient, comp) == want, (case, ambient, comp)
+            got, want = outcome(MultiVectorSpace, ambient, [comp]), oracles.subspace_error(ambient, comp)
+            assert (got == (ContractError, want)) if want else isinstance(got, MultiVectorSpace), (case, ambient, comp)
             verdicts.add((case, want is None))
         # every case ran; whole spans in any set type are accepted, a list never
         assert {case for case, _ in verdicts} == set(PERTURBATIONS)
@@ -382,10 +326,10 @@ class TestReplacedRoutes:
         for _ in range(200):
             amb = AmbientSpace(rng.choice([2, 3, 5]), rng.randint(1, 4))
             mvs = random_space(rng, amb, rng.randint(1, 4), 3)
-            assert greedy_basis(mvs) == reference_greedy_basis(mvs)
             order = component_bases(mvs)
+            assert greedy_basis(mvs) == oracles.greedy_basis(amb, sorted(order))
             rng.shuffle(order)
-            assert greedy_basis(mvs, order=order) == reference_greedy_basis(mvs, order=order)
+            assert greedy_basis(mvs, order=order) == oracles.greedy_basis(amb, order)
 
 
 class TestDimFormula:
