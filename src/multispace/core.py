@@ -191,6 +191,8 @@ class MultiSpace:
         names = [t.name for t in self.ops]
         if len(set(names)) != len(names):
             raise ContractError("operation names must be unique")
+        if len({c.name for c in self.components}) != len(self.components):
+            raise ContractError("component names must be unique")
         if any(t.universe != universe for t in self.ops):
             raise ContractError("every operation must be over the space's universe")
         self._op_map = {t.name: t for t in self.ops}

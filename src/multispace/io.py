@@ -16,7 +16,7 @@ import json
 from typing import TYPE_CHECKING, Optional
 
 from .core import Component, FiniteUniverse, MultiSpace, OpTable
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, ShapeError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -180,7 +180,11 @@ def metric_components_from_dict(data: dict) -> list[MetricTable]:
                 [entry(v, c, i, j) for j, v in enumerate(_exact(row, list, f"component {c}, row {i}"), 1)]
                 for i, row in enumerate(_exact(spec["d"], list, f"component {c}, d"), 1)
             ]
-            out.append(MetricTable.from_rows(_names(spec["points"], f"component {c}, points"), rows))
+            points = _names(spec["points"], f"component {c}, points")
+            try:
+                out.append(MetricTable.from_rows(points, rows))
+            except (ShapeError, ContractError) as exc:  # repeated labels, a grid of the wrong shape
+                raise ValueError(f"component {c}: {exc}") from exc
         return out
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise _malformed("metric", exc) from exc

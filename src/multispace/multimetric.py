@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .errors import CombinatorError, ContractError, InputError, ShapeError, UnknownNameError
 
 COMBINATOR_SAMPLES = 120
+_NOISE = tuple(tuple(Fraction(a, 1 + b) for b in range(8)) for a in range(25))  # a/(1 + b)
 
 
 def _frac(x) -> Fraction:
@@ -170,51 +171,45 @@ class CombinatorSpec(NamedTuple):
 
 
 def _sample_tuples(metrics: Sequence[MetricTable], rng: random.Random, count: int):
-    """Nonnegative rational m-tuples: realised distance tuples plus noise."""
-    m = len(metrics)
-    n = len(metrics[0].points)
-    grids = [t.d for t in metrics]
-    pool = []
-    for i in range(n):
-        for j in range(n):
-            pool.append(tuple(d[i][j] for d in grids))
+    """Nonnegative rational m-tuples: realised distance tuples plus noise a/(1 + b),
+    with a and b the draws of randint(0, 24) and randint(1, 8) - 1, from a fixed table."""
+    pool = [xs for rows in zip(*(t.d for t in metrics)) for xs in zip(*rows)]
+    draw = rng.randrange
     while len(pool) < count:
-        pool.append(tuple(Fraction(rng.randint(0, 24), rng.randint(1, 8)) for _ in range(m)))
+        pool.append(tuple([_NOISE[draw(25)][draw(8)] for _ in metrics]))
     rng.shuffle(pool)
     return pool[:count]
 
 
-def _bounded_sum(pairs) -> Fraction:
-    """Sum of x/(1 + x) = p/(p + q) over x = p/q given as (p, q), normalised once."""
+def _bounded_sum(pairs) -> tuple[int, int]:
+    """Sum of x/(1 + x) = p/(p + q) over x = p/q >= 0 given as (p, q), q > 0, unreduced: den > 0."""
     num, den = 0, 1
     for p, q in pairs:
         num, den = num * (p + q) + p * den, den * (p + q)
-    return Fraction(num, den)
+    return num, den
 
 
-def _integer_route(spec: CombinatorSpec, samples):
-    """For the built-in kinds: F on integers and the samples scaled to
-    integers, each by twice the lcm of all sample denominators so that halves
-    stay integral, the weights by the lcm of their own.  F on the scaled
-    samples is F on the samples times one positive constant for sum,
-    weighted_sum and max, so every hypothesis compares the same way, and F
-    itself for bounded_sum.  None for custom."""
+def _integer_route(spec: CombinatorSpec, fn: Callable, tuples):
+    """``(g, scaled, half)``: the tuples as ``scaled``, ``half`` of one standing
+    for its half and the elementwise sum of two for their sum, and ``g`` of one
+    giving F of its tuple as an unreduced pair (p, q), q > 0.  Built-in kinds
+    run on the tuples times twice the lcm of their denominators, so that halves
+    stay integral; a custom F runs on the Fractions."""
+    if spec.kind == "custom":
+        return lambda xs: _frac(fn(xs)).as_integer_ratio(), tuples, lambda xs: tuple([x / 2 for x in xs])
+    scale = 2 * math.lcm(*{x.denominator for xs in tuples for x in xs})
     if spec.kind == "bounded_sum":
         g = lambda a: _bounded_sum((x, scale) for x in a)
     elif spec.kind == "sum":
-        g = sum
+        g = lambda a: (sum(a), scale)
     elif spec.kind == "max":
-        g = max
-    elif spec.kind == "weighted_sum":
+        g = lambda a: (max(a), scale)
+    else:  # weighted_sum, its weights checked by spec.function
         weights = [_frac(w) for w in spec.weights]
-        ws = _integers(weights, math.lcm(*(w.denominator for w in weights)))
-
-        def g(a):
-            return sum(map(operator.mul, ws, a))
-    else:
-        return None
-    scale = 2 * math.lcm(*{x.denominator for xs in samples for x in xs})
-    return g, [_integers(xs, scale) for xs in samples]
+        lcm = math.lcm(*(w.denominator for w in weights))
+        ws = _integers(weights, lcm)
+        g = lambda a: (sum(map(operator.mul, ws, a)), scale * lcm)
+    return g, [_integers(xs, scale) for xs in tuples], lambda a: tuple([x // 2 for x in a])
 
 
 def combine_metrics(
@@ -226,6 +221,13 @@ def combine_metrics(
     hypotheses (monotonicity, zero only at zero, superadditivity) are first
     exercised on sampled tuples, F evaluated once per tuple; built-in kinds
     are proven cases, custom ones are sampled-not-proven.
+
+    One loop runs them in the reference order: zero only at zero and
+    monotonicity, F(x) + F(0) >= F(x/2), at each sample x; then F(x) + F(y) >=
+    F(x + y) at each x and its mirror y.  F gives pairs (p, q) with q > 0, so
+    p/q + r/s < t/u iff (p*s + r*q)*u < t*q*s (both sides times q*s*u > 0),
+    and p/q = 0 iff p = 0.  The inputs are symmetric with zero diagonals, so
+    the table is F above the diagonal, mirrored, and F(0) = 0 on it.
     """
     if not metrics:
         raise ContractError("need at least one metric")
@@ -244,29 +246,29 @@ def combine_metrics(
     if fn(zero) != 0:
         raise CombinatorError(f"F(0,...,0) = {fn(zero)} != 0")
     samples = _sample_tuples(metrics, rng, COMBINATOR_SAMPLES)
-    route = _integer_route(spec, samples)
-    if route is None:
-        g, scaled, half = fn, samples, lambda xs: tuple(x / 2 for x in xs)
-    else:
-        (g, scaled), half = route, lambda a: tuple(x // 2 for x in a)
-    values = []
-    for xs, a in zip(samples, scaled):
-        v = g(a)
-        values.append(v)
-        if any(xs) and v == 0:
-            raise CombinatorError(f"zero-only-at-zero fails at {xs}")
-        if v < g(half(a)):
-            shrunk = tuple(x / 2 for x in xs)
-            raise CombinatorError(f"monotonicity fails between {shrunk} and {xs}")
-    mirrored = zip(samples, reversed(samples), scaled, reversed(scaled), values, reversed(values))
-    for xs, ys, a, b, u, w in mirrored:
-        if u + w < g(tuple(map(operator.add, a, b))):
-            raise CombinatorError(f"superadditivity-compatibility fails at {xs} + {ys}")
-    if spec.kind == "bounded_sum":
-        fn = lambda xs: _bounded_sum((x.numerator, x.denominator) for x in xs)
-    n, grids = len(points), [t.d for t in metrics]
-    rows = [[fn(tuple(d[i][j] for d in grids)) for j in range(n)] for i in range(n)]
-    combined = MetricTable.from_rows(points, rows)
+    n, count = len(points), len(samples)
+    upper = list(itertools.combinations(range(n), 2))
+    entries = [tuple(t.d[i][j] for t in metrics) for i, j in upper]
+    g, scaled, half = _integer_route(spec, fn, samples + entries)
+    values = {None: (0, 1)}  # F(0), the second term of every monotonicity step
+    steps = itertools.chain(
+        ((k, None, half(scaled[k])) for k in range(count)),
+        ((k, count - 1 - k, tuple(map(operator.add, scaled[k], scaled[count - 1 - k]))) for k in range(count)),
+    )
+    for k, j, z in steps:
+        if j is None:
+            values[k] = g(scaled[k])
+            if values[k][0] == 0 and any(samples[k]):
+                raise CombinatorError(f"zero-only-at-zero fails at {samples[k]}")
+        (p, q), (r, s), (t, u) = values[k], values[j], g(z)
+        if (p * s + r * q) * u < t * q * s:
+            if j is None:
+                raise CombinatorError(f"monotonicity fails between {tuple(x / 2 for x in samples[k])} and {samples[k]}")
+            raise CombinatorError(f"superadditivity-compatibility fails at {samples[k]} + {samples[j]}")
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), a in zip(upper, scaled[count:]):
+        d[i][j] = d[j][i] = Fraction(*g(a))
+    combined = MetricTable(points, tuple(map(tuple, d)))
     verdict = validate_metric(combined)
     if not verdict.valid:
         raise CombinatorError(

@@ -143,6 +143,8 @@ class MultiVectorSpace:
     def __init__(self, ambient: AmbientSpace, components: Sequence[VectorComponent]):
         self.ambient = ambient
         self.components = tuple(components)
+        if len({c.name for c in self.components}) != len(self.components):
+            raise ContractError("component names must be unique")
         for comp in self.components:
             if not _is_span(ambient, comp.vectors, comp.generators):
                 raise ContractError(f"component {comp.name!r} is not closed: not a subspace")
@@ -282,20 +284,26 @@ def greedy_basis(ms: MultiVectorSpace, order: Optional[Sequence[Vector]] = None)
     A vector is removed while the remaining set still spans everything it
     spanned before (i.e. the vector lies in the span of the others); the
     result is an independent set whose span covers the component union.
-    Deterministic: one pass over the vectors in the given order (default:
-    canonical sorted order of the starting set); removing a vector never
-    makes an earlier kept vector redundant, so one pass suffices.
+    Deterministic: each vector in the given order (default: canonical sorted
+    order of the starting set) goes if the rest still span.  That removes
+    exactly the v_i in span(v_{i+1}, ..., v_k), which the later vectors kept by
+    a pass from the last span, so it is that pass, keeping each vector outside
+    the echelon form of those kept.  A v_i in that span goes: the rest hold
+    v_{i+1}..v_k.  Any other v_i stays: were it in the span of the rest, some
+    earlier kept vector has a nonzero coefficient, and solving for the last,
+    v_h, puts it in the span of the kept before it, v_i and the later vectors,
+    all in the rest at v_h's turn, so v_h would have gone.
     """
     start = component_bases(ms)
     working = sorted(start) if order is None else list(order)
     if sorted(working) != sorted(start):
         raise ContractError("order must permute the union of component bases")
-    full = rank(ms.ambient, working)
-    for v in tuple(working):
-        rest = [w for w in working if w != v]
-        if rank(ms.ambient, rest) == full:
-            working = rest
-    return tuple(working)
+    echelon = kept = ()
+    for v in reversed(working):
+        grown = canonical_basis(ms.ambient, echelon + (v,))
+        if len(grown) > len(echelon):
+            echelon, kept = grown, (v,) + kept
+    return kept
 
 
 class DimReport(NamedTuple):

@@ -629,6 +629,18 @@ def validate_metric(t):
     return MetricVerdict(True, None, None)
 
 
+def sample_tuples(metrics, rng, count):
+    """The hypothesis samples at ``rng``: every realised distance tuple, row by
+    row, then m-tuples of Fraction(randint(0, 24), randint(1, 8)) until there
+    are ``count``, shuffled and cut to ``count``."""
+    n = len(metrics[0].points)
+    pool = [tuple(t.d[i][j] for t in metrics) for i in range(n) for j in range(n)]
+    while len(pool) < count:
+        pool.append(tuple(Fraction(rng.randint(0, 24), rng.randint(1, 8)) for _ in metrics))
+    rng.shuffle(pool)
+    return pool[:count]
+
+
 def combine_metrics(metrics, spec, samples):
     """The combined table on Fractions, with F evaluated anew at every use:
     F(0) = 0, zero only at zero, monotone and superadditive-compatible on

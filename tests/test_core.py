@@ -86,6 +86,12 @@ class TestOpTable:
         with pytest.raises(ContractError):
             MultiSpace(u, [Component("C", (0, 1), ("f",))], [t])
 
+    def test_space_rejects_two_components_with_one_name(self):
+        # ms.component("C") returned the first one silently
+        t = table_on(["a", "b"], lambda x, y: (x + y) % 2, name="f")
+        with pytest.raises(ContractError, match="^component names must be unique$"):
+            MultiSpace(t.universe, [Component("C", (0, 1), ("f",)), Component("C", (0,), ("f",))], [t])
+
     def test_apply_outside_domain_is_undefined(self):
         u = FiniteUniverse.of(["a", "b", "c"])
         t = OpTable("f", u, [0, 1], [[0, 1], [1, 0]])

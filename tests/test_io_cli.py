@@ -57,6 +57,22 @@ class TestRoundTrips:
             with pytest.raises(InputError, match=message):
                 io.metric_components_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "c, change, message",
+        [
+            (1, lambda spec: spec["points"].__setitem__(1, "a"), "duplicate point labels"),
+            (2, lambda spec: spec["d"][1].pop(), "distance grid is not 2x2"),
+            (2, lambda spec: spec["d"].pop(), "distance grid is not 2x2"),
+        ],
+        ids=["repeated-labels", "short-row", "short-grid"],
+    )
+    def test_metric_table_errors_are_malformed_metric(self, c, change, message):
+        # these came through bare, as "input error: duplicate point labels"
+        data = json.loads((FIXTURES / "two_component.metric.json").read_text())
+        change(data["components"][c - 1])
+        with pytest.raises(InputError, match=f"^malformed metric file: component {c}: {message}$"):
+            io.metric_components_from_dict(data)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -94,6 +110,20 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
         assert "input error" in err
+
+    @pytest.mark.parametrize(
+        "fixture, level, what",
+        [("z4z6_group.mspace.json", "multigroup", "structure"), ("three_lines.vector.json", "auto", "vector")],
+    )
+    def test_two_components_with_one_name_exit_two(self, tmp_path, capsys, fixture, level, what):
+        # z4z6_group with C2 renamed C1 checked with exit 0 and reported C1 twice
+        data = json.loads((FIXTURES / fixture).read_text())
+        data["components"][1]["name"] = data["components"][0]["name"]
+        path = tmp_path / fixture
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "check", str(path), "--level", level)
+        assert code == 2
+        assert err == f"input error: malformed {what} file: component names must be unique\n"
 
     @pytest.mark.parametrize(
         "ab, code, message",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -58,8 +59,9 @@ def mixed_metric(rng, labels):
 
 
 def combined_by_oracle(metrics, spec, seed=0):
-    """``oracles.combine_metrics`` on the samples ``combine_metrics`` draws at ``seed``."""
-    return oracles.combine_metrics(metrics, spec, _sample_tuples(metrics, random.Random(seed), COMBINATOR_SAMPLES))
+    """``oracles.combine_metrics`` on the samples ``oracles.sample_tuples`` draws at ``seed``."""
+    samples = oracles.sample_tuples(metrics, random.Random(seed), COMBINATOR_SAMPLES)
+    return oracles.combine_metrics(metrics, spec, samples)
 
 
 def builtin_specs(rng, m):
@@ -280,41 +282,56 @@ class TestCombineInputs:
             combine_metrics([good, asym], CombinatorSpec("sum"))
 
 
+class TestSamples:
+    def test_noise_table_draws_the_reference_stream(self):
+        """The noise read from the fixed table equals Fraction(randint(0, 24),
+        randint(1, 8)) drawn anew, and leaves the generator in the same state:
+        seeds 0-199, each with m = 1..4 metrics on n = 1 + seed % 8 points."""
+        for seed, m in itertools.product(range(200), range(1, 5)):
+            labels = [f"p{i}" for i in range(1 + seed % 8)]
+            metrics = [MetricTable.from_line({lab: F(i * (k + 1), k + 2) for i, lab in enumerate(labels)})
+                       for k in range(m)]
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            got = _sample_tuples(metrics, rng, COMBINATOR_SAMPLES)
+            assert got == oracles.sample_tuples(metrics, reference_rng, COMBINATOR_SAMPLES)
+            assert rng.getstate() == reference_rng.getstate()
+
+
 class TestIntegerRoute:
-    """Every built-in kind checks its hypotheses on integers.  For the
-    homogeneous kinds F on the scaled samples must be F on the samples times
-    one positive constant, also at every half and every mirrored sum; the
-    bounded_sum kernel must equal F there exactly."""
+    """Every built-in kind checks its hypotheses on integers.  F on a scaled
+    sample, on its half and on a mirrored sum must give an unreduced pair
+    (p, q), q > 0, with p/q equal to F on the Fractions it stands for."""
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
-    def test_scaled_values_are_exact_multiples(self, seed):
+    def test_scaled_values_are_exact_pairs(self, seed):
         rng = random.Random(seed)
         labels = [f"p{i}" for i in range(rng.randint(2, 6))]
         metrics = [mixed_metric(rng, labels) for _ in range(rng.randint(1, 3))]
         samples = _sample_tuples(metrics, random.Random(seed), COMBINATOR_SAMPLES)
         for spec in builtin_specs(rng, len(metrics)):
-            g, scaled = _integer_route(spec, samples)
             fn = spec.function(len(metrics))
-            if spec.kind == "bounded_sum":
-                c, value_type = 1, F
-            else:
-                nonzero = next(k for k, xs in enumerate(samples) if any(xs))
-                c, value_type = F(g(scaled[nonzero])) / fn(samples[nonzero]), int
-            assert c > 0
+            g, scaled, half = _integer_route(spec, fn, samples)
+
+            def exact(a):
+                p, q = g(a)
+                assert type(p) is int and type(q) is int and q > 0
+                return F(p, q)
+
             for xs, a in zip(samples, scaled):
                 assert all(type(x) is int for x in a)
-                assert type(g(a)) is value_type and g(a) == c * fn(xs)
-                half = tuple(x // 2 for x in a)
-                assert g(half) == c * fn(tuple(x / 2 for x in xs))
+                assert exact(a) == fn(xs)
+                assert exact(half(a)) == fn(tuple(x / 2 for x in xs))
             for k in range(len(samples)):
                 added = tuple(x + y for x, y in zip(scaled[k], scaled[-1 - k]))
                 sums = tuple(x + y for x, y in zip(samples[k], samples[-1 - k]))
-                assert g(added) == c * fn(sums)
+                assert exact(added) == fn(sums)
 
-    def test_other_kinds_keep_fractions(self):
+    def test_custom_keeps_fractions(self):
         samples = [(F(1, 3), F(0))]
-        assert _integer_route(CombinatorSpec("custom", fn=sum), samples) is None
+        g, scaled, half = _integer_route(CombinatorSpec("custom", fn=sum), sum, samples)
+        assert scaled == samples and half(samples[0]) == (F(1, 6), F(0))
+        assert g(samples[0]) == (1, 3)
 
 
 class TestCombineMatchesReference:
@@ -377,8 +394,9 @@ class TestCombineMatchesReference:
         combined = combine_metrics([t, t], CombinatorSpec("custom", fn=recording(calls)))
         want = combined_by_oracle([t, t], CombinatorSpec("custom", fn=recording(reference_calls)))
         assert combined == want
-        # once at zero, at every sample, its half and its mirrored sum, then every entry
-        assert len(calls) == 1 + 3 * COMBINATOR_SAMPLES + len(t.points) ** 2
+        # once at zero, at every sample, its half and its mirrored sum, then every
+        # entry above the diagonal: the table is mirrored, with F(0) on the diagonal
+        assert len(calls) == 1 + 3 * COMBINATOR_SAMPLES + math.comb(len(t.points), 2)
         assert first_occurrences(calls) == first_occurrences(reference_calls)
 
 

@@ -114,6 +114,11 @@ class TestLinearAlgebraBasics:
         mvs = MultiVectorSpace.from_generators(amb, [[(1, 0, 0), (0, 1, 0)]])
         assert len(mvs.components[0].vectors) == 4
 
+    def test_two_components_with_one_name_rejected(self):
+        amb = gf2_cube()
+        with pytest.raises(ContractError, match="^component names must be unique$"):
+            MultiVectorSpace.from_generators(amb, [[(1, 0, 0)], [(0, 1, 0)]], names=["V", "V"])
+
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, "1"])
     def test_non_integer_coordinate_rejected(self, bad):
         # (1.5, 2.9) was read as (1, 2); the error names the coordinate

@@ -28,6 +28,7 @@ from multispace.core import (
 )
 from multispace.multigroup import _lattice, _normal_in, maximal_normal_subgroups
 from multispace.multiring import _ring_check
+from multispace.multivector import AmbientSpace, MultiVectorSpace, component_bases, greedy_basis
 
 import oracles
 from conftest import assert_maximal_matches_filter, outcome, random_predicates
@@ -133,3 +134,20 @@ def test_ring_check_on_every_pair():
         None, "closure", "associativity", "no_unit", "missing_inverse", "multiplicative_closure",
         "multiplicative_associativity", "left_distributivity", "right_distributivity",
     }
+
+
+@pytest.mark.parametrize("p, n, most", [(2, 3, 5), (3, 2, 4)])
+def test_greedy_basis_on_every_ordering(p, n, most):
+    """``greedy_basis``'s one reverse pass equals the restart loop on every
+    ordering of the component bases of every set of at most ``most`` nonzero
+    vectors of GF(p)^n, one line component each."""
+    ambient, orderings = AmbientSpace(p, n), set()
+    nonzero = [v for v in itertools.product(range(p), repeat=n) if any(v)]
+    for k in range(1, most + 1):
+        for vectors in itertools.combinations(nonzero, k):
+            ms = MultiVectorSpace.from_generators(ambient, [[v] for v in vectors])
+            for order in itertools.permutations(component_bases(ms)):
+                assert greedy_basis(ms, order) == oracles.greedy_basis(ambient, order), order
+                orderings.add(order)
+    # GF(2)^3: 3,619 orderings of 1 to 5 of its 7 lines; GF(3)^2: 64 of 1 to 4 of its 4
+    assert len(orderings) == {2: 3619, 3: 64}[p]
