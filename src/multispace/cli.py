@@ -101,10 +101,6 @@ def _load(path: str, kind: str, data: dict | None = None):
     return PARSERS[kind](data)
 
 
-def _names(ms: MultiSpace, indices) -> list[str]:
-    return [ms.universe.name(i) for i in sorted(indices)]
-
-
 def _summary(ms: MultiSpace) -> dict:
     return {
         "elements": len(ms.universe),
@@ -278,8 +274,8 @@ def _analyze_space(sub: str, ms: MultiSpace, args) -> tuple[dict, bool]:
         cosets = multigroup.coset_partition(view)
         report = {
             "analysis": "cosets",
-            "subset": _names(ms, view.elements),
-            "cosets": [_names(ms, c) for c in cosets],
+            "subset": ms.universe.names(view.elements),
+            "cosets": [ms.universe.names(c) for c in cosets],
             "count": len(cosets),
         }
         return report, True
@@ -301,8 +297,8 @@ def _analyze_space(sub: str, ms: MultiSpace, args) -> tuple[dict, bool]:
             "components": [
                 {
                     "component": c.component,
-                    "idempotents": _names(ms, c.family),
-                    "pieces": [_names(ms, p) for p in c.pieces],
+                    "idempotents": ms.universe.names(c.family),
+                    "pieces": [ms.universe.names(p) for p in c.pieces],
                     "intersections_trivial": c.intersections_trivial,
                     "reconstruction_exact": c.reconstruction_exact,
                     "unique_sums": c.unique_sums,
@@ -318,7 +314,7 @@ def _analyze_space(sub: str, ms: MultiSpace, args) -> tuple[dict, bool]:
     report = {
         "analysis": "automorphisms",
         "count": len(maps),
-        "elements": _names(ms, union),
+        "elements": ms.universe.names(union),
         "maps": [[ms.universe.name(union[i]) for i in sigma] for sigma in maps],
     }
     return report, True
@@ -407,7 +403,7 @@ def _series_report(name: str, ms: MultiSpace, orientation, result) -> dict:
         "length": result.length,
         "chains": [
             {
-                "levels": [_names(ms, level) for level in chain.levels],
+                "levels": [ms.universe.names(level) for level in chain.levels],
                 "step_ops": list(chain.step_ops),
             }
             for chain in result.chains[:50]

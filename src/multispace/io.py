@@ -181,6 +181,8 @@ def metric_components_from_dict(data: dict) -> list[MetricTable]:
                 for i, row in enumerate(_exact(spec["d"], list, f"component {c}, d"), 1)
             ]
             points = _names(spec["points"], f"component {c}, points")
+            if not points:
+                raise ValueError(f"component {c}: a component needs at least one point")
             try:
                 out.append(MetricTable.from_rows(points, rows))
             except (ShapeError, ContractError) as exc:  # repeated labels, a grid of the wrong shape

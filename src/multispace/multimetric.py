@@ -125,6 +125,8 @@ class MultiMetricSpace:
         if not self.components:
             raise ContractError("a multi-metric space needs at least one component")
         for i, t in enumerate(self.components):
+            if not t.points:
+                raise ContractError(f"component {i + 1} has no points")
             verdict = validate_metric(t)
             if not verdict.valid:
                 raise ContractError(

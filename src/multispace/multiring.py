@@ -104,28 +104,15 @@ def _distributivity_witness(A, M, elems, zs) -> Optional[dict]:
     return None
 
 
-def _field_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> bool:
-    zero = group_identity_on(add, carrier)
-    nonzero = carrier - {zero}
-    if zero is None or not nonzero:
-        return False
-    M = mul.grid
-    if any(M[x][y] != M[y][x] for x, y in itertools.combinations(carrier, 2)):
-        return False
-    ok, _ = is_group_on(mul, nonzero)
-    return ok
-
-
-def _zero_divisors(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> tuple:
-    zero = group_identity_on(add, carrier)
+def _field_and_divisors(mul: OpTable, carrier: frozenset[int], zero: Optional[int]) -> tuple[bool, tuple]:
+    """The field verdict of a component with additive zero ``zero`` and its
+    non-trivial zero divisors over ``sorted(carrier)``; (False, ()) without a zero."""
     if zero is None:
-        return ()
-    return tuple(
-        (a, b)
-        for a in sorted(carrier)
-        for b in sorted(carrier)
-        if a != zero and b != zero and mul.grid[a][b] == zero
-    )
+        return False, ()
+    M, elems, nonzero = mul.grid, sorted(carrier), carrier - {zero}
+    divisors = tuple((a, b) for a in elems for b in elems if a != zero and b != zero and M[a][b] == zero)
+    commutes = all(M[x][y] == M[y][x] for x, y in itertools.combinations(carrier, 2))
+    return bool(nonzero) and commutes and is_group_on(mul, nonzero)[0], divisors
 
 
 class MultiRingReport(NamedTuple):
@@ -145,13 +132,17 @@ def is_multiring(ms: MultiSpace) -> MultiRingReport:
     shared-zero unions pass.  Non-trivial zero divisors are metadata.
     """
     comps = double_components(ms)
-    ring_checks = []
+    ring_checks, fields, divisors = [], [], []
     witness = None
     for comp in comps:
-        w = _ring_check(ms.op(comp.add_name), ms.op(comp.mul_name), frozenset(comp.carrier))
+        add, mul, carrier = ms.op(comp.add_name), ms.op(comp.mul_name), frozenset(comp.carrier)
+        w = _ring_check(add, mul, carrier)
         ring_checks.append((comp.name, w))
         if w is not None and witness is None:
             witness = {"component": comp.name, **w}
+        field, zero_divisors = _field_and_divisors(mul, carrier, group_identity_on(add, carrier))
+        fields.append(field)
+        divisors.append((comp.name, zero_divisors))
 
     union = ms.element_union()
     cross_witness = None
@@ -164,14 +155,9 @@ def is_multiring(ms: MultiSpace) -> MultiRingReport:
     if cross_witness and witness is None:
         witness = cross_witness
 
-    multifield = all(_field_check(ms.op(c.add_name), ms.op(c.mul_name), frozenset(c.carrier)) for c in comps)
-    divisors = tuple(
-        (c.name, _zero_divisors(ms.op(c.add_name), ms.op(c.mul_name), frozenset(c.carrier)))
-        for c in comps
-    )
     verdict = all(w is None for _, w in ring_checks) and cross_witness is None
     return MultiRingReport(
-        verdict, tuple(ring_checks), ms.is_completed(), cross_witness, multifield, divisors, witness
+        verdict, tuple(ring_checks), ms.is_completed(), cross_witness, all(fields), tuple(divisors), witness
     )
 
 
@@ -236,25 +222,31 @@ def is_submultiring(sub: SubsetView) -> SubStructureReport:
         raise ContractError("the empty subset is not a sub-multi-ring candidate")
     parts = _ring_parts(sub)
     witness_a = _componentwise(sub, parts, lambda add, mul, carrier, meet: _subring_witness(add, mul, meet))
+    witness_b = _direct_witness(sub, parts, sub.elements)
+    return _agree("sub-multi-ring", witness_a is None, witness_a, "closure", witness_b is None, witness_b)
 
-    witness_b = None
-    elements = sub.elements
-    allowed = elements | {UNDEFINED}
+
+def _direct_witness(sub: SubsetView, parts, rs) -> Optional[dict]:
+    """Route B of the ring sub-structure tests: per kept part, the additive
+    witness of the subset's meet with its carrier or the first (r, a), r in
+    ``rs``, a in the subset, with ra or ar defined outside it; then the least
+    subset element outside every kept carrier; else None.  ``is_multiideal``
+    passes the element union as ``rs`` and ``is_submultiring`` the subset S:
+    {xy, yx : x, y in S} = {xy : x, y in S}, as yx is the product of the pair
+    (y, x) of S, so absorption by S is exactly closure of S under mul."""
+    subset = sub.elements
+    allowed = subset | {UNDEFINED}
     for name, carrier, add, mul in parts:
-        meet = elements & carrier
+        meet = subset & carrier
         if meet:
             ok, w = is_group_on(add, meet)
             if not ok:
-                witness_b = {"component": name, **w}
-                break
-        grid = mul.grid
-        pairs = ((x, y) for x in elements for y in elements)
-        pair = next((p for p in pairs if grid[p[0]][p[1]] not in allowed), None)
+                return {"component": name, **w}
+        pair = _absorption_escape(mul.grid, rs, subset, allowed)
         if pair is not None:
-            witness_b = {"kind": "mul_closure", "op": mul.name, "pair": pair}
-            break
-    by_closure = witness_b is None and elements <= frozenset().union(*(c for _, c, *_ in parts))
-    return _agree("sub-multi-ring", witness_a is None, witness_a, "closure", by_closure, witness_b)
+            return {"kind": "absorption", "op": mul.name, "pair": pair}
+    stray = subset.difference(*(carrier for _, carrier, *_ in parts))
+    return {"kind": "uncovered_element", "element": min(stray)} if stray else None
 
 
 def _subring_witness(add: OpTable, mul: OpTable, subset: frozenset[int]) -> Optional[dict]:
@@ -287,23 +279,8 @@ def is_multiideal(sub: SubsetView) -> SubStructureReport:
         raise ContractError("the empty subset is not a multi-ideal candidate")
     parts = _ring_parts(sub)
     witness_a = _componentwise(sub, parts, _ideal_witness)
-
-    witness_b = None
-    union = ms.element_union()
-    inside = sub.elements | {UNDEFINED}
-    for _, carrier, add, mul in parts:
-        meet = sub.elements & carrier
-        if meet:
-            ok, w = is_group_on(add, meet)
-            if not ok:
-                witness_b = w
-                break
-        pair = _absorption_escape(mul.grid, union, sub.elements, inside)
-        if pair is not None:
-            witness_b = {"kind": "absorption", "op": mul.name, "pair": pair}
-            break
-    by_direct = witness_b is None and sub.elements <= frozenset().union(*(c for _, c, *_ in parts))
-    return _agree("multi-ideal", witness_a is None, witness_a, "direct", by_direct, witness_b)
+    witness_b = _direct_witness(sub, parts, ms.element_union())
+    return _agree("multi-ideal", witness_a is None, witness_a, "direct", witness_b is None, witness_b)
 
 
 # -- ideal machinery -------------------------------------------------------
@@ -459,20 +436,11 @@ def decompose_artin(ms: MultiSpace) -> DecompositionReport:
         symmetric = right_pieces == left_pieces
         pieces = right_pieces
 
-        intersections = all(
-            pieces[i] & pieces[j] == {zero}
-            for i in range(len(pieces))
-            for j in range(i + 1, len(pieces))
-        )
+        intersections = all(p & q == {zero} for p, q in itertools.combinations(pieces, 2))
         reconstruction = all(_sum(A, [M[r][e] for e in family]) == r for r in carrier)
-        sums = {}
-        unique = True
-        for combo in itertools.product(*pieces):
-            total = _sum(A, combo)
-            if total in sums:
-                unique = False
-            sums[total] = combo
-        unique = unique and set(sums) == carrier
+        totals = [_sum(A, combo) for combo in itertools.product(*pieces)]
+        sums = set(totals)
+        unique = len(sums) == len(totals) and sums == carrier
         ideal_pieces = all(_ideal_witness(add, mul, carrier, piece) is None for piece in pieces)
         out.append(
             ComponentDecomposition(

@@ -153,6 +153,8 @@ class MultiVectorSpace:
     def from_generators(
         cls, ambient: AmbientSpace, generator_lists: Sequence[Sequence[Vector]], names=None
     ) -> "MultiVectorSpace":
+        if names is not None and len(names) != len(generator_lists):
+            raise ContractError(f"{len(names)} names for {len(generator_lists)} generator lists")
         comps = []
         for i, gens in enumerate(generator_lists):
             gens = tuple(ambient.check_vector(g) for g in gens)

@@ -380,6 +380,42 @@ def is_multiideal(ms, elements, kept):
     return witness is None, witness, direct
 
 
+def is_submultiring(ms, elements, kept):
+    """(verdict, witness) of the componentwise route, and the closure
+    verdict, over the components ``kept``: every non-empty meet with a kept
+    carrier is an additive subgroup closed under that carrier's mul, and
+    the subset lies in the kept carriers; by closure, each meet is an
+    additive subgroup and every product of two subset elements under a kept
+    mul lies in the subset or is undefined."""
+    comps = [c for c in ms.components if c in kept]
+    covered = {x for c in comps for x in c.carrier}
+    witness = None
+    for c in comps:
+        add, mul = ms.op(c.add_name), ms.op(c.mul_name)
+        meet = elements & frozenset(c.carrier)
+        if not meet:
+            continue
+        ok, w = is_group_on(add, meet)
+        if not ok:
+            witness = {"component": c.name, **w}
+            break
+        pair = next(((x, y) for x in meet for y in meet if mul.apply(x, y) not in meet), None)
+        if pair:
+            witness = {"component": c.name, "kind": "mul_closure", "pair": pair}
+            break
+    if witness is None and not elements <= covered:
+        witness = {"kind": "uncovered_element", "element": min(elements - covered)}
+    closed = elements <= covered
+    for c in comps:
+        add, mul = ms.op(c.add_name), ms.op(c.mul_name)
+        meet = elements & frozenset(c.carrier)
+        if meet and not is_group_on(add, meet)[0]:
+            closed = False
+        if any(mul.apply(x, y) not in elements | {UNDEFINED} for x in elements for y in elements):
+            closed = False
+    return witness is None, witness, closed
+
+
 def field_check(add, mul, carrier):
     zero = identity(add, carrier)
     if zero is None or carrier == {zero}:

@@ -36,7 +36,14 @@ from multispace.core import (
 from multispace.errors import ContractError
 from multispace.io import space_from_dict, space_to_dict
 from multispace.multigroup import DistributionCheck, SubsetView, _distributes_over, is_multigroup, subgroups_of
-from multispace.multiring import _cross_violation, decompose_artin, idempotents, is_multiideal, is_multiring
+from multispace.multiring import (
+    _cross_violation,
+    decompose_artin,
+    idempotents,
+    is_multiideal,
+    is_multiring,
+    is_submultiring,
+)
 
 import oracles
 from conftest import outcome
@@ -234,6 +241,18 @@ class TestMultiIdealMatchesApply:
         report = is_multiideal(SubsetView(ms, elements, op_names))
         verdict, witness, direct = oracles.is_multiideal(ms, elements, kept)
         assert (report.verdict, report.by_component, report.by_closure) == (verdict, verdict, direct)
+        assert report.witness == witness
+
+    @given(shared_zero_rings(), st.data())
+    @SMALL
+    def test_is_submultiring_matches_reference(self, ms, data):
+        assume(is_multiring(ms).verdict)
+        elements = data.draw(ideal_candidates(ms))
+        kept = data.draw(st.sets(st.sampled_from(ms.components), min_size=1))
+        op_names = tuple(name for c in ms.components if c in kept for name in c.op_names)
+        report = is_submultiring(SubsetView(ms, elements, op_names))
+        verdict, witness, closed = oracles.is_submultiring(ms, elements, kept)
+        assert (report.verdict, report.by_component, report.by_closure) == (verdict, verdict, closed)
         assert report.witness == witness
 
 

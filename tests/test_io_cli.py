@@ -125,6 +125,19 @@ class TestCheck:
         assert code == 2
         assert err == f"input error: malformed {what} file: component names must be unique\n"
 
+    @pytest.mark.parametrize("argv", [["check"], ["analyze", "fixed-point"]], ids=["check", "fixed-point"])
+    def test_empty_metric_component_exit_two(self, tmp_path, capsys, argv):
+        # fixed-point ended in an IndexError traceback, and the component made
+        # every map a contraction
+        data = json.loads((FIXTURES / "two_component.metric.json").read_text())
+        data["components"].append({"points": [], "d": []})
+        path = tmp_path / "empty.metric.json"
+        path.write_text(json.dumps(data))
+        mapping = ["--map", str(FIXTURES / "two_constants.map.json")] if "fixed-point" in argv else []
+        code, _, err = run(capsys, *argv, str(path), *mapping)
+        assert code == 2
+        assert err == "input error: malformed metric file: component 3: a component needs at least one point\n"
+
     @pytest.mark.parametrize(
         "ab, code, message",
         [

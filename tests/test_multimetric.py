@@ -100,6 +100,12 @@ class TestValidation:
         with pytest.raises(ContractError):
             MultiMetricSpace([bad])
 
+    def test_space_rejects_empty_component(self):
+        # beside a-b at distance 1 it made the identity map a contraction with alpha 0
+        line = MetricTable.from_rows(["a", "b"], [[0, 1], [1, 0]])
+        with pytest.raises(ContractError, match="^component 2 has no points$"):
+            MultiMetricSpace([line, MetricTable((), ())])
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_random_generators_produce_metrics(self, seed):

@@ -119,6 +119,12 @@ class TestLinearAlgebraBasics:
         with pytest.raises(ContractError, match="^component names must be unique$"):
             MultiVectorSpace.from_generators(amb, [[(1, 0, 0)], [(0, 1, 0)]], names=["V", "V"])
 
+    @pytest.mark.parametrize("names", [["V"], ["V", "W", "X"]], ids=["short", "long"])
+    def test_one_name_per_generator_list(self, names):
+        # one name raised a bare IndexError, and a third name was dropped
+        with pytest.raises(ContractError, match=f"^{len(names)} names for 2 generator lists$"):
+            MultiVectorSpace.from_generators(AmbientSpace(2, 2), [[(1, 0)], [(0, 1)]], names=names)
+
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, "1"])
     def test_non_integer_coordinate_rejected(self, bad):
         # (1.5, 2.9) was read as (1, 2); the error names the coordinate
