@@ -20,7 +20,9 @@ stay universe indices.  The corpora are
 - ``automorphisms`` with both ``permute_ops`` values on every space above
   whose carrier union has at most 8 elements;
 - ``check_boolean_laws`` on the universes of 0 to ``BOOLEAN_LAW_BOUND``
-  elements.
+  elements;
+- ``io.space_to_dict`` on one small space from each public union builder,
+  which pins every cell of the tables it glues.
 
 Ring witnesses follow the iteration order of the carrier frozenset, so the
 file also pins that order on each Python version that replays it.
@@ -45,9 +47,21 @@ sys.path.insert(0, str(HERE.parent))  # the corpora live in test_laws
 
 import test_laws as laws
 
-from multispace.constructions import abelian_groups_of_order, shared_identity_union, zn_ring_space
+from multispace.constructions import (
+    abelian_groups_of_order,
+    cyclic_group_table,
+    disjoint_cyclic_union,
+    fan_extension,
+    partition_cyclic,
+    shared_identity_union,
+    shared_zero_ring_union,
+    symmetric_table,
+    zn_ring_space,
+    zn_ring_tables,
+)
 from multispace.core import Component, MultiSpace, automorphisms, classify_table, is_group_on
 from multispace.foundations import BOOLEAN_LAW_BOUND, FiniteUniverse, check_boolean_laws
+from multispace.io import space_to_dict
 from multispace.multigroup import SERIES_UNION_BOUND, is_multigroup, series_length_profile
 from multispace.multiring import is_multiring, multiideal_chain
 
@@ -144,9 +158,41 @@ def law_cases():
         yield "check_boolean_laws", n, check_boolean_laws(FiniteUniverse.of([f"e{i}" for i in range(n)]))
 
 
+def explicit_grid(sym):
+    """Products of ``sym`` with Z3 and itself, some of them undefined."""
+    return {
+        (sym, sym): "0", (sym, "0"): sym, ("0", sym): sym,
+        (sym, "1"): "2", ("1", sym): None, (sym, "2"): None, ("2", sym): "1",
+    }
+
+
+def construction_cases():
+    _, z2 = cyclic_group_table(2)
+    _, z3 = cyclic_group_table(3)
+    _, s3 = symmetric_table(3)
+    _, add, mul = zn_ring_tables(3)
+    _, z6 = cyclic_group_table(6, name="o")
+    fresh = ["h1", "h2"]
+    spaces = [
+        ("disjoint_cyclic_union([2, 3])", disjoint_cyclic_union([2, 3])),
+        ("shared_identity_union([Z2, Z3])", shared_identity_union([z2, z3])),
+        ("shared_identity_union([S3])", shared_identity_union([s3])),
+        ("shared_zero_ring_union([2, 3])", shared_zero_ring_union([2, 3])),
+        ("fan_extension(Z3, absorb)", fan_extension(z3, fresh, "absorb")),
+        ("fan_extension(Z3, undefined)", fan_extension(z3, fresh, "undefined")),
+        ("fan_extension(Z3, explicit)", fan_extension(z3, fresh, "explicit", [explicit_grid(s) for s in fresh])),
+        ("fan_extension((Z3, Z3), absorb)", fan_extension((add, mul), fresh, "absorb")),
+        ("fan_extension((Z3, Z3), undefined)", fan_extension((add, mul), fresh, "undefined")),
+        ("partition_cyclic(Z6)", partition_cyclic(z6, [["1", "2", "0"], ["3", "4", "5", "0"]], ["0"])),
+        ("zn_ring_space(4)", zn_ring_space(4)),
+    ]
+    for label, ms in spaces:
+        yield "space_to_dict", label, space_to_dict(ms)
+
+
 def sweep() -> str:
     """The golden text: one JSON case a line."""
-    cases = itertools.chain(group_cases(), space_cases(), series_cases(), law_cases())
+    cases = itertools.chain(group_cases(), space_cases(), series_cases(), law_cases(), construction_cases())
     lines = (json.dumps([call, label, canon(result)]) for call, label, result in cases)
     return "[\n" + ",\n".join(lines) + "\n]\n"
 
