@@ -160,8 +160,8 @@ def group_table(labels: Sequence[str], mult: Callable, name: str = "*") -> tuple
 
 
 def cyclic_group_table(n: int, name: str = "+") -> tuple[FiniteUniverse, OpTable]:
-    labels = [str(i) for i in range(n)]
-    return group_table(labels, lambda a, b: str((int(a) + int(b)) % n), name)
+    universe = FiniteUniverse.of([str(i) for i in range(n)])
+    return universe, OpTable.from_function(name, universe, range(n), lambda x, y: (x + y) % n)
 
 
 def direct_product_table(orders: Sequence[int], name: str = "+") -> tuple[FiniteUniverse, OpTable]:
@@ -295,7 +295,35 @@ def single_component_space(table: OpTable, name: str = "G") -> MultiSpace:
     return MultiSpace(table.universe, [comp], [table])
 
 
-# -- cyclic unions ------------------------------------------------------
+# -- unions ----------------------------------------------------------------
+
+def _glue(universe: FiniteUniverse, pieces) -> tuple[list[Component], list[OpTable]]:
+    """The components and operations of a union over ``universe``, one
+    component per piece ``(name, op_names, tables, relabel, fresh)``.
+
+    Each base table in ``tables`` is copied under its name in ``op_names``
+    through ``relabel``, a one-to-one map from base index to universe index;
+    two tables make a double component.  ``fresh`` is None or ``(h,
+    products)``: h joins the carrier, and ``products`` maps every pair that
+    involves h to its product, the same in each table.
+    """
+    components, ops = [], []
+    for name, op_names, tables, relabel, fresh in pieces:
+        back = {v: k for k, v in relabel.items()}
+        h, products = fresh or (None, {})
+        carrier = tuple(sorted([*back, h] if fresh else back))
+        for op_name, t in zip(op_names, tables):
+
+            def entry(x: int, y: int, grid=t.grid, relabel=relabel, back=back) -> Optional[int]:
+                try:
+                    return relabel[grid[back[x]][back[y]]]
+                except KeyError:  # x or y is h, the one carrier element back misses
+                    return products[x, y]
+
+            ops.append(OpTable.from_function(op_name, universe, carrier, entry))
+        components.append(Component(name, carrier, op_names, double=len(tables) == 2))
+    return components, ops
+
 
 def disjoint_cyclic_union(orders: Sequence[int]) -> MultiSpace:
     """m cyclic components on pairwise-disjoint carriers, one addition each.
@@ -304,28 +332,17 @@ def disjoint_cyclic_union(orders: Sequence[int]) -> MultiSpace:
     for m >= 2.
     """
     labels: list[str] = []
-    components = []
-    ops = []
-    spans = []
+    pieces = []
     for i, order in enumerate(orders):
         if order < 1:
             raise ContractError("component orders must be >= 1")
         letter = chr(ord("a") + i % 26) + ("" if i < 26 else str(i // 26))
-        start = len(labels)
-        labels.extend(f"{letter}{j}" for j in range(order))
-        spans.append((start, order))
+        _, table = cyclic_group_table(order)
+        relabel = {k: len(labels) + k for k in range(order)}
+        pieces.append((f"C{i + 1}", (f"+{i + 1}",), (table,), relabel, None))
+        labels.extend(f"{letter}{k}" for k in range(order))
     universe = FiniteUniverse.of(labels)
-    for i, (start, order) in enumerate(spans):
-        carrier = tuple(range(start, start + order))
-        table = OpTable.from_function(
-            f"+{i + 1}",
-            universe,
-            carrier,
-            lambda x, y, s=start, m=order: s + ((x - s) + (y - s)) % m,
-        )
-        ops.append(table)
-        components.append(Component(f"C{i + 1}", carrier, (table.name,)))
-    return MultiSpace(universe, components, ops)
+    return MultiSpace(universe, *_glue(universe, pieces))
 
 
 def shared_identity_union(tables: Sequence[OpTable]) -> MultiSpace:
@@ -339,33 +356,19 @@ def _shared_union(bases: Sequence[tuple[OpTable, ...]], shared: str, prefix: str
     ``shared``; component i is named ``prefix`` + i and its operations
     ``+i`` (and ``*i``)."""
     labels = [shared]
-    rename_maps = []
+    pieces = []
     for i, base in enumerate(bases):
         t = base[0]
         unit = group_identity_on(t, frozenset(t.domain))
         if unit is None:
             raise ContractError(f"table {t.name!r} has no two-sided unit")
-        rename = {}
-        for x in t.domain:
-            if x == unit:
-                rename[x] = 0
-            else:
-                rename[x] = len(labels)
-                labels.append(f"c{i + 1}_{t.universe.name(x)}")
-        rename_maps.append(rename)
-    universe = FiniteUniverse.of(labels)
-    components = []
-    ops = []
-    for i, (base, rename) in enumerate(zip(bases, rename_maps)):
-        carrier = tuple(sorted(rename.values()))
-        back = {v: k for k, v in rename.items()}
+        others = [x for x in t.domain if x != unit]
+        relabel = {unit: 0, **{x: len(labels) + j for j, x in enumerate(others)}}
+        labels.extend(f"c{i + 1}_{t.universe.name(x)}" for x in others)
         names = tuple(f"{marker}{i + 1}" for marker in "+*"[: len(base)])
-        for name, t in zip(names, base):
-            ops.append(OpTable.from_function(
-                name, universe, carrier, lambda x, y, g=t.grid, r=rename, b=back: r[g[b[x]][b[y]]]
-            ))
-        components.append(Component(f"{prefix}{i + 1}", carrier, names, double=len(base) == 2))
-    return MultiSpace(universe, components, ops)
+        pieces.append((f"{prefix}{i + 1}", names, base, relabel, None))
+    universe = FiniteUniverse.of(labels)
+    return MultiSpace(universe, *_glue(universe, pieces))
 
 
 # -- fan extensions ------------------------------------------------------
@@ -373,19 +376,6 @@ def _shared_union(bases: Sequence[tuple[OpTable, ...]], shared: str, prefix: str
 ABSORB = "absorb"
 UNDEFINED_FILL = "undefined"
 EXPLICIT = "explicit"
-
-
-def _fan_entry(policy, h_idx, x, y, explicit, name):
-    if policy == UNDEFINED_FILL:
-        return None
-    if policy == ABSORB:
-        return h_idx
-    if policy == EXPLICIT:
-        try:
-            return explicit[(x, y)]
-        except (KeyError, TypeError):
-            raise InputError(f"explicit policy for {name!r} misses pair ({x},{y})") from None
-    raise InputError(f"unknown new-pair policy {policy!r}")
 
 
 def fan_extension(
@@ -419,35 +409,34 @@ def fan_extension(
             raise InputError(f"new symbol {s!r} collides with the base carrier")
     if len(set(new_symbols)) != len(new_symbols):
         raise InputError("new symbols must be pairwise distinct")
-    labels = base_labels + list(new_symbols)
-    universe = FiniteUniverse.of(labels)
-    old = {i: universe.index(label) for i, label in zip(first.domain, base_labels)}
-    back = {v: k for k, v in old.items()}
+    universe = FiniteUniverse.of(base_labels + list(new_symbols))
+    relabel = {x: j for j, x in enumerate(first.domain)}
     markers = ("+", "*") if ring else ("x",)
-    components = []
-    ops = []
+    pieces = []
     for i, sym in enumerate(new_symbols):
-        h = universe.index(sym)
-        carrier = tuple(sorted(list(old.values()) + [h]))
-        grid = None
-        if policy == EXPLICIT:
+        h = len(base_labels) + i
+        carrier = [*relabel.values(), h]
+        pairs = [(x, y) for x in carrier for y in carrier if h in (x, y)]
+        if policy == ABSORB:
+            products = dict.fromkeys(pairs, h)
+        elif policy == UNDEFINED_FILL:
+            products = dict.fromkeys(pairs)
+        elif policy == EXPLICIT:
             if explicit is None or len(explicit) <= i:
                 raise InputError("explicit policy needs one grid per new symbol")
             grid = {
                 (universe.index(a), universe.index(b)): None if v is None else universe.index(v)
                 for (a, b), v in explicit[i].items()
             }
+            for x, y in pairs:
+                if (x, y) not in grid:
+                    raise InputError(f"explicit policy for {sym!r} misses pair ({x},{y})")
+            products = {pair: grid[pair] for pair in pairs}
+        else:
+            raise InputError(f"unknown new-pair policy {policy!r}")
         names = tuple(f"{marker}{i + 1}" for marker in markers)
-        for name, t in zip(names, tables):
-
-            def entry(x: int, y: int, h=h, t=t, grid=grid, sym=sym) -> Optional[int]:
-                if x != h and y != h:
-                    return old[t.grid[back[x]][back[y]]]
-                return _fan_entry(policy, h, x, y, grid, sym)
-
-            ops.append(OpTable.from_function(name, universe, carrier, entry))
-        components.append(Component(f"F{i + 1}", carrier, names, double=ring))
-    return MultiSpace(universe, components, ops)
+        pieces.append((f"F{i + 1}", names, tables, relabel, (h, products)))
+    return MultiSpace(universe, *_glue(universe, pieces))
 
 
 # -- partition-cyclic completion -----------------------------------------
@@ -489,34 +478,24 @@ def partition_cyclic(
                 )
         if not core_set <= block_sets[i]:
             raise PartitionError(f"block {i + 1} does not contain the core")
-    components = []
-    ops = [ambient]
+    pieces = []
     for k, block in enumerate(blocks):
         idxs = list(map(index, block))
         if len(set(idxs)) != len(idxs):
             raise PartitionError(f"block {k + 1} lists duplicate elements")
         l = len(idxs)
-        pos = {x: j for j, x in enumerate(idxs)}  # g_{j+1} has position j
-
-        def entry(x: int, y: int, pos=pos, idxs=idxs, l=l) -> int:
-            # g_i x g_j = g1^(i+j) with g_l the identity
-            return idxs[(pos[x] + pos[y] + 1) % l]
-
-        table = OpTable.from_function(f"x{k + 1}", universe, sorted(idxs), entry)
-        ops.append(table)
-        components.append(Component(f"B{k + 1}", tuple(sorted(idxs)), (table.name,)))
+        # j in Z_l becomes g_j and 0 becomes g_l: g_i x g_j = g_(i+j), g_l the identity
+        relabel = {j: idxs[(j - 1) % l] for j in range(l)}
+        pieces.append((f"B{k + 1}", (f"x{k + 1}",), (cyclic_group_table(l)[1],), relabel, None))
+    components, ops = _glue(universe, pieces)
     components.append(Component("S", tuple(ambient.domain), (ambient.name,)))
-    return MultiSpace(universe, components, ops)
+    return MultiSpace(universe, components, [ambient] + ops)
 
 
 def zn_ring_tables(n: int) -> tuple[FiniteUniverse, OpTable, OpTable]:
     """The ring of integers mod n as a pair of total tables."""
-    labels = [str(i) for i in range(n)]
-    universe = FiniteUniverse.of(labels)
-    domain = range(n)
-    add = OpTable.from_function("+", universe, domain, lambda x, y: (x + y) % n)
-    mul = OpTable.from_function("*", universe, domain, lambda x, y: (x * y) % n)
-    return universe, add, mul
+    universe, add = cyclic_group_table(n)
+    return universe, add, OpTable.from_function("*", universe, range(n), lambda x, y: (x * y) % n)
 
 
 def zn_ring_space(n: int) -> MultiSpace:

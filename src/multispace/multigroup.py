@@ -274,14 +274,6 @@ def coset_partition(sub: SubsetView) -> tuple[frozenset[int], ...]:
 
 # -- subgroup machinery ---------------------------------------------------
 
-def subgroup_closure(table: OpTable, seed: frozenset[int]) -> frozenset[int]:
-    """Closure of a seed under the product; in a finite group this is the
-    generated subgroup."""
-    if not all(map(table.in_domain, seed)):
-        raise ContractError(f"the seed is not inside the domain of {table.name!r}")
-    return _close(table.grid, set(seed), list(seed))
-
-
 def _close(grid, out: set, frontier: list) -> frozenset[int]:
     """The closure of ``out`` under ``grid`` when only products with an
     element of ``frontier`` can leave ``out``, as when x joins a closed set."""

@@ -22,7 +22,7 @@ from multispace.constructions import (
     zn_ring_tables,
     zn_ring_space,
 )
-from multispace.core import UNDEFINED, classify_table, is_faithful
+from multispace.core import UNDEFINED, OpTable, classify_table, is_faithful
 from multispace.errors import (
     CapacityError,
     ContractError,
@@ -32,6 +32,7 @@ from multispace.errors import (
     SizeLimitError,
     UnknownNameError,
 )
+from multispace.foundations import FiniteUniverse
 
 
 class TestLatinSquares:
@@ -139,6 +140,12 @@ class TestCyclicUnions:
         for comp in ms.components:
             assert classify_table(ms.op(comp.op_names[0])).label == "abelian_group"
 
+    def test_shared_identity_needs_a_unit(self):
+        u = FiniteUniverse.of(["a", "b"])
+        t = OpTable.from_function("f", u, range(2), lambda x, y: 0)
+        with pytest.raises(ContractError, match="^table 'f' has no two-sided unit$"):
+            shared_identity_union([cyclic_group_table(2)[1], t])
+
 
 class TestFanExtensions:
     def test_absorb_three_fans(self):
@@ -191,6 +198,12 @@ class TestFanExtensions:
         _, z2 = cyclic_group_table(2)
         with pytest.raises(InputError):
             fan_extension(z2, ["h"], policy="explicit", explicit=[{("h", "h"): "0"}])
+
+    def test_explicit_policy_needs_a_grid_per_symbol(self):
+        _, z2 = cyclic_group_table(2)
+        grid = {("h1", y): "0" for y in ("h1", "0", "1")} | {(x, "h1"): "0" for x in ("0", "1")}
+        with pytest.raises(InputError, match="^explicit policy needs one grid per new symbol$"):
+            fan_extension(z2, ["h1", "h2"], policy="explicit", explicit=[grid])
 
     def test_symbol_collision(self):
         _, z2 = cyclic_group_table(2)

@@ -377,6 +377,9 @@ def automorphism_sweep():
     injective = ([[1, None, 1], [1, 2, 1], [1, None, 1]], [[0, None, 0], [None, 2, None], [2, None, 2]])
     for i, rows in enumerate(injective):
         yield f"injective-{i}", single_component_space(OpTable("*", u, (0, 1, 2), rows))
+    # a product defined on one side only: without that rejection (0 2) passes
+    one_sided = [[None, 1, None], [None, None, 1], [1, None, None]]
+    yield "one-sided-undefined", single_component_space(OpTable("*", u, (0, 1, 2), one_sided))
     _, z3 = cyclic_group_table(3)
     yield "z3-copies-3", one_op_components([z3] * 3)
     # Z3 twice and Z3 with identity 1 once: swapping 0 and 1 swaps the two

@@ -181,6 +181,14 @@ class TestRingLaws:
         for _, add, mul in ring_variants(n):
             assert _ring_check(add, mul, carrier) == oracles.ring_check(add, mul, carrier)
 
+    def test_noncommutative_addition(self):
+        # S3 as the addition, every product the identity: only + fails
+        _, add = symmetric_table(3)
+        mul = OpTable.from_function("*", add.universe, add.domain, lambda x, y: 0)
+        carrier = frozenset(add.domain)
+        want = {"kind": "additive_commutativity", "pair": (1, 2)}
+        assert _ring_check(add, mul, carrier) == oracles.ring_check(add, mul, carrier) == want
+
     def test_every_bilinear_product_on_gf2_squared(self):
         # x * y = sum of x_i y_j c_ij over GF(2)^2: distributive, and
         # associative for only some structure constants c

@@ -68,6 +68,21 @@ class TestIsMultiring:
         report = is_multiring(ms)
         assert not report.verdict
 
+    def test_cross_witness_is_the_witness_when_every_component_is_a_ring(self):
+        # R1 is Z2 with the zero product, R2 is Z2 relabelled so that 1 is its zero
+        u = FiniteUniverse.of(["0", "1"])
+        ops = [
+            OpTable("+1", u, (0, 1), ((0, 1), (1, 0))),
+            OpTable("*1", u, (0, 1), ((0, 0), (0, 0))),
+            OpTable("+2", u, (0, 1), ((1, 0), (0, 1))),
+            OpTable("*2", u, (0, 1), ((0, 1), (1, 1))),
+        ]
+        comps = [Component(f"R{i}", (0, 1), (f"+{i}", f"*{i}"), double=True) for i in (1, 2)]
+        report = is_multiring(MultiSpace(u, comps, ops))
+        assert report.ring_checks == (("R1", None), ("R2", None))
+        want = {"kind": "mixed_left_distrib", "pair": ("R1", "R2"), "triple": (0, 0, 0)}
+        assert report.witness == report.cross_witness == want
+
     def test_addition_without_identity_reports_witness(self):
         ms = constant_addition_z4()
         report = is_multiring(ms)
