@@ -160,21 +160,26 @@ def group_table(labels: Sequence[str], mult: Callable, name: str = "*") -> tuple
 
 
 def cyclic_group_table(n: int, name: str = "+") -> tuple[FiniteUniverse, OpTable]:
-    universe = FiniteUniverse.of([str(i) for i in range(n)])
-    return universe, OpTable.from_function(name, universe, range(n), lambda x, y: (x + y) % n)
+    return direct_product_table((n,), name)
 
 
 def direct_product_table(orders: Sequence[int], name: str = "+") -> tuple[FiniteUniverse, OpTable]:
-    """Direct product of cyclic groups, elements labelled "i.j.k"."""
-    tuples = list(itertools.product(*(range(m) for m in orders)))
-    labels = [".".join(str(c) for c in t) for t in tuples]
+    """Direct product of cyclic groups, elements labelled "i.j.k".
 
-    def mult(a: str, b: str) -> str:
-        xs = [int(c) for c in a.split(".")]
-        ys = [int(c) for c in b.split(".")]
-        return ".".join(str((x + y) % m) for x, y, m in zip(xs, ys, orders))
-
-    return group_table(labels, mult, name)
+    Elements come in lexicographic order, so an element's index is its
+    coordinates read in mixed radix over ``orders``.  Row x lists x + y for
+    every y in that same order: ``itertools.product`` over the coordinates j
+    of (x_j + b) mod m_j for b in range(m_j), each scaled by its place
+    value, then summed.
+    """
+    tuples = list(itertools.product(*map(range, orders)))
+    places = [math.prod(orders[j + 1:]) for j in range(len(orders))]
+    shifted = [
+        [tuple(place * ((a + b) % m) for b in range(m)) for a in range(m)] for m, place in zip(orders, places)
+    ]
+    rows = [tuple(map(sum, itertools.product(*(s[a] for s, a in zip(shifted, t))))) for t in tuples]
+    universe = FiniteUniverse.of([".".join(map(str, t)) for t in tuples])
+    return universe, OpTable(name, universe, range(len(tuples)), rows)
 
 
 def dihedral_table(n: int, name: str = "*") -> tuple[FiniteUniverse, OpTable]:
@@ -302,26 +307,38 @@ def _glue(universe: FiniteUniverse, pieces) -> tuple[list[Component], list[OpTab
     component per piece ``(name, op_names, tables, relabel, fresh)``.
 
     Each base table in ``tables`` is copied under its name in ``op_names``
-    through ``relabel``, a one-to-one map from base index to universe index;
-    two tables make a double component.  ``fresh`` is None or ``(h,
-    products)``: h joins the carrier, and ``products`` maps every pair that
-    involves h to its product, the same in each table.
+    through ``relabel``, a one-to-one map from the table's domain to universe
+    indices; two tables make a double component.  ``fresh`` is None or ``(h,
+    products)``: h, a universe index after every relabelled one, joins the
+    carrier, and ``products`` maps every pair that involves h to its product,
+    the same in each table.
+
+    The copy reads whole base grid rows, their columns taken in carrier order
+    and each cell relabelled by a C-level ``map``; only h's row and column are
+    filled pair by pair.
     """
     components, ops = [], []
     for name, op_names, tables, relabel, fresh in pieces:
-        back = {v: k for k, v in relabel.items()}
-        h, products = fresh or (None, {})
-        carrier = tuple(sorted([*back, h] if fresh else back))
+        order = sorted(relabel, key=relabel.__getitem__)  # the base domain, in carrier order
+        base = [relabel[b] for b in order]
+        carrier = [*base, fresh[0]] if fresh else base
         for op_name, t in zip(op_names, tables):
-
-            def entry(x: int, y: int, grid=t.grid, relabel=relabel, back=back) -> Optional[int]:
-                try:
-                    return relabel[grid[back[x]][back[y]]]
-                except KeyError:  # x or y is h, the one carrier element back misses
-                    return products[x, y]
-
-            ops.append(OpTable.from_function(op_name, universe, carrier, entry))
-        components.append(Component(name, carrier, op_names, double=len(tables) == 2))
+            grid = t.grid
+            try:
+                rows = [tuple(map(relabel.__getitem__, map(grid[b].__getitem__, order))) for b in order]
+            except KeyError:  # a product is undefined or leaves the domain relabel covers
+                x, y = next((x, y) for x in order for y in order if grid[x][y] not in relabel)
+                v, label = grid[x][y], t.universe.name
+                what = "undefined" if v is None else f"{label(v)!r}, outside its domain"
+                raise ContractError(
+                    f"table {t.name!r}: the product of {label(x)!r} and {label(y)!r} is {what}"
+                ) from None
+            if fresh:
+                h, products = fresh
+                rows = [row + (products[x, h],) for x, row in zip(base, rows)]
+                rows.append(tuple(products[h, y] for y in carrier))
+            ops.append(OpTable(op_name, universe, carrier, rows))
+        components.append(Component(name, tuple(carrier), op_names, double=len(tables) == 2))
     return components, ops
 
 
@@ -495,7 +512,8 @@ def partition_cyclic(
 def zn_ring_tables(n: int) -> tuple[FiniteUniverse, OpTable, OpTable]:
     """The ring of integers mod n as a pair of total tables."""
     universe, add = cyclic_group_table(n)
-    return universe, add, OpTable.from_function("*", universe, range(n), lambda x, y: (x * y) % n)
+    rows = [tuple(x * y % n for y in range(n)) for x in range(n)]
+    return universe, add, OpTable("*", universe, range(n), rows)
 
 
 def zn_ring_space(n: int) -> MultiSpace:

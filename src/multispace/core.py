@@ -9,6 +9,7 @@ exception; errors are reserved for contract violations.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, namedtuple
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -23,6 +24,8 @@ from .errors import (
 UNDEFINED = None
 
 AUTOMORPHISM_BOUND = 12
+
+_CELL_TYPES = frozenset({int, type(None)})
 
 
 class FiniteUniverse(namedtuple("FiniteUniverse", "elements")):
@@ -78,26 +81,43 @@ class OpTable:
     table is stored as ``grid[x][y]``, indexed by universe position: every
     row has |U| slots, ``None`` outside the domain, and the rows of elements
     outside the domain are one shared all-``None`` row.
+
+    Construction runs no Python per cell: the cells are validated as one set
+    of types and one set of values (types per cell, since a set of values
+    would merge ``True`` and ``1.0`` with ``1``), and each row is spread to
+    its |U| slots by one ``itemgetter`` built per table.  Only a failed check
+    scans for the first bad index, domain first, then row by row.
     """
 
     def __init__(self, name: str, universe: FiniteUniverse, domain: Sequence[int], entries):
         self.name = name
         self.universe = universe
-        self.domain = tuple(domain)
-        rows = tuple(tuple(row) for row in entries)
-        n, d = len(universe), len(self.domain)
-        indices = (*self.domain, *(v for row in rows for v in row if v is not None))
-        if not set(map(type, indices)) <= {int} or not set(indices) <= set(range(n)):
-            bad = next(v for v in indices if type(v) is not int or not 0 <= v < n)
+        self.domain = domain = tuple(domain)
+        rows = tuple(map(tuple, entries))
+        n, d = len(universe), len(domain)
+        if (
+            not set(map(type, itertools.chain(domain, *rows))) <= _CELL_TYPES
+            or None in domain
+            or not set(domain).union(*rows) <= {None, *range(n)}
+        ):
+            cells = itertools.chain(domain, (v for row in rows for v in row if v is not None))
+            bad = next(v for v in cells if type(v) is not int or not 0 <= v < n)
             raise ContractError(f"operation {name!r}: index {bad!r} is not an int in the universe")
-        if list(self.domain) != sorted(set(self.domain)):
+        if list(domain) != sorted(set(domain)):
             raise ContractError(f"operation {name!r}: domain must be sorted and duplicate-free")
         if len(rows) != d or any(len(row) != d for row in rows):
             raise ContractError(f"operation {name!r}: entries must be a {d}x{d} grid")
-        self._blank = (None,) * n
+        self._blank = tuple([None] * n)  # a fresh object: in_domain tests rows by identity
+        if d == n:  # the domain is the whole universe, so each row is its grid row
+            self.grid = rows
+            return
         grid = [self._blank] * n
-        for x, row in zip(self.domain, rows):
-            grid[x] = tuple(map(dict(zip(self.domain, row)).get, range(n)))
+        slot = dict(zip(domain, range(d)))
+        # slot d is the None appended to each row; rows are spread only when
+        # 0 < d < n, so the getter has n >= 2 items and returns a tuple
+        spread = operator.itemgetter(*(slot.get(y, d) for y in range(n)))
+        for x, row in zip(domain, rows):
+            grid[x] = spread(row + (None,))
         self.grid = tuple(grid)
 
     @property

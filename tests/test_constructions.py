@@ -146,6 +146,17 @@ class TestCyclicUnions:
         with pytest.raises(ContractError, match="^table 'f' has no two-sided unit$"):
             shared_identity_union([cyclic_group_table(2)[1], t])
 
+    def test_base_with_an_undefined_product_is_named(self):
+        # used to end in a bare KeyError: (1, 1) while the cells were copied
+        t = OpTable("f", FiniteUniverse.of(["e", "a"]), (0, 1), [[0, 1], [1, None]])
+        with pytest.raises(ContractError, match="^table 'f': the product of 'a' and 'a' is undefined$"):
+            shared_identity_union([t])
+
+    def test_base_with_a_product_outside_its_domain_is_named(self):
+        t = OpTable("f", FiniteUniverse.of(["e", "a", "b"]), (0, 1), [[0, 1], [1, 2]])
+        with pytest.raises(ContractError, match="^table 'f': the product of 'a' and 'a' is 'b', outside its domain$"):
+            shared_identity_union([t])
+
 
 class TestFanExtensions:
     def test_absorb_three_fans(self):
@@ -246,6 +257,13 @@ class TestFanExtensions:
         add = OpTable.from_function("+", u, range(4), lambda x, y: 1)
         with pytest.raises(ContractError):
             fan_extension((add, mul), ["r"])
+
+    def test_ring_fan_with_an_undefined_product_is_named(self):
+        u, add, mul = zn_ring_tables(3)
+        rows = [list(row) for row in mul.entries]
+        rows[1][1] = None
+        with pytest.raises(ContractError, match=r"^table '\*': the product of '1' and '1' is undefined$"):
+            fan_extension((add, OpTable("*", u, mul.domain, rows)), ["h"])
 
     def test_ring_fan_mismatched_domains(self):
         _, add, _ = zn_ring_tables(4)

@@ -50,35 +50,66 @@ def table_on(labels, fn, name="*"):
 
 
 class TestOpTable:
-    def test_rejects_bad_domain(self):
+    @pytest.mark.parametrize(
+        "domain, rows",
+        [([1, 0], [[0, 0], [0, 0]]), ([0, 0], [[0, 0], [0, 0]])],
+        ids=["unsorted", "duplicate"],
+    )
+    def test_rejects_bad_domain(self, domain, rows):
         u = FiniteUniverse.of(["a", "b"])
-        with pytest.raises(ContractError):
-            OpTable("f", u, [1, 0], [[0, 0], [0, 0]])
+        with pytest.raises(ContractError, match="^operation 'f': domain must be sorted and duplicate-free$"):
+            OpTable("f", u, domain, rows)
 
-    def test_rejects_bad_shape(self):
+    @pytest.mark.parametrize("rows", [[[0, 0]], [[0, 1], [0]], [[0, 1], [1, 0, 1]]], ids=["short", "ragged", "long"])
+    def test_rejects_bad_shape(self, rows):
         u = FiniteUniverse.of(["a", "b"])
-        with pytest.raises(ContractError):
-            OpTable("f", u, [0, 1], [[0, 0]])
+        with pytest.raises(ContractError, match="^operation 'f': entries must be a 2x2 grid$"):
+            OpTable("f", u, [0, 1], rows)
 
-    def test_rejects_out_of_universe_entry(self):
+    @pytest.mark.parametrize(
+        "domain, rows, bad",
+        [
+            ([0, 1], [[0, 5], [0, 0]], "5"),
+            ([0, 1], [[0, 1], [-1, 0]], "-1"),
+            ([0, 1], [[0, 2], [1, 0]], "2"),  # an index equal to |U|
+            ([0, 2], [[0, 1], [1, 0]], "2"),
+            # a float entry used to pass and classify as an abelian group
+            ([0, 1], [[0, 1.0], [1.0, 0]], "1.0"),
+            ([0, 1], [[0, 1], [1.0, 0]], "1.0"),  # beside a real 1: a set of values would merge them
+            ([0, 1], [[0, True], [True, 0]], "True"),
+            ([0, 1], [[0, 1], [True, 0]], "True"),
+            ([0, 1.0], [[0, 1], [1, 0]], "1.0"),
+            ([False, 1], [[0, 1], [1, 0]], "False"),
+            ([0, False], [[0, 1], [1, 0]], "False"),  # beside a real 0
+            ([0, None], [[0, 1], [1, 0]], "None"),
+            ([0, 1], [[0, "1"], [1, 0]], "'1'"),
+        ],
+    )
+    def test_rejects_an_index_outside_the_universe(self, domain, rows, bad):
         u = FiniteUniverse.of(["a", "b"])
-        with pytest.raises(ContractError):
-            OpTable("f", u, [0, 1], [[0, 5], [0, 0]])
+        with pytest.raises(ContractError, match=rf"^operation 'x': index {bad} is not an int in the universe$"):
+            OpTable("x", u, domain, rows)
 
-    def test_rejects_non_int_entry(self):
-        # a float entry used to pass and classify as an abelian group
-        u = FiniteUniverse.of(["a", "b"])
-        with pytest.raises(ContractError):
-            OpTable("x", u, [0, 1], [[0, 1.0], [1.0, 0]])
-        with pytest.raises(ContractError):
-            OpTable("x", u, [0, 1], [[0, True], [True, 0]])
+    @pytest.mark.parametrize(
+        "domain, rows, bad",
+        [
+            ([0, 7], [[0, 8], [9, 0]], 7),  # the domain first
+            ([0, 1], [[0, 1], [9, 8]], 9),  # then row by row, left to right
+            ([0, 1], [[None, 8], [9, -1]], 8),
+            ([0, 1], [[0, 1], [1, 1.5]], 1.5),
+            ([0, 1], [[True, 8], [0, 0]], True),
+        ],
+    )
+    def test_names_the_first_bad_index_in_domain_then_row_order(self, domain, rows, bad):
+        u = FiniteUniverse.of(["a", "b", "c"])
+        with pytest.raises(ContractError) as info:
+            OpTable("x", u, domain, rows)
+        assert str(info.value) == f"operation 'x': index {bad!r} is not an int in the universe"
 
-    def test_rejects_non_int_domain_index(self):
+    def test_index_checks_come_before_domain_and_shape(self):
         u = FiniteUniverse.of(["a", "b"])
-        with pytest.raises(ContractError):
-            OpTable("x", u, [0, 1.0], [[0, 1], [1, 0]])
-        with pytest.raises(ContractError):
-            OpTable("x", u, [False, 1], [[0, 1], [1, 0]])
+        with pytest.raises(ContractError, match="^operation 'x': index 3 is not an int in the universe$"):
+            OpTable("x", u, [1, 0, 0], [[0], [3, 1]])
 
     def test_space_rejects_table_over_another_universe(self):
         u, v = FiniteUniverse.of(["a", "b"]), FiniteUniverse.of(["a", "b", "c"])

@@ -56,11 +56,15 @@ ORIENTATIONS = {(True, True): "both", (True, False): "first", (False, True): "se
 
 
 @st.composite
-def partial_tables(draw, universe):
-    """``oracles.random_table`` on a random proper subset of the universe, so
-    that products may leave the domain."""
+def built_tables(draw, universe):
+    """``(domain, rows, table)``: the table built from ``rows``, lists of cells
+    drawn from the domain, from the domain or undefined, or from anywhere, on
+    the whole universe or on a random proper subset of it."""
     rng, n = draw(st.randoms(use_true_random=False)), len(universe)
-    return oracles.random_table(rng, universe, "*", sorted(rng.sample(range(n), rng.randint(1, n - 1))))
+    domain = list(range(n)) if draw(st.booleans()) else sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+    cells = rng.choice([domain, [None, *domain], [None, *range(n)]])
+    rows = [[rng.choice(cells) for _ in domain] for _ in domain]
+    return domain, rows, OpTable("*", universe, domain, rows)
 
 
 @st.composite
@@ -93,14 +97,19 @@ def two_ring_spaces(draw):
 # -- the grid itself --------------------------------------------------------
 
 class TestGridMatchesApply:
-    @given(st.integers(2, 7).flatmap(lambda n: partial_tables(universe_of(n))))
+    @given(st.integers(2, 7).flatmap(lambda n: built_tables(universe_of(n))))
     @SMALL
-    def test_grid_cells_equal_apply_and_entries_round_trip(self, t):
+    def test_grid_cells_equal_apply_and_entries_round_trip(self, built):
+        domain, rows, t = built
         n = len(t.universe)
+        assert t.entries == tuple(map(tuple, rows))
         assert len(t.grid) == n
         for x, y in itertools.product(range(n), repeat=2):
             assert t.grid[x][y] == t.apply(x, y)
             assert t.in_domain(x) == (x in t.domain)
+        outside = [t.grid[x] for x in range(n) if x not in domain]
+        assert all(row is outside[0] for row in outside)
+        assert all(row == (None,) * n for row in outside)
         ms = MultiSpace(t.universe, [Component("C", t.domain, (t.name,))], [t])
         back, _ = space_from_dict(space_to_dict(ms))
         assert back.op(t.name).entries == t.entries
