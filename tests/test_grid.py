@@ -104,9 +104,10 @@ class TestGridMatchesApply:
         n = len(t.universe)
         assert t.entries == tuple(map(tuple, rows))
         assert len(t.grid) == n
+        cell = {(x, y): v for x, row in zip(domain, rows) for y, v in zip(domain, row)}
         for x, y in itertools.product(range(n), repeat=2):
-            assert t.grid[x][y] == t.apply(x, y)
-            assert t.in_domain(x) == (x in t.domain)
+            assert t.grid[x][y] == cell.get((x, y)) == t.apply(x, y)
+            assert t.in_domain(x) == (x in domain)
         outside = [t.grid[x] for x in range(n) if x not in domain]
         assert all(row is outside[0] for row in outside)
         assert all(row == (None,) * n for row in outside)
