@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import namedtuple
 from typing import Callable, Optional, Sequence
@@ -48,28 +49,24 @@ def latin_lower_bound(n: int) -> int:
     return math.prod(math.factorial(s) for s in range(1, n + 1))
 
 
-def _latin_rows(n: int, rows: tuple, order: Callable[[], Sequence[int]]):
-    """Every row that extends the Latin rectangle ``rows`` by one, built cell
-    by cell by backtracking; ``order()`` gives the symbols to try, in order,
-    each time a cell is entered."""
-    used_cols = [{row[j] for row in rows} for j in range(n)]
-    row: list[int] = []
+def _latin_grids(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every n x n Latin square's grid, in lexicographic order.
 
-    def extend(j: int):
-        if j == n:
-            yield tuple(row)
-            return
-        for v in order():
-            if v not in row and v not in used_cols[j]:
-                row.append(v)
-                yield from extend(j + 1)
-                row.pop()
-
-    return extend(0)
+    The rows are permutations, taken in the lexicographic order of
+    ``itertools.permutations``.  Each permutation's *apart* set (the
+    permutations that differ from it in every column) is found once, and a
+    rectangle grows only by the candidates apart from every row above it.
+    """
+    perms = list(itertools.permutations(range(n)))
+    apart = [frozenset(j for j, q in enumerate(perms) if all(map(operator.ne, p, q))) for p in perms]
+    rectangles = [((), frozenset(range(len(perms))))]
+    for _ in range(n):
+        rectangles = [(rows + (j,), fits & apart[j]) for rows, fits in rectangles for j in sorted(fits)]
+    return [tuple(perms[i] for i in rows) for rows, _ in rectangles]
 
 
 def enumerate_latin_squares(n: int) -> list[LatinSquare]:
-    """All n x n Latin squares, by lexicographic row-by-row backtracking."""
+    """All n x n Latin squares, in lexicographic order of their grids."""
     if n < 1:
         raise ContractError("side must be >= 1")
     if n > LATIN_ENUMERATION_BOUND:
@@ -77,46 +74,56 @@ def enumerate_latin_squares(n: int) -> list[LatinSquare]:
             f"Latin square enumeration grows factorially; n = {n} exceeds "
             f"LATIN_ENUMERATION_BOUND = {LATIN_ENUMERATION_BOUND}"
         )
-    rectangles = [()]
-    for _ in range(n):
-        rectangles = [
-            rows + (row,) for rows in rectangles for row in _latin_rows(n, rows, lambda: range(n))
-        ]
-    return [LatinSquare(n, rows) for rows in rectangles]
+    return [LatinSquare(n, grid) for grid in _latin_grids(n)]
 
 
 def _random_latin_square(n: int, rng: random.Random) -> LatinSquare:
-    """Rows filled one at a time, each cell trying the symbols in a fresh
-    shuffled order; a dead end restarts the whole square."""
+    """Rows filled one at a time, each by backtracking cell by cell; a cell
+    tries the symbols in a fresh shuffled order each time it is entered.
 
-    def shuffled() -> list[int]:
+    No row search dead-ends.  A k x n Latin rectangle with k < n leaves each
+    column n - k missing symbols and each symbol missing from n - k columns,
+    so the bipartite graph of columns and their missing symbols is
+    (n - k)-regular and, by P. Hall's marriage theorem, has a perfect
+    matching: every such rectangle extends by one row (M. Hall, Bull. AMS 51,
+    1945).  The search is exhaustive, so it finds that row.
+    """
+
+    def extend(used_cols: list[set[int]], row: list[int], j: int):
+        if j == n:
+            yield tuple(row)
+            return
         order = list(range(n))
         rng.shuffle(order)
-        return order
+        for v in order:
+            if v not in row and v not in used_cols[j]:
+                row.append(v)
+                yield from extend(used_cols, row, j + 1)
+                row.pop()
 
-    while True:
-        rows: tuple = ()
-        for _ in range(n):
-            row = next(_latin_rows(n, rows, shuffled), None)
-            if row is None:
-                break
-            rows += (row,)
-        else:
-            return LatinSquare(n, rows)
+    rows: tuple = ()
+    for _ in range(n):
+        rows += (next(extend([{r[j] for r in rows} for j in range(n)], [], 0)),)
+    return LatinSquare(n, rows)
 
 
 def gen_latin_squares(n: int, k: int, seed: int) -> list[LatinSquare]:
-    """k pairwise-distinct n x n Latin squares, reproducible for a fixed seed."""
+    """k pairwise-distinct n x n Latin squares, reproducible for a fixed seed.
+
+    Up to ``LATIN_ENUMERATION_BOUND`` the squares are a sample of the
+    enumeration; ``random.sample`` draws by the population's length alone, so
+    only the k sampled grids are made into records.
+    """
     if n < 2:
         raise ContractError("side must be >= 2")
     if k < 1:
         raise ContractError("must request at least one square")
     rng = random.Random(seed)
     if n <= LATIN_ENUMERATION_BOUND:
-        squares = enumerate_latin_squares(n)
-        if k > len(squares):
-            raise CapacityError(f"only {len(squares)} Latin squares of side {n} exist; {k} requested")
-        return rng.sample(squares, k)
+        grids = _latin_grids(n)
+        if k > len(grids):
+            raise CapacityError(f"only {len(grids)} Latin squares of side {n} exist; {k} requested")
+        return [LatinSquare(n, grids[i]) for i in rng.sample(range(len(grids)), k)]
     found: list[LatinSquare] = []
     seen: set[tuple] = set()
     attempts = 0

@@ -2,7 +2,8 @@
 
 Every fast kernel in ``multispace`` (Light's test on generators, Dimino
 joins, bitmask lattices, the propagated automorphism search, the integer
-metric routes, the bit-sliced Boolean laws) is trusted because a test
+metric routes, the bit-sliced Boolean laws, the apart-set Latin
+enumeration) is trusted because a test
 compares it with the reference here.  A reference reads products only
 through ``OpTable.apply``, and vectors, metrics and subsets as plain tuples,
 sets and Fractions.  This module imports tables, records, errors and
@@ -494,6 +495,29 @@ def artin_depths(ms):
 
         per_component.append((comp.name, True, depth(frozenset(comp.carrier))))
     return tuple(per_component), max(d for _, _, d in per_component)
+
+
+# -- Latin squares -------------------------------------------------------------
+
+
+def latin_squares(n):
+    """Every n x n Latin square's grid, row by row and each row cell by cell:
+    a cell tries the symbols in increasing order and skips one already in its
+    row or column, so the grids come in lexicographic order."""
+
+    def rows_after(rows, row):
+        j = len(row)
+        if j == n:
+            yield tuple(row)
+            return
+        for v in range(n):
+            if v not in row and all(r[j] != v for r in rows):
+                yield from rows_after(rows, row + [v])
+
+    rectangles = [()]
+    for _ in range(n):
+        rectangles = [rows + (row,) for rows in rectangles for row in rows_after(rows, [])]
+    return rectangles
 
 
 # -- spaces --------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from multispace.constructions import (
@@ -34,6 +36,8 @@ from multispace.errors import (
 )
 from multispace.foundations import FiniteUniverse
 
+import oracles
+
 
 class TestLatinSquares:
     def test_validator_rejects_bad_rows(self):
@@ -69,8 +73,25 @@ class TestLatinSquares:
         assert len(set(sq.grid for sq in a)) == 4
 
     def test_generation_capacity(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=r"^only 12 Latin squares of side 3 exist; 13 requested$"):
             gen_latin_squares(3, 13, seed=0)
+
+    def test_argument_errors(self):
+        with pytest.raises(ContractError, match=r"^side must be >= 1$"):
+            enumerate_latin_squares(0)
+        with pytest.raises(ContractError, match=r"^must request at least one square$"):
+            gen_latin_squares(3, 0, seed=1)
+
+    def test_enumeration_and_sampling_match_oracle(self):
+        for n in (1, 2, 3, 4):
+            reference = [LatinSquare(n, grid) for grid in oracles.latin_squares(n)]
+            squares = enumerate_latin_squares(n)
+            assert squares == reference and all(type(sq) is LatinSquare for sq in squares)
+            if n == 1:
+                continue
+            for k in sorted({1, 2, len(reference)}):
+                for seed in range(50):
+                    assert gen_latin_squares(n, k, seed) == random.Random(seed).sample(reference, k), (n, k, seed)
 
     def test_generation_beyond_enumeration(self):
         squares = gen_latin_squares(5, 3, seed=11)
