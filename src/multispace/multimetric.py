@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .errors import CombinatorError, ContractError, InputError, ShapeError, UnknownNameError
 
 COMBINATOR_SAMPLES = 120
-_NOISE = tuple(tuple(Fraction(a, 1 + b) for b in range(8)) for a in range(25))  # a/(1 + b)
+_NOISE = tuple(tuple(a * 840 // (1 + b) for b in range(8)) for a in range(25))  # a/(1 + b) in 840ths
 
 
 def _frac(x) -> Fraction:
@@ -83,37 +83,39 @@ class MetricVerdict(NamedTuple):
     witness: Optional[tuple]
 
 
-def _integers(values, scale: int) -> tuple[int, ...]:
-    """``values * scale`` as ints; ``scale`` is a multiple of every denominator."""
-    return tuple(x.numerator * (scale // x.denominator) for x in values)
+def _scaled(t: MetricTable) -> tuple[int, list[tuple[int, ...]]]:
+    """``(scale, rows)``: the lcm of the grid's denominators and the grid times it, in ints."""
+    ratios = [list(map(Fraction.as_integer_ratio, row)) for row in t.d]
+    scale = math.lcm(*{q for row in ratios for _, q in row})
+    return scale, [tuple([p * (scale // q) for p, q in row]) for row in ratios]
 
 
 def validate_metric(t: MetricTable) -> MetricVerdict:
     """Exhaustive definiteness, symmetry and triangle checks with a witness.
 
-    The checks run on the grid scaled to integers by the lcm of its
-    denominators; every axiom is invariant under positive scaling."""
-    n = len(t.points)
-    scale = math.lcm(*{x.denominator for row in t.d for x in row})
-    d = [_integers(row, scale) for row in t.d]
+    The checks run on ``_scaled(t)``, the grid as integers; every axiom is
+    invariant under positive scaling."""
+    return _verdict(t.points, _scaled(t)[1])
+
+
+def _verdict(points: tuple[str, ...], d: list[tuple[int, ...]]) -> MetricVerdict:
+    n = len(points)
     for i in range(n):
         for j in range(n):
             v = d[i][j]
             if v < 0:
-                return MetricVerdict(False, "nonnegativity", (t.points[i], t.points[j]))
+                return MetricVerdict(False, "nonnegativity", (points[i], points[j]))
             if (v == 0) != (i == j):
-                return MetricVerdict(False, "definiteness", (t.points[i], t.points[j]))
+                return MetricVerdict(False, "definiteness", (points[i], points[j]))
     for i in range(n):
         for j in range(i + 1, n):
             if d[i][j] != d[j][i]:
-                return MetricVerdict(False, "symmetry", (t.points[i], t.points[j]))
+                return MetricVerdict(False, "symmetry", (points[i], points[j]))
     for i, j in itertools.product(range(n), repeat=2):
         di, dj, dij = d[i], d[j], d[i][j]
         for k in range(n):
             if dij + dj[k] < di[k]:
-                return MetricVerdict(
-                    False, "triangle", (t.points[i], t.points[j], t.points[k])
-                )
+                return MetricVerdict(False, "triangle", (points[i], points[j], points[k]))
     return MetricVerdict(True, None, None)
 
 
@@ -172,46 +174,48 @@ class CombinatorSpec(NamedTuple):
         raise InputError(f"unknown combinator kind {self.kind!r}")
 
 
-def _sample_tuples(metrics: Sequence[MetricTable], rng: random.Random, count: int):
-    """Nonnegative rational m-tuples: realised distance tuples plus noise a/(1 + b),
-    with a and b the draws of randint(0, 24) and randint(1, 8) - 1, from a fixed table."""
-    pool = [xs for rows in zip(*(t.d for t in metrics)) for xs in zip(*rows)]
-    draw = rng.randrange
-    while len(pool) < count:
-        pool.append(tuple([_NOISE[draw(25)][draw(8)] for _ in metrics]))
+def _on_unit(forms) -> tuple[int, list]:
+    """``(unit, grids)``: unit = 2 lcm(840, the forms' scales), x in a grid for x/unit."""
+    unit = 2 * math.lcm(840, *(scale for scale, _ in forms))
+    return unit, [[[x * (unit // scale) for x in row] for row in rows] for scale, rows in forms]
+
+
+def _sample_tuples(grids, unit: int, rng: random.Random, count: int) -> list[tuple[int, ...]]:
+    """Nonnegative m-tuples on ``unit``, a multiple of 840: the realised distance
+    tuples row by row, plus noise a/(1 + b), with a and b the draws of
+    randint(0, 24) and randint(1, 8) - 1, from a fixed table; shuffled, cut to ``count``."""
+    pool = [xs for rows in zip(*grids) for xs in zip(*rows)]
+    draw, c = rng.randrange, unit // 840
+    noise = [_NOISE[draw(25)][draw(8)] * c for _ in range(len(grids) * (count - len(pool)))]
+    pool.extend(zip(*[iter(noise)] * len(grids)))  # consecutive m-tuples
     rng.shuffle(pool)
     return pool[:count]
 
 
-def _bounded_sum(pairs) -> tuple[int, int]:
-    """Sum of x/(1 + x) = p/(p + q) over x = p/q >= 0 given as (p, q), q > 0, unreduced: den > 0."""
+def _bounded_sum(xs, unit: int) -> tuple[int, int]:
+    """Sum of x/(1 + x) = p/(p + unit) over x = p/unit >= 0, unreduced: den > 0."""
     num, den = 0, 1
-    for p, q in pairs:
-        num, den = num * (p + q) + p * den, den * (p + q)
+    for p in xs:
+        num, den = num * (p + unit) + p * den, den * (p + unit)
     return num, den
 
 
-def _integer_route(spec: CombinatorSpec, fn: Callable, tuples):
-    """``(g, scaled, half)``: the tuples as ``scaled``, ``half`` of one standing
-    for its half and the elementwise sum of two for their sum, and ``g`` of one
-    giving F of its tuple as an unreduced pair (p, q), q > 0.  Built-in kinds
-    run on the tuples times twice the lcm of their denominators, so that halves
-    stay integral; a custom F runs on the Fractions."""
+def _integer_route(spec: CombinatorSpec, fn: Callable, unit: int) -> Callable:
+    """``g``: F of an int tuple on ``unit`` as an unreduced pair (p, q), q > 0.
+    Built-in kinds run on the ints, a custom F on their Fractions."""
     if spec.kind == "custom":
-        return lambda xs: _frac(fn(xs)).as_integer_ratio(), tuples, lambda xs: tuple([x / 2 for x in xs])
-    scale = 2 * math.lcm(*{x.denominator for xs in tuples for x in xs})
+        return lambda a: _frac(fn(tuple([Fraction(x, unit) for x in a]))).as_integer_ratio()
     if spec.kind == "bounded_sum":
-        g = lambda a: _bounded_sum((x, scale) for x in a)
-    elif spec.kind == "sum":
-        g = lambda a: (sum(a), scale)
-    elif spec.kind == "max":
-        g = lambda a: (max(a), scale)
-    else:  # weighted_sum, its weights checked by spec.function
-        weights = [_frac(w) for w in spec.weights]
-        lcm = math.lcm(*(w.denominator for w in weights))
-        ws = _integers(weights, lcm)
-        g = lambda a: (sum(map(operator.mul, ws, a)), scale * lcm)
-    return g, [_integers(xs, scale) for xs in tuples], lambda a: tuple([x // 2 for x in a])
+        return lambda a: _bounded_sum(a, unit)
+    if spec.kind == "sum":
+        return lambda a: (sum(a), unit)
+    if spec.kind == "max":
+        return lambda a: (max(a), unit)
+    # weighted_sum, its weights checked by spec.function
+    ratios = [_frac(w).as_integer_ratio() for w in spec.weights]
+    lcm = math.lcm(*(q for _, q in ratios))
+    ws = [p * (lcm // q) for p, q in ratios]
+    return lambda a: (sum(map(operator.mul, ws, a)), unit * lcm)
 
 
 def combine_metrics(
@@ -224,12 +228,22 @@ def combine_metrics(
     exercised on sampled tuples, F evaluated once per tuple; built-in kinds
     are proven cases, custom ones are sampled-not-proven.
 
-    One loop runs them in the reference order: zero only at zero and
+    Every sample and every tuple of entries is an int tuple on one unit: x
+    stands for x/unit, unit = 2 lcm(840, s_1, ..., s_m), s_k the scale of metric
+    k.  Noise a/(1 + b) is exact on it, as 840 = lcm(1, ..., 8), and the factor
+    2 keeps each half integral.  Built-in kinds run on the ints; a custom F
+    sees Fraction(x, unit), the value drawn.
+
+    Two loops run them in the reference order: zero only at zero and
     monotonicity, F(x) + F(0) >= F(x/2), at each sample x; then F(x) + F(y) >=
     F(x + y) at each x and its mirror y.  F gives pairs (p, q) with q > 0, so
     p/q + r/s < t/u iff (p*s + r*q)*u < t*q*s (both sides times q*s*u > 0),
-    and p/q = 0 iff p = 0.  The inputs are symmetric with zero diagonals, so
+    which at F(0) = 0/1 reads p*u < t*q, and p/q = 0 iff p = 0.  The inputs are symmetric with zero diagonals, so
     the table is F above the diagonal, mirrored, and F(0) = 0 on it.
+
+    The table is then validated.  For a built-in kind that cannot fail: F is
+    zero only at zero, monotone and subadditive on all nonnegative tuples, so
+    F(d_ik) <= F(d_ij + d_jk) <= F(d_ij) + F(d_jk).  A custom F is only sampled.
     """
     if not metrics:
         raise ContractError("need at least one metric")
@@ -239,43 +253,40 @@ def combine_metrics(
             raise ShapeError("all metrics must share one point set, in one order")
     m = len(metrics)
     fn = spec.function(m)
-    for i, t in enumerate(metrics):
-        verdict = validate_metric(t)
+    forms = [_scaled(t) for t in metrics]
+    for i, (_, rows) in enumerate(forms):
+        verdict = _verdict(points, rows)
         if not verdict.valid:
             raise ContractError(f"metric {i + 1} violates {verdict.axiom} at {verdict.witness}")
-    rng = random.Random(seed)
     zero = tuple(Fraction(0) for _ in range(m))
     if fn(zero) != 0:
         raise CombinatorError(f"F(0,...,0) = {fn(zero)} != 0")
-    samples = _sample_tuples(metrics, rng, COMBINATOR_SAMPLES)
-    n, count = len(points), len(samples)
-    upper = list(itertools.combinations(range(n), 2))
-    entries = [tuple(t.d[i][j] for t in metrics) for i, j in upper]
-    g, scaled, half = _integer_route(spec, fn, samples + entries)
-    values = {None: (0, 1)}  # F(0), the second term of every monotonicity step
-    steps = itertools.chain(
-        ((k, None, half(scaled[k])) for k in range(count)),
-        ((k, count - 1 - k, tuple(map(operator.add, scaled[k], scaled[count - 1 - k]))) for k in range(count)),
-    )
-    for k, j, z in steps:
-        if j is None:
-            values[k] = g(scaled[k])
-            if values[k][0] == 0 and any(samples[k]):
-                raise CombinatorError(f"zero-only-at-zero fails at {samples[k]}")
-        (p, q), (r, s), (t, u) = values[k], values[j], g(z)
+    unit, grids = _on_unit(forms)
+    samples = _sample_tuples(grids, unit, random.Random(seed), COMBINATOR_SAMPLES)
+    g, n = _integer_route(spec, fn, unit), len(points)
+    exact = lambda a: tuple([Fraction(x, unit) for x in a])  # only for messages
+    values = []
+    for a in samples:
+        p, q = g(a)
+        values.append((p, q))
+        if p == 0 and any(a):
+            raise CombinatorError(f"zero-only-at-zero fails at {exact(a)}")
+        half = tuple([x // 2 for x in a])
+        t, u = g(half)
+        if p * u < t * q:  # F(x) + F(0) < F(x/2), F(0) = 0
+            raise CombinatorError(f"monotonicity fails between {exact(half)} and {exact(a)}")
+    pairs = list(zip(samples, values))
+    for (a, (p, q)), (b, (r, s)) in zip(pairs, reversed(pairs)):
+        t, u = g(tuple(map(operator.add, a, b)))
         if (p * s + r * q) * u < t * q * s:
-            if j is None:
-                raise CombinatorError(f"monotonicity fails between {tuple(x / 2 for x in samples[k])} and {samples[k]}")
-            raise CombinatorError(f"superadditivity-compatibility fails at {samples[k]} + {samples[j]}")
+            raise CombinatorError(f"superadditivity-compatibility fails at {exact(a)} + {exact(b)}")
     d = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), a in zip(upper, scaled[count:]):
-        d[i][j] = d[j][i] = Fraction(*g(a))
+    for i, j in itertools.combinations(range(n), 2):
+        d[i][j] = d[j][i] = Fraction(*g(tuple([grid[i][j] for grid in grids])))
     combined = MetricTable(points, tuple(map(tuple, d)))
     verdict = validate_metric(combined)
     if not verdict.valid:
-        raise CombinatorError(
-            f"combined table violates {verdict.axiom} at {verdict.witness}"
-        )
+        raise CombinatorError(f"combined table violates {verdict.axiom} at {verdict.witness}")
     return combined
 
 

@@ -15,7 +15,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import SubStructureReport, _agree
-from .errors import ContractError, SizeLimitError
+from .errors import ContractError, InternalCheckError, SizeLimitError
 
 Vector = tuple[int, ...]
 
@@ -319,7 +319,8 @@ def dim_formula(ms: MultiVectorSpace) -> DimReport:
     """Inclusion-exclusion over component intersections vs. the greedy count.
 
     The two values provably agree for k <= 2; for k >= 3 they can genuinely
-    differ and the report flags (not hides) the disagreement.
+    differ and the report flags (not hides) the disagreement.  A meet of
+    subspaces is a subspace: its dimension is log_p |meet|, found without elimination.
     """
     k = len(ms.components)
     if k > DIM_FORMULA_BOUND:
@@ -327,11 +328,13 @@ def dim_formula(ms: MultiVectorSpace) -> DimReport:
             f"dimension formula enumerates 2^k - 1 terms; k = {k} exceeds DIM_FORMULA_BOUND = {DIM_FORMULA_BOUND}"
         )
     terms = []
-    total = 0
+    total, p = 0, ms.ambient.p
     for r in range(1, k + 1):
         for combo in itertools.combinations(range(k), r):
-            meet = frozenset.intersection(*(ms.components[i].vectors for i in combo))
-            d = rank(ms.ambient, meet)
+            size = len(frozenset.intersection(*(ms.components[i].vectors for i in combo)))
+            d = next(e for e in itertools.count() if p**e >= size)
+            if p**d != size:
+                raise InternalCheckError(f"the meet of components {combo} has {size} vectors, not a power of {p}")
             terms.append((combo, d))
             total += d if r % 2 == 1 else -d
     greedy = len(greedy_basis(ms))

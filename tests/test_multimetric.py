@@ -23,7 +23,9 @@ from multispace.multimetric import (
     MetricVerdict,
     SequenceSpec,
     _integer_route,
+    _on_unit,
     _sample_tuples,
+    _scaled,
     analyze_sequence,
     combine_metrics,
     fixed_points,
@@ -64,15 +66,21 @@ def combined_by_oracle(metrics, spec, seed=0):
     return oracles.combine_metrics(metrics, spec, samples)
 
 
-def builtin_specs(rng, m):
-    """Every built-in kind; weights with denominators above 1."""
-    weights = tuple(F(rng.randint(1, 7), rng.randint(2, 5)) for _ in range(m))
+def builtin_specs(rng, m, dens=(2, 3, 4, 5)):
+    """Every built-in kind; weights with denominators drawn from ``dens``."""
+    weights = tuple(F(rng.randint(1, 7), rng.choice(dens)) for _ in range(m))
     return [
         CombinatorSpec("sum"),
         CombinatorSpec("weighted_sum", weights=weights),
         CombinatorSpec("bounded_sum"),
         CombinatorSpec("max"),
     ]
+
+
+def samples_on_unit(metrics, rng):
+    """``(unit, samples)``: the common unit of ``metrics`` and the int samples drawn on it."""
+    unit, grids = _on_unit([_scaled(t) for t in metrics])
+    return unit, _sample_tuples(grids, unit, rng, COMBINATOR_SAMPLES)
 
 
 class TestValidation:
@@ -273,6 +281,41 @@ class TestExactEntries:
             t.index("w")
 
 
+class TestErrorMessages:
+    LINE = MetricTable.from_line({"a": 0, "b": 1})
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: MultiMetricSpace([]), ContractError, "a multi-metric space needs at least one component"),
+            (lambda: combine_metrics([], CombinatorSpec("sum")), ContractError, "need at least one metric"),
+            (lambda: CombinatorSpec("weighted_sum").function(2), InputError,
+             "weighted_sum needs one positive weight per metric"),
+            (lambda: CombinatorSpec("weighted_sum", weights=(1,)).function(2), InputError,
+             "weighted_sum needs one positive weight per metric"),
+            (lambda: CombinatorSpec("custom").function(1), InputError, "custom combinator needs a callable"),
+            (lambda: CombinatorSpec("median").function(1), InputError, "unknown combinator kind 'median'"),
+            (lambda: SequenceSpec((), "periodic", ()), InputError, "tail must be non-empty"),
+            (lambda: SequenceSpec((), "constant", ("a", "b")), InputError, "constant tails list exactly one point"),
+        ],
+        ids=["no-components", "no-metrics", "no-weights", "one-weight-short", "no-callable",
+             "unknown-kind", "empty-tail", "long-constant-tail"],
+    )
+    def test_message(self, call, error, message):
+        assert outcome(call) == (error, message)
+
+    def test_disk_arguments(self):
+        ms = MultiMetricSpace([self.LINE])
+        for radius in (0, F(-1, 2)):
+            assert outcome(r_disk, ms, "a", radius) == (ContractError, "disk radius must be positive")
+        assert outcome(r_disk, ms, "z", 1) == (ContractError, "point 'z' is not in the space")
+
+    def test_image_outside_the_space(self):
+        ms = MultiMetricSpace([self.LINE])
+        T = MappingTable({"a": "a", "b": "z"})
+        assert outcome(is_contraction, ms, T) == (InputError, "image point 'z' is outside the space")
+
+
 class TestCombineInputs:
     NEGATIVE = MetricTable.from_rows(["a", "b"], [[0, -1], [-1, 0]])
 
@@ -290,23 +333,30 @@ class TestCombineInputs:
 
 class TestSamples:
     def test_noise_table_draws_the_reference_stream(self):
-        """The noise read from the fixed table equals Fraction(randint(0, 24),
-        randint(1, 8)) drawn anew, and leaves the generator in the same state:
-        seeds 0-199, each with m = 1..4 metrics on n = 1 + seed % 8 points."""
+        """The samples, read on their unit, equal the reference's Fraction tuples,
+        noise Fraction(randint(0, 24), randint(1, 8)) drawn anew, and leave the
+        generator in the same state: seeds 0-199, each with m = 1..4 grids on
+        n = 1 + seed % 12 points, so that n >= 11 drops realised tuples.  The grids
+        are asymmetric, which pins the realised tuples row by row, and their
+        denominators include 11, 13 and 17, which share no factor with 840."""
         for seed, m in itertools.product(range(200), range(1, 5)):
-            labels = [f"p{i}" for i in range(1 + seed % 8)]
-            metrics = [MetricTable.from_line({lab: F(i * (k + 1), k + 2) for i, lab in enumerate(labels)})
-                       for k in range(m)]
+            n = 1 + seed % 12
+            dens = [(k + 2, 11, 13, 17)[(seed + k) % 4] for k in range(m)]
+            metrics = [MetricTable.from_rows([f"p{i}" for i in range(n)],
+                                             [[F(i * n + j + k, den) for j in range(n)] for i in range(n)])
+                       for k, den in enumerate(dens)]
             rng, reference_rng = random.Random(seed), random.Random(seed)
-            got = _sample_tuples(metrics, rng, COMBINATOR_SAMPLES)
-            assert got == oracles.sample_tuples(metrics, reference_rng, COMBINATOR_SAMPLES)
+            unit, got = samples_on_unit(metrics, rng)
+            assert [tuple(F(x, unit) for x in xs) for xs in got] == oracles.sample_tuples(
+                metrics, reference_rng, COMBINATOR_SAMPLES)
             assert rng.getstate() == reference_rng.getstate()
+            assert all(type(x) is int and x % 2 == 0 for xs in got for x in xs)  # halves stay integral
 
 
 class TestIntegerRoute:
-    """Every built-in kind checks its hypotheses on integers.  F on a scaled
-    sample, on its half and on a mirrored sum must give an unreduced pair
-    (p, q), q > 0, with p/q equal to F on the Fractions it stands for."""
+    """Every built-in kind checks its hypotheses on ints on the common unit.  F on
+    a sample, on its half and on a mirrored sum must give an unreduced pair (p, q),
+    q > 0, with p/q equal to F on the Fractions it stands for."""
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -314,10 +364,11 @@ class TestIntegerRoute:
         rng = random.Random(seed)
         labels = [f"p{i}" for i in range(rng.randint(2, 6))]
         metrics = [mixed_metric(rng, labels) for _ in range(rng.randint(1, 3))]
-        samples = _sample_tuples(metrics, random.Random(seed), COMBINATOR_SAMPLES)
-        for spec in builtin_specs(rng, len(metrics)):
+        unit, scaled = samples_on_unit(metrics, random.Random(seed))
+        samples = [tuple(F(x, unit) for x in a) for a in scaled]
+        for spec in builtin_specs(rng, len(metrics), (2, 3, 11, 13, 17)):
             fn = spec.function(len(metrics))
-            g, scaled, half = _integer_route(spec, fn, samples)
+            g = _integer_route(spec, fn, unit)
 
             def exact(a):
                 p, q = g(a)
@@ -325,19 +376,23 @@ class TestIntegerRoute:
                 return F(p, q)
 
             for xs, a in zip(samples, scaled):
-                assert all(type(x) is int for x in a)
                 assert exact(a) == fn(xs)
-                assert exact(half(a)) == fn(tuple(x / 2 for x in xs))
+                assert exact(tuple(x // 2 for x in a)) == fn(tuple(x / 2 for x in xs))
             for k in range(len(samples)):
                 added = tuple(x + y for x, y in zip(scaled[k], scaled[-1 - k]))
                 sums = tuple(x + y for x, y in zip(samples[k], samples[-1 - k]))
                 assert exact(added) == fn(sums)
 
-    def test_custom_keeps_fractions(self):
-        samples = [(F(1, 3), F(0))]
-        g, scaled, half = _integer_route(CombinatorSpec("custom", fn=sum), sum, samples)
-        assert scaled == samples and half(samples[0]) == (F(1, 6), F(0))
-        assert g(samples[0]) == (1, 3)
+    def test_custom_sees_fractions(self):
+        seen = []
+
+        def total(xs):
+            seen.append(xs)
+            return sum(xs)
+
+        g = _integer_route(CombinatorSpec("custom", fn=total), total, 1680)
+        assert g((560, 0)) == (1, 3)
+        assert seen == [(F(1, 3), F(0))] and all(type(x) is F for x in seen[0])
 
 
 class TestCombineMatchesReference:
@@ -352,6 +407,33 @@ class TestCombineMatchesReference:
             combined = combine_metrics(metrics, spec, seed=seed)
             assert combined == combined_by_oracle(metrics, spec, seed=seed)
             assert all(type(x) is F for row in combined.d for x in row)
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_builtins_match_on_many_points_and_coprime_denominators(self, n):
+        """8-12 points, where n >= 11 is the first size whose pool drops realised
+        tuples, with metric and weight denominators 11, 13 and 17, which share
+        no factor with 840."""
+        for seed in range(4):
+            rng = random.Random(100 * n + seed)
+            labels = [f"p{i}" for i in range(n)]
+            metrics = []
+            for _ in range(rng.randint(1, 3)):
+                values: dict = {}
+                while len(values) < n:
+                    values.setdefault(F(rng.randint(0, 300), rng.choice((1, 11, 13, 17))), labels[len(values)])
+                metrics.append(MetricTable.from_line({lab: v for v, lab in values.items()}))
+            for spec in builtin_specs(rng, len(metrics), (11, 13, 17)):
+                combined = combine_metrics(metrics, spec, seed=seed)
+                assert combined == combined_by_oracle(metrics, spec, seed=seed)
+
+    def test_custom_breaking_the_combined_table(self):
+        """F passes all 120 samples but lifts one realised distance far above
+        the two it should stay under, so only the table's own validation fails."""
+        t = MetricTable.from_line({"a": 0, "b": F(6, 11), "c": F(13, 11)})
+        spec = CombinatorSpec("custom", fn=lambda xs: 100 if xs[0] == F(13, 11) else xs[0])
+        got = outcome(combine_metrics, [t], spec, seed=0)
+        assert got == (CombinatorError, "combined table violates triangle at ('a', 'b', 'c')")
+        assert got == outcome(combined_by_oracle, [t], spec, seed=0)
 
     @pytest.mark.parametrize(
         "fn",

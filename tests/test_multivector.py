@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from multispace.errors import ContractError, SizeLimitError
+from multispace.errors import ContractError, InternalCheckError, SizeLimitError
 from multispace.multivector import (
     AmbientSpace,
     MultiVectorSpace,
@@ -373,6 +373,27 @@ class TestDimFormula:
         mvs = MultiVectorSpace.from_generators(amb, [[(1, 0)]] * 6)
         with pytest.raises(SizeLimitError, match="k = 6 exceeds DIM_FORMULA_BOUND = 5"):
             dim_formula(mvs)
+
+
+    def test_meet_dimensions_match_rank_oracle(self):
+        """Each term, log_p of a meet's size, is the meet's rank by elimination."""
+        rng = random.Random(29)
+        for p, n in ((2, 4), (3, 3), (5, 2)):
+            amb = AmbientSpace(p, n)
+            for _ in range(12):
+                gens = [[tuple(rng.randrange(p) for _ in range(n)) for _ in range(rng.randint(1, n))]
+                        for _ in range(rng.randint(1, 4))]
+                mvs = MultiVectorSpace.from_generators(amb, gens)
+                for combo, d in dim_formula(mvs).intersection_dims:
+                    meet = frozenset.intersection(*(mvs.components[i].vectors for i in combo))
+                    assert d == oracles.rank(amb, meet)
+
+    def test_meet_not_a_subspace_is_an_internal_error(self):
+        mvs = MultiVectorSpace.from_generators(AmbientSpace(2, 2), [[(1, 0), (0, 1)]])
+        comp = mvs.components[0]
+        mvs.components = (comp._replace(vectors=comp.vectors - {(1, 1)}),)  # past the constructor's check
+        assert outcome(dim_formula, mvs) == (
+            InternalCheckError, "the meet of components (0,) has 3 vectors, not a power of 2")
 
 
 class TestAdditiveFormula:
