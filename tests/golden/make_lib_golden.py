@@ -22,7 +22,10 @@ stay universe indices.  The corpora are
 - ``check_boolean_laws`` on the universes of 0 to ``BOOLEAN_LAW_BOUND``
   elements;
 - ``io.space_to_dict`` on one small space from each public union builder,
-  which pins every cell of the tables it glues.
+  which pins every cell of the tables it glues, and on each table of the
+  group corpus as a one-component space: D_n for n <= 8, Q8, S_n for
+  n <= 4, every group of order at most 8 and every abelian group of order
+  at most 16, each under its corpus label.
 
 Ring witnesses follow the iteration order of the carrier frozenset, so the
 file also pins that order on each Python version that replays it.
@@ -49,12 +52,16 @@ import test_laws as laws
 
 from multispace.constructions import (
     abelian_groups_of_order,
+    all_groups_up_to_8,
     cyclic_group_table,
+    dihedral_table,
     disjoint_cyclic_union,
     fan_extension,
     partition_cyclic,
+    quaternion_table,
     shared_identity_union,
     shared_zero_ring_union,
+    single_component_space,
     symmetric_table,
     zn_ring_space,
     zn_ring_tables,
@@ -190,9 +197,23 @@ def construction_cases():
         yield "space_to_dict", label, space_to_dict(ms)
 
 
+def corpus_cases():
+    tables = [(f"dihedral_table({n})", dihedral_table(n)[1]) for n in range(1, 9)]
+    tables.append(("quaternion_table()", quaternion_table()[1]))
+    tables += [(f"symmetric_table({n})", symmetric_table(n)[1]) for n in range(1, 5)]
+    tables += [(f"all_groups_up_to_8() {name}", t) for name, _, t in all_groups_up_to_8()]
+    tables += [
+        (f"abelian_groups_of_order({n}) {name}", t) for n in range(1, 17) for name, _, t in abelian_groups_of_order(n)
+    ]
+    for label, t in tables:
+        yield "space_to_dict", label, space_to_dict(single_component_space(t))
+
+
 def sweep() -> str:
     """The golden text: one JSON case a line."""
-    cases = itertools.chain(group_cases(), space_cases(), series_cases(), law_cases(), construction_cases())
+    cases = itertools.chain(
+        group_cases(), space_cases(), series_cases(), law_cases(), construction_cases(), corpus_cases()
+    )
     lines = (json.dumps([call, label, canon(result)]) for call, label, result in cases)
     return "[\n" + ",\n".join(lines) + "\n]\n"
 
