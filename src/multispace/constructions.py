@@ -10,7 +10,7 @@ import math
 import operator
 import random
 from collections import namedtuple
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import Component, FiniteUniverse, MultiSpace, OpTable, classify_table, group_identity_on
 from .errors import (
@@ -156,14 +156,11 @@ def latin_multispace(symbols, squares: Sequence[LatinSquare]) -> MultiSpace:
 
 # -- group table corpus -------------------------------------------------
 
-def group_table(labels: Sequence[str], mult: Callable, name: str = "*") -> tuple[FiniteUniverse, OpTable]:
-    """Intern a Cayley table given element labels and a label-level product."""
+def _indexed(labels: Sequence[str], rows, name: str) -> tuple[FiniteUniverse, OpTable]:
+    """The total table on ``labels`` whose row x lists, in label order, the
+    index of x * y for every y."""
     universe = FiniteUniverse.of(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-    table = OpTable.from_function(
-        name, universe, range(len(labels)), lambda x, y: index[mult(labels[x], labels[y])]
-    )
-    return universe, table
+    return universe, OpTable(name, universe, range(len(labels)), rows)
 
 
 def cyclic_group_table(n: int, name: str = "+") -> tuple[FiniteUniverse, OpTable]:
@@ -185,121 +182,85 @@ def direct_product_table(orders: Sequence[int], name: str = "+") -> tuple[Finite
         [tuple(place * ((a + b) % m) for b in range(m)) for a in range(m)] for m, place in zip(orders, places)
     ]
     rows = [tuple(map(sum, itertools.product(*(s[a] for s, a in zip(shifted, t))))) for t in tuples]
-    universe = FiniteUniverse.of([".".join(map(str, t)) for t in tuples])
-    return universe, OpTable(name, universe, range(len(tuples)), rows)
+    return _indexed([".".join(map(str, t)) for t in tuples], rows, name)
 
 
 def dihedral_table(n: int, name: str = "*") -> tuple[FiniteUniverse, OpTable]:
-    """Dihedral group of order 2n: rotations r{i} and reflections s{i}."""
-    labels = [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
+    """Dihedral group of order 2n: rotations r{i} and reflections s{i}.
 
-    def mult(a: str, b: str) -> str:
-        fa, ia = a[0], int(a[1:])
-        fb, ib = b[0], int(b[1:])
-        if fa == "r" and fb == "r":
-            return f"r{(ia + ib) % n}"
-        if fa == "r" and fb == "s":
-            return f"s{(ib - ia) % n}"
-        if fa == "s" and fb == "r":
-            return f"s{(ia + ib) % n}"
-        return f"r{(ib - ia) % n}"
-
-    return group_table(labels, mult, name)
+    r{a} sits at index a and s{a} at n + a.  Written (f, a) for a flip bit f,
+    (f, a)(g, b) = (f ^ g, b - a if g else a + b), mod n.
+    """
+    rows = [
+        tuple((f ^ g) * n + ((b - a) if g else (a + b)) % n for g in (0, 1) for b in range(n))
+        for f in (0, 1)
+        for a in range(n)
+    ]
+    return _indexed([f"{c}{i}" for c in "rs" for i in range(n)], rows, name)
 
 
 def quaternion_table(name: str = "*") -> tuple[FiniteUniverse, OpTable]:
-    labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {
-        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-    }
+    """Quaternion group Q8: (-1)^s u, for the units u = 1, i, j, k numbered
+    0..3, sits at index 2u + s.
 
-    def mult(a: str, b: str) -> str:
-        sign = 1
-        if a.startswith("-"):
-            sign, a = -sign, a[1:]
-        if b.startswith("-"):
-            sign, b = -sign, b[1:]
-        if a == "1":
-            out = b
-        elif b == "1":
-            out = a
+    uu = -1 for u != 1, and two distinct units among i, j, k give the third
+    (their XOR), negated unless they follow i -> j -> k -> i.
+    """
+
+    def product(x: int, y: int) -> int:
+        u, v = x >> 1, y >> 1
+        if u == 0 or v == 0:
+            w, negated = u | v, 0
+        elif u == v:
+            w, negated = 0, 1
         else:
-            out = base[(a, b)]
-        if out.startswith("-"):
-            sign, out = -sign, out[1:]
-        return out if sign == 1 else f"-{out}"
+            w, negated = u ^ v, (v - u) % 3 != 1
+        return 2 * w + (x ^ y ^ negated) % 2
 
-    return group_table(labels, mult, name)
+    rows = [tuple(product(x, y) for y in range(8)) for x in range(8)]
+    return _indexed(["1", "-1", "i", "-i", "j", "-j", "k", "-k"], rows, name)
 
 
 def symmetric_table(n: int, name: str = "*") -> tuple[FiniteUniverse, OpTable]:
-    """Symmetric group on 0..n-1; labels like "120" give images of 0,1,2."""
+    """Symmetric group on 0..n-1; labels like "120" give images of 0,1,2.
+
+    The product a * b applies b first, then a.
+    """
     perms = list(itertools.permutations(range(n)))
-    labels = ["".join(str(i) for i in p) for p in perms]
-
-    def mult(a: str, b: str) -> str:
-        # composition: apply b first, then a
-        return "".join(a[int(c)] for c in b)
-
-    return group_table(labels, mult, name)
+    index = {p: i for i, p in enumerate(perms)}
+    rows = [tuple(index[tuple(map(a.__getitem__, b))] for b in perms) for a in perms]
+    return _indexed(["".join(map(str, p)) for p in perms], rows, name)
 
 
 def all_groups_up_to_8() -> list[tuple[str, FiniteUniverse, OpTable]]:
     """Every group of order <= 8 up to isomorphism (14 tables)."""
-    corpus: list[tuple[str, FiniteUniverse, OpTable]] = []
-    for n in range(1, 9):
-        u, t = cyclic_group_table(n)
-        corpus.append((f"Z{n}", u, t))
-    for orders, label in (
-        ([2, 2], "Z2xZ2"),
-        ([4, 2], "Z4xZ2"),
-        ([2, 2, 2], "Z2xZ2xZ2"),
-    ):
-        u, t = direct_product_table(orders)
-        corpus.append((label, u, t))
-    u, t = symmetric_table(3)
-    corpus.append(("S3", u, t))
-    u, t = dihedral_table(4)
-    corpus.append(("D4", u, t))
-    u, t = quaternion_table()
-    corpus.append(("Q8", u, t))
-    return corpus
+    orders = [[n] for n in range(1, 9)] + [[2, 2], [4, 2], [2, 2, 2]]
+    corpus = [("x".join(f"Z{m}" for m in o), *direct_product_table(o)) for o in orders]
+    return corpus + [("S3", *symmetric_table(3)), ("D4", *dihedral_table(4)), ("Q8", *quaternion_table())]
 
 
-def _partitions_into_prime_powers(n: int) -> list[list[int]]:
-    """All multisets of prime powers (each > 1) with product n."""
+def _partitions_into_prime_powers(n: int, least: int = 2) -> list[list[int]]:
+    """All non-decreasing lists of prime powers, each at least ``least``,
+    with product n, in lexicographic order.
+
+    d is a power of its least prime factor q exactly when d divides q^d.
+    """
     if n == 1:
         return [[]]
-    out = []
-    for d in range(2, n + 1):
-        if n % d:
-            continue
-        # d must be a prime power
-        p = min(q for q in range(2, d + 1) if d % q == 0)
-        m = d
-        while m % p == 0:
-            m //= p
-        if m != 1:
-            continue
-        for rest in _partitions_into_prime_powers(n // d):
-            if not rest or rest[0] >= d:
-                out.append([d] + rest)
-    return out
+    return [
+        [d, *rest]
+        for d in range(least, n + 1)
+        if n % d == 0 and pow(next(q for q in range(2, d + 1) if d % q == 0), d, d) == 0
+        for rest in _partitions_into_prime_powers(n // d, d)
+    ]
 
 
 def abelian_groups_of_order(n: int) -> list[tuple[str, FiniteUniverse, OpTable]]:
     """Every abelian group of order n up to isomorphism, as direct products."""
-    out = []
-    for factors in _partitions_into_prime_powers(n):
-        if not factors:
-            u, t = cyclic_group_table(1)
-            out.append(("Z1", u, t))
-        else:
-            u, t = direct_product_table(factors)
-            out.append(("x".join(f"Z{m}" for m in factors), u, t))
-    return out
+    return [
+        ("x".join(f"Z{m}" for m in factors), *direct_product_table(factors))
+        for factors in (f or [1] for f in _partitions_into_prime_powers(n))  # [1]: the trivial group Z1
+    ]
 
 
 def single_component_space(table: OpTable, name: str = "G") -> MultiSpace:
@@ -490,8 +451,7 @@ def partition_cyclic(
 
     core_set = frozenset(map(index, core))
     block_sets = [frozenset(map(index, block)) for block in blocks]
-    covered = frozenset().union(*block_sets) if block_sets else frozenset()
-    if covered != frozenset(ambient.domain):
+    if frozenset().union(*block_sets) != frozenset(ambient.domain):
         raise PartitionError("blocks must cover the ambient carrier")
     for i in range(len(block_sets)):
         for j in range(i + 1, len(block_sets)):
@@ -500,8 +460,6 @@ def partition_cyclic(
                     f"blocks {i + 1} and {j + 1} intersect in "
                     f"{universe.names(block_sets[i] & block_sets[j])}, not the core"
                 )
-        if not core_set <= block_sets[i]:
-            raise PartitionError(f"block {i + 1} does not contain the core")
     pieces = []
     for k, block in enumerate(blocks):
         idxs = list(map(index, block))

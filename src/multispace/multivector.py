@@ -10,6 +10,7 @@ sum and its next term lie together in some component.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import abc, namedtuple
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -26,7 +27,7 @@ AMBIENT_SIZE_BOUND = 4096
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    return all(p % d for d in range(2, int(p**0.5) + 1))
+    return all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 class AmbientSpace(namedtuple("AmbientSpace", "p n")):
@@ -35,15 +36,19 @@ class AmbientSpace(namedtuple("AmbientSpace", "p n")):
     __slots__ = ()
 
     def __new__(cls, p: int, n: int):
+        # the bound comes before the primality test, and p ** n is computed
+        # only while p and n are small: for p >= 2, p^n > AMBIENT_SIZE_BOUND
+        # as soon as p exceeds it or n exceeds its bit length
+        small = p <= AMBIENT_SIZE_BOUND and n <= AMBIENT_SIZE_BOUND.bit_length()
+        if p > 1 and n > 0 and (not small or p**n > AMBIENT_SIZE_BOUND):
+            size = f"{p}^{n} = {p**n}" if small else f"{p}^{n}"
+            raise SizeLimitError(
+                f"ambient space enumerates p^n vectors; {size} exceeds AMBIENT_SIZE_BOUND = {AMBIENT_SIZE_BOUND}"
+            )
         if not _is_prime(p):
             raise ContractError(f"field order {p} is not prime")
         if n < 1:
             raise ContractError("ambient dimension must be >= 1")
-        if p**n > AMBIENT_SIZE_BOUND:
-            raise SizeLimitError(
-                f"ambient space enumerates p^n vectors; {p}^{n} = {p**n} exceeds "
-                f"AMBIENT_SIZE_BOUND = {AMBIENT_SIZE_BOUND}"
-            )
         return super().__new__(cls, p, n)
 
     # one field read per call, not per coordinate: a tuple field costs more than a local

@@ -40,9 +40,19 @@ import oracles
 
 
 class TestLatinSquares:
-    def test_validator_rejects_bad_rows(self):
-        with pytest.raises(ShapeError):
-            LatinSquare(2, ((0, 0), (1, 1)))
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (((0, 1),), "grid is not 2x2"),
+            (((0, 1), (1,)), "grid is not 2x2"),
+            (((0, 0), (1, 1)), "row 0 is not a permutation of 0..1"),
+            (((0, 1), (0, 1)), "column 0 is not a permutation of 0..1"),
+        ],
+    )
+    def test_validator_rejects_bad_grids(self, grid, message):
+        with pytest.raises(ShapeError) as info:
+            LatinSquare(2, grid)
+        assert str(info.value) == message
 
     def test_enumeration_counts(self):
         assert len(enumerate_latin_squares(1)) == 1
@@ -334,6 +344,28 @@ class TestPartitionCyclic:
         with pytest.raises(UnknownNameError) as info:
             partition_cyclic(ambient, blocks, core=core)
         assert str(info.value) == f"unknown symbol {name!r}"
+
+    def test_partial_ambient_rejected(self):
+        universe = FiniteUniverse.of(["0", "1"])
+        ambient = OpTable("o", universe, (0, 1), ((0, 1), (1, UNDEFINED)))
+        with pytest.raises(ContractError) as info:
+            partition_cyclic(ambient, [["1", "0"]], core=["0", "1"])
+        assert str(info.value) == "the ambient operation must be total"
+
+    @pytest.mark.parametrize(
+        "blocks, core, message",
+        [
+            ([["1", "2", "0"]], ["0"], "blocks must cover the ambient carrier"),
+            ([], [], "blocks must cover the ambient carrier"),
+            ([["1", "2", "3", "4", "5", "0", "3"]], ["0"], "block 1 lists duplicate elements"),
+            ([["1", "2", "0"], ["3", "4", "5", "0", "5"]], ["0"], "block 2 lists duplicate elements"),
+        ],
+    )
+    def test_partition_errors(self, blocks, core, message):
+        _, ambient = cyclic_group_table(6, name="o")
+        with pytest.raises(PartitionError) as info:
+            partition_cyclic(ambient, blocks, core=core)
+        assert str(info.value) == message
 
     def test_intersection_violation(self):
         _, ambient = cyclic_group_table(6, name="o")

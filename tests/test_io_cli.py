@@ -3,13 +3,14 @@ import json
 import operator
 import pathlib
 import re
+import time
 
 import pytest
 
 from multispace import io
 from multispace.cli import main
 from multispace.constructions import disjoint_cyclic_union, zn_ring_space
-from multispace.errors import ContractError, InputError
+from multispace.errors import ContractError, InputError, SizeLimitError
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -208,6 +209,30 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(FIXTURES / "triangle_violation.metric.json"))
         assert code == 1
         assert "triangle" in out
+
+    @pytest.mark.parametrize(
+        "p, n, size",
+        [(2**61 - 1, 1, "2305843009213693951^1"), (2, 10**8, "2^100000000")],
+        ids=["prime-2^61-1", "dimension-10^8"],
+    )
+    def test_vector_file_beyond_the_ambient_bound_exit_two(self, tmp_path, capsys, p, n, size):
+        # the first ran trial division to 2^30.5 before the bound; the second
+        # computed 2^(10^8) and failed to print it as a malformed file
+        data = {
+            "format_version": "1", "kind": "multivector", "field_order": p, "ambient_dimension": n,
+            "components": [{"name": "V1", "generators": [[1]]}],
+        }
+        message = f"ambient space enumerates p^n vectors; {size} exceeds AMBIENT_SIZE_BOUND = 4096"
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError) as exc:
+            io.vector_space_from_dict(data)
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == message
+        path = tmp_path / "big.vector.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert err == f"input error: {message}\n"
 
     def test_vector_fixture(self, capsys):
         code, _, _ = run(capsys, "check", str(FIXTURES / "three_lines.vector.json"), "--json")

@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from multispace import multigroup
 from multispace.constructions import (
     abelian_groups_of_order,
     all_groups_up_to_8,
@@ -18,7 +19,7 @@ from multispace.constructions import (
     zn_ring_tables,
 )
 from multispace.core import Component, MultiSpace, OpTable
-from multispace.errors import ContractError, InternalCheckError, SizeLimitError
+from multispace.errors import ContractError, InternalCheckError, PartitionError, SizeLimitError
 from multispace.foundations import FiniteUniverse
 from multispace.multigroup import (
     IDEAL_CHAIN,
@@ -180,6 +181,40 @@ class TestCosets:
         cosets = coset_partition(sub)
         assert frozenset().union(*cosets) == frozenset(ms.element_union())
         assert sum(len(c) for c in cosets) == 10
+
+
+    @staticmethod
+    def two_z2_on_a_e_b():
+        """Universe a, e, b: +1 is Z2 on {a, e} and +2 is Z2 on {e, b}, both
+        with identity e, bound to C1 and C2."""
+        universe = FiniteUniverse.of(["a", "e", "b"])
+        ops = [
+            OpTable("+1", universe, (0, 1), ((1, 0), (0, 1))),
+            OpTable("+2", universe, (1, 2), ((1, 2), (2, 1))),
+        ]
+        return MultiSpace(universe, [Component("C1", (0, 1), ("+1",)), Component("C2", (1, 2), ("+2",))], ops)
+
+    def test_tiling_needs_a_backtrack(self, monkeypatch):
+        # the greedy first pick a gives the coset {a, e}; then b's coset {e, b}
+        # overlaps it, and only e's coset {a, e, b} tiles the union
+        calls = []
+
+        def counted(sub, x):
+            calls.append(x)
+            return coset_of(sub, x)
+
+        monkeypatch.setattr(multigroup, "coset_of", counted)
+        ms = self.two_z2_on_a_e_b()
+        sub = SubsetView(ms, frozenset(ms.element_union()), ("+1", "+2"))
+        assert coset_partition(sub) == (frozenset({0, 1, 2}),)
+        assert calls == [0, 2, 1]  # a, then b below it, then e after the backtrack
+
+    def test_no_tiling_is_a_partition_error(self):
+        # under +1 alone, b has no coset
+        ms = self.two_z2_on_a_e_b()
+        sub = SubsetView(ms, frozenset({0, 1}), ("+1",))
+        with pytest.raises(PartitionError, match="^no representative set tiles the carrier union with cosets$"):
+            coset_partition(sub)
 
 
 class TestLagrange:

@@ -108,6 +108,12 @@ class TestLinearAlgebraBasics:
         assert AmbientSpace(2, 12).zero() == (0,) * 12
         with pytest.raises(SizeLimitError, match=r"2\^13 = 8192 exceeds AMBIENT_SIZE_BOUND = 4096"):
             AmbientSpace(2, 13)
+        # the bound is checked before the field order's primality
+        with pytest.raises(SizeLimitError, match=r"4\^7 = 16384 exceeds AMBIENT_SIZE_BOUND = 4096"):
+            AmbientSpace(4, 7)
+        with pytest.raises(SizeLimitError, match=r"; 4097\^1 exceeds AMBIENT_SIZE_BOUND = 4096"):
+            AmbientSpace(4097, 1)
+        assert AmbientSpace(4093, 1).n == 1
 
     def test_component_must_be_subspace_closed(self):
         amb = gf2_cube()

@@ -88,6 +88,7 @@ BAD_INPUT = [
         "distance 0.5 is not an exact rational",
     ),
     (lambda: AmbientSpace(4, 2), ContractError, "field order 4 is not prime"),
+    (lambda: AmbientSpace(1, 2), ContractError, "field order 1 is not prime"),
     (lambda: AmbientSpace(2, 0), ContractError, "ambient dimension must be >= 1"),
     (
         lambda: AmbientSpace(2, 13),
