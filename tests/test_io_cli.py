@@ -216,8 +216,9 @@ class TestCheck:
         ids=["prime-2^61-1", "dimension-10^8"],
     )
     def test_vector_file_beyond_the_ambient_bound_exit_two(self, tmp_path, capsys, p, n, size):
-        # the first ran trial division to 2^30.5 before the bound; the second
-        # computed 2^(10^8) and failed to print it as a malformed file
+        # the first ran trial division up to 2^30.5 before the bound; the
+        # second computed 2^(10^8), then could not print it and was reported
+        # as a malformed file
         data = {
             "format_version": "1", "kind": "multivector", "field_order": p, "ambient_dimension": n,
             "components": [{"name": "V1", "generators": [[1]]}],
@@ -226,7 +227,7 @@ class TestCheck:
         start = time.perf_counter()
         with pytest.raises(SizeLimitError) as exc:
             io.vector_space_from_dict(data)
-        assert time.perf_counter() - start < 0.1
+        assert time.perf_counter() - start < 0.5
         assert str(exc.value) == message
         path = tmp_path / "big.vector.json"
         path.write_text(json.dumps(data))
