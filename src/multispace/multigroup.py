@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import cache, partial
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Reversible, Sequence
 
 from .core import (
     Component,
@@ -334,18 +334,26 @@ def _lattice(table: OpTable, carrier: frozenset[int]) -> tuple[dict[int, tuple],
             if not group:
                 done, bigger = done | 1 << x, _mask(_close(grid, {*hs, x}, [x]))
             else:
-                bigger = current | _mask([r[x] for r in rows])
+                bigger = current
+                for r in rows:
+                    bigger |= 1 << r[x]
                 done, reps = done | bigger, [x]
                 while reps:
                     row = grid[reps.pop()]
                     for v in map(row.__getitem__, gens + (x,)):
                         if not bigger >> v & 1:
-                            bigger |= _mask([r[v] for r in rows])
+                            for r in rows:
+                                bigger |= 1 << r[v]
                             reps.append(v)
             if bigger | top == top and bigger not in found:
                 found[bigger] = gens + (x,) if group else ()
                 queue.append(bigger)
-    return dict(sorted(found.items(), key=lambda m: (m[0].bit_count(), _elements(m[0])))), inverse
+    # by size, then as sorted element lists compare: of two members of one
+    # size, the one holding the lowest element of their difference first,
+    # which is the order of their complements' bit strings read from the
+    # lowest bit, so no element list is built
+    full = (1 << top.bit_length()) - 1
+    return dict(sorted(found.items(), key=lambda m: (m[0].bit_count(), bin(m[0] ^ full)[:1:-1]))), inverse
 
 
 def subgroups_of(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
@@ -384,19 +392,25 @@ def _normal_in(table: OpTable, part: int, gens, inverse: Optional[dict]):
     it checks g h g^-1 in N for g in gens(part), h in gens(N): conjugation by
     g is a homomorphism, so it maps N = <gens(N)> into N once it maps gens(N)
     there, and the g that do so are closed under products, so they are all
-    of part once they hold gens(part).  Else it is ``_normal_test``."""
+    of part once they hold gens(part).  When gens(part) commute, part is
+    abelian and every subgroup of it is normal, so the test passes all.
+    Else it is ``_normal_test``."""
     if inverse is None:
         test = _normal_test(table, frozenset(_elements(part)))
         return lambda mask, _: test(frozenset(_elements(mask)))
     grid = table.grid
+    if all(grid[g][h] == grid[h][g] for g, h in itertools.combinations(gens, 2)):
+        return lambda mask, sub_gens: True
     pairs = [(grid[g], inverse[g]) for g in gens]
     return lambda mask, sub_gens: all(mask >> grid[row[h]][ginv] & 1 for row, ginv in pairs for h in sub_gens)
 
 
-def _maximal(lattice: dict[int, tuple], part: int, test) -> list[int]:
-    """The maximal members of ``lattice`` properly inside ``part`` that pass
-    ``test(mask, gens)``, in lattice order, by one scan from the largest
-    member down.  A member smaller than ``part`` and inside it is tested
+def _maximal(items: Reversible[tuple[int, tuple]], part: int, test) -> list[int]:
+    """The maximal members properly inside ``part`` that pass ``test(mask,
+    gens)``, in lattice order, by one scan from the largest member down.
+    ``items`` holds ``(mask, gens)`` lattice members in lattice order, every
+    member inside ``part`` among them: the whole lattice, or a list a series
+    step narrowed.  A member smaller than ``part`` and inside it is tested
     unless it lies inside a top already found, and becomes a top if it
     passes.  The lattice is ordered by size, so every strictly larger member
     is scanned before a member m.  A top t is maximal: a passing member
@@ -406,7 +420,7 @@ def _maximal(lattice: dict[int, tuple], part: int, test) -> list[int]:
     ``test``, and a member under a passing one is never tested, as the
     passing one is a top or lies inside one."""
     tops = []
-    for m, gens in reversed(lattice.items()):
+    for m, gens in reversed(items):
         if m != part and m | part == part:
             for t in tops:  # a plain loop: all() over a generator costs more here
                 if m | t == t:
@@ -420,7 +434,7 @@ def _maximal(lattice: dict[int, tuple], part: int, test) -> list[int]:
 def maximal_normal_subgroups(table: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
     (lattice, inverse), top = _lattice(table, carrier), _mask(carrier)
     test = _normal_in(table, top, lattice.get(top), inverse)
-    return [frozenset(_elements(m)) for m in _maximal(lattice, top, test)]
+    return [frozenset(_elements(m)) for m in _maximal(lattice.items(), top, test)]
 
 
 class LagrangeReport(NamedTuple):
@@ -523,8 +537,18 @@ def _series_step(label: str, carrier: frozenset[int], table: OpTable, keep) -> t
     ``keep(part, gens(part), inverse)``.  ``_lattice`` runs on the first part
     the engine reaches; every later part is a member of that lattice, whose
     members inside it are its own lattice, or raises ``InternalCheckError``.
+
+    A part scans only the members inside it.  The first part scans the whole
+    lattice; a top inherits the list scanned by the part that first returned
+    it, and scans the members of that list that lie inside it.  The engine
+    reaches each part once, so an inherited list is dropped once scanned; a
+    part with none scans the members of the whole lattice inside it.  Each
+    list holds every member inside its part, in lattice order, so
+    ``_maximal`` returns the tops it would return on the whole lattice and
+    calls ``test`` on the same members in the same order.
     """
     lattice = inverse = None
+    under: dict[int, list] = {}  # a top not yet scanned -> the list of the part that first returned it
 
     def maximal(part: int) -> list[int]:
         nonlocal lattice, inverse
@@ -532,7 +556,11 @@ def _series_step(label: str, carrier: frozenset[int], table: OpTable, keep) -> t
             lattice, inverse = _lattice(table, frozenset(_elements(part)))
         if part not in lattice:
             raise InternalCheckError(f"series step {label!r} reached {_elements(part)}, outside its lattice")
-        return _maximal(lattice, part, keep(part, lattice[part], inverse))
+        items = [item for item in under.pop(part, lattice.items()) if item[0] | part == part]
+        tops = _maximal(items, part, keep(part, lattice[part], inverse))
+        for t in tops:
+            under.setdefault(t, items)
+        return tops
 
     return label, _mask(carrier), table, maximal
 

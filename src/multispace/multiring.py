@@ -312,7 +312,7 @@ def _absorption_escape(M, rs, elements, allowed) -> Optional[tuple]:
 
 def maximal_ideals(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> list[frozenset[int]]:
     top = _mask(carrier)
-    return [frozenset(_elements(m)) for m in _maximal(_lattice(add, carrier)[0], top, _absorbs(mul, top))]
+    return [frozenset(_elements(m)) for m in _maximal(_lattice(add, carrier)[0].items(), top, _absorbs(mul, top))]
 
 
 def multiideal_chain(ms: MultiSpace, orientation: Sequence[str]) -> SeriesResult:

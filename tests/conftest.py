@@ -1,7 +1,7 @@
 import pytest
 
 from multispace.constructions import LatinSquare, latin_multispace
-from multispace.multigroup import _maximal
+from multispace.multigroup import _lattice, _maximal, _series_step
 
 from oracles import as_mask, as_set, maximal
 
@@ -38,7 +38,7 @@ def assert_maximal_matches_filter(lattice, part, test):
         tested.append(m)
         return test(m, gens)
 
-    got = _maximal(lattice, part, logged)
+    got = _maximal(lattice.items(), part, logged)
     members = [as_set(m) for m in lattice]
     want = maximal(members, as_set(part), lambda s: test(as_mask(s), lattice[as_mask(s)]))
     assert got == [as_mask(s) for s in want]
@@ -46,6 +46,38 @@ def assert_maximal_matches_filter(lattice, part, test):
         m for m in reversed(lattice) if m != part and m | part == part and not any(m != t and m | t == t for t in got)
     ]
     return got
+
+
+def assert_step_matches_filter(table, carrier, keep):
+    """Drive one series step on (carrier; table) from its top down through
+    every part its ``maximal`` returns, each once, as the series engine
+    does.  At each part the step returns the tops that
+    ``assert_maximal_matches_filter`` finds on the whole lattice, and calls
+    ``test`` on the members that ``_maximal`` on the whole lattice calls it
+    on, in the same order.  Returns the parts reached."""
+    log = []
+
+    def logged_keep(part, gens, inverse):
+        test = keep(part, gens, inverse)
+        return lambda m, sub_gens: log.append(m) or test(m, sub_gens)
+
+    maximal = _series_step("step", carrier, table, logged_keep)[3]
+    lattice, inverse = _lattice(table, carrier)
+    stack, reached = [as_mask(carrier)], set()
+    while stack:
+        part = stack.pop()
+        if part in reached:
+            continue
+        reached.add(part)
+        tops, step_log = maximal(part), log.copy()
+        log.clear()
+        test = keep(part, lattice[part], inverse)
+        assert tops == assert_maximal_matches_filter(lattice, part, test), (sorted(carrier), as_set(part))
+        _maximal(lattice.items(), part, logged_keep(part, lattice[part], inverse))
+        assert log == step_log, (sorted(carrier), as_set(part))
+        log.clear()
+        stack.extend(tops)
+    return reached
 
 
 def random_predicates(rng, lattice):

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from functools import partial
 
 import pytest
@@ -47,7 +49,7 @@ from multispace.multigroup import (
 from multispace.multiring import _absorbs, _ideal_steps, multiideal_chain
 
 import oracles
-from conftest import assert_maximal_matches_filter, random_predicates
+from conftest import assert_maximal_matches_filter, assert_step_matches_filter, random_predicates
 from oracles import as_mask, as_set
 
 
@@ -133,6 +135,33 @@ class TestSubMultigroup:
             k = rng.randint(1, len(union))
             sub = SubsetView(ms, frozenset(rng.sample(union, k)), ("+1", "+2"))
             is_submultigroup(sub)  # InternalCheckError would signal disagreement
+
+
+class TestPreconditions:
+    def test_subset_view_rejects_an_element_outside_the_carrier_union(self):
+        # "x" is in the universe but in no component
+        u = FiniteUniverse.of(["e", "a", "x"])
+        ms = MultiSpace(u, [Component("G", (0, 1), ("+",))], [OpTable("+", u, (0, 1), [[0, 1], [1, 0]])])
+        assert SubsetView(ms, frozenset({0, 1}), ("+",)).elements == {0, 1}
+        with pytest.raises(ContractError, match="^subset elements must lie in the parent carrier union$"):
+            SubsetView(ms, frozenset({0, 2}), ("+",))
+
+    def test_empty_subset_is_no_submultigroup_candidate(self):
+        ms = single_component_space(cyclic_group_table(6)[1])
+        with pytest.raises(ContractError, match="^the empty subset is not a sub-multi-group candidate$"):
+            is_submultigroup(SubsetView(ms, frozenset(), ("+",)))
+
+    def test_is_normal_needs_a_submultigroup_and_names_the_witness(self):
+        ms = single_component_space(cyclic_group_table(6)[1])
+        with pytest.raises(ContractError) as caught:
+            is_normal(SubsetView(ms, frozenset({1, 2}), ("+",)))
+        witness = {"component": "G", "op": "+", "kind": "closure", "pair": (1, 2), "result": 3}
+        assert (caught.value.message, caught.value.witness) == ("not a sub-multi-group", witness)
+        assert str(caught.value) == f"not a sub-multi-group: {witness}"
+
+    def test_composition_series_rejects_a_non_group_table(self, paper_latin_space):
+        with pytest.raises(ContractError, match="^'x2' is not a group table$"):
+            composition_series(paper_latin_space.op("x2"))
 
 
 class TestCosets:
@@ -690,6 +719,62 @@ class TestSeriesLattice:
                 if x not in current:
                     assert _close(table.grid, {*current, x}, [x]) == oracles.closure(table, {x}, current)
 
+
+
+class TestLatticeOrderAwayFromZero:
+    """Components whose carriers do not start at index 0, so the carrier's
+    bit width exceeds its size: lattice order against the oracle's sort of
+    element lists."""
+
+    def test_second_component_of_a_shared_identity_union(self):
+        # Z2xZ2xZ2 on {0, 4, ..., 10}: 7 subgroups of order 2 and 7 of order 4
+        tables = [direct_product_table([2, 2])[1], direct_product_table([2, 2, 2])[1]]
+        ms = shared_identity_union(tables)
+        comp = ms.components[1]
+        carrier, table = frozenset(comp.carrier), ms.op(comp.op_names[0])
+        assert sorted(carrier) == [0, *range(4, 11)]
+        subs = subgroups_of(table, carrier)
+        assert subs == oracles.subgroups(table, carrier) and len(subs) == 16
+        assert maximal_normal_subgroups(table, carrier) == oracles.maximal_normal_subgroups(table, carrier)
+
+    def test_later_component_of_a_disjoint_cyclic_union(self):
+        ms = disjoint_cyclic_union([3, 4, 12])
+        comp = ms.components[2]
+        carrier, table = frozenset(comp.carrier), ms.op(comp.op_names[0])
+        assert sorted(carrier) == list(range(7, 19))
+        assert subgroups_of(table, carrier) == oracles.subgroups(table, carrier)
+        assert maximal_normal_subgroups(table, carrier) == oracles.maximal_normal_subgroups(table, carrier)
+
+
+class TestLargeLattices:
+    """Lattices past ``SERIES_UNION_BOUND``; the tests that run the engine
+    lift it."""
+
+    @pytest.mark.parametrize("p, k, flags", [(2, 5, 9765), (2, 6, 615195), (3, 3, 52)])
+    def test_profile_counts_the_complete_flags(self, monkeypatch, p, k, flags):
+        # the subgroups of GF(p)^k are its subspaces and all are normal, so
+        # a maximal normal series is a complete flag: (p^k - 1)/(p - 1)
+        # choices of a hyperplane, then of one inside it, and so on
+        assert flags == math.prod((p**i - 1) // (p - 1) for i in range(1, k + 1))
+        monkeypatch.setattr(multigroup, "SERIES_UNION_BOUND", p**k)
+        table = direct_product_table([p] * k)[1]
+        assert series_length_profile(single_component_space(table), [table.name]) == ((k,), flags)
+
+    def test_z2_to_the_sixth_budget(self, monkeypatch):
+        # 2,825 subgroups and 615,195 chains
+        monkeypatch.setattr(multigroup, "SERIES_UNION_BOUND", 64)
+        table = direct_product_table([2] * 6)[1]
+        ms, times = single_component_space(table), []
+        for _ in range(2):
+            started = time.perf_counter()
+            series_length_profile(ms, [table.name])
+            times.append(time.perf_counter() - started)
+        assert min(times) < 0.6, f"the Z2^6 series profile took {min(times):.2f}s, budget 0.6s"
+
+    def test_step_scans_match_the_filter_on_z2_to_the_fifth(self):
+        table = direct_product_table([2] * 5)[1]
+        reached = assert_step_matches_filter(table, frozenset(table.domain), partial(_normal_in, table))
+        assert len(reached) == 374
 
 def test_composition_lengths_match_sympy():
     combinatorics = pytest.importorskip("sympy.combinatorics")

@@ -177,6 +177,19 @@ class TestSubspaceCriterion:
         assert (report.verdict, report.by_component, report.by_closure) == (False, False, False)
         assert report.witness == {"alpha": 1, "a": (1, 0), "b": (0, 1), "result": (1, 1)}
 
+    def test_one_subset_per_component(self):
+        parent = MultiVectorSpace.from_generators(AmbientSpace(2, 2), [[(1, 0)], [(0, 1)]])
+        for subs in ([[(0, 0)]], [[(0, 0)], [], []]):
+            with pytest.raises(ContractError, match=r"^provide one \(possibly empty\) subset per parent component$"):
+                is_multivector_subspace(subs, parent)
+
+    def test_subset_leaving_its_component(self):
+        # (1, 0) spans V1, not V2
+        parent = MultiVectorSpace.from_generators(AmbientSpace(2, 2), [[(1, 0)], [(0, 1)]])
+        assert is_multivector_subspace([[(1, 0)], [(0, 0)]], parent).verdict
+        with pytest.raises(ContractError, match="^subset of 'V2' leaves its component$"):
+            is_multivector_subspace([[(0, 0)], [(1, 0)]], parent)
+
     def test_random_subsets_match_meet_oracle(self):
         rng = random.Random(29)
         verdicts = set()

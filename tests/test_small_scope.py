@@ -31,7 +31,7 @@ from multispace.multiring import _ring_check
 from multispace.multivector import AmbientSpace, MultiVectorSpace, component_bases, greedy_basis
 
 import oracles
-from conftest import assert_maximal_matches_filter, outcome, random_predicates
+from conftest import assert_maximal_matches_filter, assert_step_matches_filter, outcome, random_predicates
 from oracles import as_set
 
 
@@ -75,7 +75,8 @@ def check_lattices(tables):
     """``_lattice`` and ``maximal_normal_subgroups`` (errors included) on
     every carrier inside a domain with a unit, and ``_maximal`` below every
     member, and the members it tests, under seeded predicates and, in a
-    group, normality.  Returns the number of lattices that are no group's."""
+    group, normality; in a group, also a series step's narrowed scans, from
+    the top down.  Returns the number of lattices that are no group's."""
     rng, not_groups = random.Random(3), 0
     for t in tables:
         for r in range(1, len(t.domain) + 1):
@@ -94,6 +95,8 @@ def check_lattices(tables):
                     normal = [] if inverse is None else [_normal_in(t, part, gens, inverse)]
                     for test in predicates + normal:
                         assert_maximal_matches_filter(lattice, part, test)
+                if inverse is not None:
+                    assert_step_matches_filter(t, carrier, functools.partial(_normal_in, t))
     return not_groups
 
 
