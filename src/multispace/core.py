@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter, namedtuple
+from collections import namedtuple
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -630,6 +630,9 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
     first: a map preserves the whole list of operations up to a permutation
     exactly when it permutes the distinct tables, each onto one of the same
     multiplicity, so k identical operations are one table, not k! pairings.
+    A pairing sends each distinct table to one of its class: with
+    ``permute_ops``, the tables of equal multiplicity and sorted profile;
+    without it, each table alone, whose only permutation is the identity.
     """
     union = ms.element_union()
     n = len(union)
@@ -638,36 +641,24 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
             f"automorphism search is factorial; union size {n} exceeds AUTOMORPHISM_BOUND = {AUTOMORPHISM_BOUND}"
         )
     pos = {x: i for i, x in enumerate(union)}
-    multiplicity = Counter((t.domain, t.grid) for t in ms.ops)
-    distinct: dict[tuple, OpTable] = {}
+    groups: dict[tuple, list[OpTable]] = {}
     for t in ms.ops:
-        distinct.setdefault((t.domain, t.grid), t)
-    tables = list(distinct.values())
+        groups.setdefault((t.domain, t.grid), []).append(t)
+    tables = [ts[0] for ts in groups.values()]
     for t in tables:
         if not pos.keys() >= set(t.domain) or any(v not in pos for _, _, v in t.defined_pairs()):
             raise ContractError(f"operation {t.name!r} leaves the carrier union")
-    op_profile = {(t.name, x): _op_profile(t, x) for t in tables for x in union}
-    if permute_ops:
-        # an operation may go only to one of equal sorted profile and
-        # multiplicity: permute within each such class, independently
-        classes: dict[tuple, list[OpTable]] = {}
-        for t in tables:
-            key = (multiplicity[t.domain, t.grid], *sorted(op_profile[t.name, x] for x in union))
-            classes.setdefault(key, []).append(t)
-        candidates = (
-            {t.name: img for cls, perm in zip(classes.values(), perms) for t, img in zip(cls, perm)}
-            for perms in itertools.product(*map(itertools.permutations, classes.values()))
-        )
-    else:
-        candidates = [{t.name: t for t in tables}]
+    profile = {x: [_op_profile(t, x) for t in tables] for x in union}
+    classes: dict[object, list[int]] = {}
+    for i, ts in enumerate(groups.values()):
+        key = (len(ts), *sorted(profile[x][i] for x in union)) if permute_ops else i
+        classes.setdefault(key, []).append(i)
 
-    profile = {x: tuple(sorted((t.name, op_profile[t.name, x]) for t in tables)) for x in union}
     found: set[tuple[int, ...]] = set()
-    for images in candidates:
-        image_profile = {
-            x: tuple(sorted((t.name, op_profile[images[t.name].name, x]) for t in tables))
-            for x in union
-        }
+    for perms in itertools.product(*map(itertools.permutations, classes.values())):
+        image = [j for _, j in sorted(zip(itertools.chain(*classes.values()), itertools.chain(*perms)))]
+        pairs = [(t.grid, tables[j].grid) for t, j in zip(tables, image)]
+        image_profile = {y: [profile[y][j] for j in image] for y in union}
         cand = {x: [y for y in union if image_profile[y] == profile[x]] for x in union}
 
         sigma: dict[int, int] = {}
@@ -686,12 +677,11 @@ def automorphisms(ms: MultiSpace, permute_ops: bool = True) -> tuple[tuple[int, 
             k = len(trail) - 1
             while k < len(trail):
                 x, y = trail[k], sigma[trail[k]]
-                for t in tables:
+                for t, (grid, img) in zip(tables, pairs):
                     if not t.in_domain(x):
                         # y, in x's profile class, is outside the image's
                         # domain: every product is undefined on both sides
                         continue
-                    grid, img = t.grid, images[t.name].grid
                     for a in trail[: k + 1]:
                         fa = sigma[a]
                         for v, w in ((grid[x][a], img[y][fa]), (grid[a][x], img[fa][y])):

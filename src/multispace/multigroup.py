@@ -60,10 +60,6 @@ class SeriesChain(NamedTuple):
     step_ops: tuple[str, ...]
     kind: str
 
-    @property
-    def length(self) -> int:
-        return len(self.levels) - 1
-
 
 def group_bindings(ms: MultiSpace) -> list[tuple[Component, str]]:
     """Expand components into (component, op) group bindings.

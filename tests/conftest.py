@@ -1,6 +1,7 @@
 import pytest
 
 from multispace.constructions import LatinSquare, latin_multispace
+from multispace.core import Component, FiniteUniverse, MultiSpace, OpTable
 from multispace.multigroup import _lattice, _maximal, _series_step
 
 from oracles import as_mask, as_set, maximal
@@ -18,6 +19,15 @@ def chain_of(ms, names, op_names):
     from multispace.core import ExprChain
 
     return ExprChain(tuple(ms.universe.index(n) for n in names), tuple(op_names))
+
+
+def two_identities_space():
+    """One op bound to two Z2 components with different units: its
+    carrier, the first series part, has no unit."""
+    u = FiniteUniverse.of(["0", "1", "2", "3"])
+    rows = [[0, 1, None, None], [1, 0, None, None], [None, None, 2, 3], [None, None, 3, 2]]
+    t = OpTable("*", u, (0, 1, 2, 3), rows)
+    return MultiSpace(u, [Component("C1", (0, 1), ("*",)), Component("C2", (2, 3), ("*",))], [t])
 
 
 def outcome(call, *args, **kwargs):

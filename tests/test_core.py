@@ -37,11 +37,12 @@ from multispace.core import (
     solve_equation,
     solve_system,
 )
-from multispace.errors import ContractError, SizeLimitError, UnknownOperationError
+from multispace.errors import ContractError, SizeLimitError, UnknownNameError, UnknownOperationError
 from multispace.foundations import FiniteUniverse
+from multispace.multigroup import SubsetView, is_normal
 
 import oracles
-from conftest import chain_of
+from conftest import chain_of, outcome, two_identities_space
 
 
 def table_on(labels, fn, name="*"):
@@ -166,6 +167,46 @@ class TestEvalChain:
         b = ms.components[1].carrier[1]
         chain = ExprChain((a, b, a), ("+1", "+1"))
         assert eval_chain(ms, chain) is UNDEFINED
+
+
+# one element "a" under "*", and "b" outside every domain and carrier
+A_AND_B = FiniteUniverse.of(["a", "b"])
+STAR_ON_A = OpTable("*", A_AND_B, (0,), [[0]])
+ON_A = Component("C", (0,), ("*",))
+
+
+def space_on_a(*components):
+    return MultiSpace(A_AND_B, components, [STAR_ON_A])
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: ON_A.add_name, ContractError, "component 'C' is not a double-operation component"),
+            (lambda: ON_A.mul_name, ContractError, "component 'C' is not a double-operation component"),
+            (lambda: MultiSpace(A_AND_B, [], [STAR_ON_A, STAR_ON_A]), ContractError,
+             "operation names must be unique"),
+            (lambda: space_on_a(Component("C", (0,), ("+",))), ContractError,
+             "component 'C' binds unknown operation '+'"),
+            (lambda: space_on_a(Component("C", (0, 1), ("*",))), ContractError,
+             "operation '*' domain does not cover component 'C'"),
+            (lambda: space_on_a(ON_A).component("D"), UnknownNameError, "no component named 'D'"),
+            (lambda: ExprChain((), ()), ContractError, "expression chains must be non-empty"),
+            (lambda: ExprChain((0, 1), ()), ContractError, "a chain of n operands needs exactly n-1 operations"),
+            (lambda: solve_equation(space_on_a(ON_A), 0, 1), ContractError,
+             "both sides of the equation must lie in some carrier"),
+            (lambda: Equation((0, 1), ("*",), 0), ContractError, "an equation template needs exactly one hole"),
+            (lambda: Equation((HOLE, 1), (), 0), ContractError, "a chain of n operands needs exactly n-1 operations"),
+            (lambda: is_normal(SubsetView(two_identities_space(), frozenset({0}), ("*",))), ContractError,
+             "no identity inside the given subset of '*'"),
+        ],
+        ids=["add-name-single", "mul-name-single", "duplicate-ops", "unknown-op", "domain-short",
+             "unknown-component", "empty-chain", "chain-ops-short", "outside-carriers", "no-hole",
+             "equation-ops-short", "no-identity-in-subset"],
+    )
+    def test_message(self, call, error, message):
+        assert outcome(call) == (error, message)
 
 
 class TestUnitsAndInverses:

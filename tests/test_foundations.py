@@ -26,6 +26,7 @@ from multispace.foundations import (
 )
 
 import oracles
+from conftest import outcome
 
 
 def rel_from_pred(names, pred):
@@ -299,6 +300,45 @@ class TestEquivalences:
         assert part.uniform_class_size == size
         assert part.count * part.uniform_class_size == n
         assert part.quotient_check is True
+
+
+ABC = FiniteUniverse.of(["a", "b", "c"])
+LOOPS = frozenset((i, i) for i in range(3))
+
+
+class TestRelationMessages:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: BinaryRelation(ABC, frozenset({(0, 3)})), "pair (0,3) out of range for universe of size 3"),
+            (lambda: poset_extremes(BinaryRelation(FiniteUniverse.of([]), frozenset())),
+             "extremes of an empty poset are undefined"),
+            (lambda: hasse_pairs(BinaryRelation(ABC, frozenset())), "hasse export requires a poset"),
+            (lambda: equivalence_classes(BinaryRelation(ABC, LOOPS - {(1, 1)})),
+             "not an equivalence: R1 reflexivity fails at 1"),
+        ],
+        ids=["pair-out-of-range", "empty-poset", "hasse-of-non-poset", "not-reflexive"],
+    )
+    def test_message(self, call, message):
+        assert outcome(call) == (ContractError, message)
+
+    def test_not_transitive(self):
+        # a ~ b ~ c without a ~ c fails at (a, c) or at (c, a), whichever pair comes first
+        rel = BinaryRelation(ABC, LOOPS | {(0, 1), (1, 0), (1, 2), (2, 1)})
+        with pytest.raises(ContractError, match=r"^not an equivalence: R3 transitivity fails at \((0,2|2,0)\)$"):
+            equivalence_classes(rel)
+
+    def test_from_names(self):
+        rel = BinaryRelation.from_names(ABC, [("a", "b"), ("c", "c")])
+        assert rel == BinaryRelation(ABC, frozenset({(0, 1), (2, 2)}))
+
+    def test_poset_transitivity_witness(self):
+        rel = BinaryRelation(ABC, LOOPS | {(0, 1), (1, 2)})
+        assert poset_check(rel) == (False, False, "O3 transitivity", (0, 2))
+
+    def test_classes_of_two_sizes(self):
+        part = equivalence_classes(BinaryRelation(ABC, LOOPS | {(0, 1), (1, 0)}))
+        assert part == (((0, 1), (2,)), None, None)
 
 
 class TestNeutrosophic:

@@ -49,7 +49,12 @@ from multispace.multigroup import (
 from multispace.multiring import _absorbs, _ideal_steps, multiideal_chain
 
 import oracles
-from conftest import assert_maximal_matches_filter, assert_step_matches_filter, random_predicates
+from conftest import (
+    assert_maximal_matches_filter,
+    assert_step_matches_filter,
+    random_predicates,
+    two_identities_space,
+)
 from oracles import as_mask, as_set
 
 
@@ -514,15 +519,6 @@ def overlapping_space():
     b = OpTable("b", u, (0, 1, 2), [[0, 1, None], [1, 0, None], [None, None, 2]])
     comps = [Component("A", (2, 3), ("a",)), Component("B1", (0, 1), ("b",)), Component("B2", (2,), ("b",))]
     return MultiSpace(u, comps, [a, b])
-
-
-def two_identities_space():
-    """One op bound to two Z2 components with different units: its
-    carrier, the first series part, has no unit."""
-    u = FiniteUniverse.of(["0", "1", "2", "3"])
-    rows = [[0, 1, None, None], [1, 0, None, None], [None, None, 2, 3], [None, None, 3, 2]]
-    t = OpTable("*", u, (0, 1, 2, 3), rows)
-    return MultiSpace(u, [Component("C1", (0, 1), ("*",)), Component("C2", (2, 3), ("*",))], [t])
 
 
 class TestSeriesLattice:

@@ -29,6 +29,7 @@ from multispace.multiring import (
 )
 
 import oracles
+from conftest import outcome
 
 
 def constant_addition_z4():
@@ -314,6 +315,25 @@ class TestIdempotents:
         ms = constant_addition_z4()
         with pytest.raises(ContractError):
             idempotents(ms, "R1")
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: is_submultiring(SubsetView(zn_ring_space(6), frozenset({0}), ("+",))), ContractError,
+             "the subset keeps no complete double operation"),
+            (lambda: is_submultiring(SubsetView(zn_ring_space(6), frozenset(), ("+", "*"))), ContractError,
+             "the empty subset is not a sub-multi-ring candidate"),
+            (lambda: is_multiideal(SubsetView(zn_ring_space(6), frozenset(), ("+", "*"))), ContractError,
+             "the empty subset is not a multi-ideal candidate"),
+            (lambda: idempotents(disjoint_cyclic_union([3]), "C1"), ContractError,
+             "component 'C1' is not double-operation"),
+        ],
+        ids=["addition-only", "empty-subring", "empty-ideal", "idempotents-single"],
+    )
+    def test_message(self, call, error, message):
+        assert outcome(call) == (error, message)
 
 
 class TestDecomposition:
