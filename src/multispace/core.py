@@ -225,6 +225,7 @@ class MultiSpace:
                     raise ContractError(
                         f"operation {op_name!r} domain does not cover component {comp.name!r}"
                     )
+        self._union = tuple(sorted({x for comp in self.components for x in comp.carrier}))
 
     def op(self, name: str) -> OpTable:
         table = self._op_map.get(name)
@@ -239,10 +240,7 @@ class MultiSpace:
         raise UnknownNameError(f"no component named {name!r}")
 
     def element_union(self) -> tuple[int, ...]:
-        out: set[int] = set()
-        for comp in self.components:
-            out.update(comp.carrier)
-        return tuple(sorted(out))
+        return self._union
 
     def is_completed(self) -> bool:
         """True iff every pair from the carrier union has some defined product."""
@@ -253,14 +251,6 @@ class MultiSpace:
                 if all(grid[x][y] is UNDEFINED for grid in grids):
                     return False
         return True
-
-    def carriers_of_op(self, op_name: str) -> tuple[int, ...]:
-        """Union of the carriers of components bound to ``op_name``."""
-        out: set[int] = set()
-        for comp in self.components:
-            if op_name in comp.op_names:
-                out.update(comp.carrier)
-        return tuple(sorted(out))
 
     def __repr__(self) -> str:
         return (

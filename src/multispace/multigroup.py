@@ -13,7 +13,6 @@ from functools import cache, partial
 from typing import NamedTuple, Optional, Reversible, Sequence
 
 from .core import (
-    Component,
     MultiSpace,
     OpTable,
     SubStructureReport,
@@ -61,8 +60,9 @@ class SeriesChain(NamedTuple):
     kind: str
 
 
-def group_bindings(ms: MultiSpace) -> list[tuple[Component, str]]:
-    """Expand components into (component, op) group bindings.
+def group_bindings(ms: MultiSpace) -> list[tuple[str, frozenset[int], OpTable]]:
+    """Expand components into (component name, carrier, table) group
+    bindings, the parts of a multi-group.
 
     A carrier bound to several single operations counts once per operation;
     double-operation (ring-style) components are rejected here.
@@ -71,7 +71,8 @@ def group_bindings(ms: MultiSpace) -> list[tuple[Component, str]]:
     for comp in ms.components:
         if comp.double:
             raise ContractError(f"component {comp.name!r} is double-operation; use the multiring checks")
-        out.extend((comp, op_name) for op_name in comp.op_names)
+        carrier = frozenset(comp.carrier)
+        out.extend((comp.name, carrier, ms.op(op_name)) for op_name in comp.op_names)
     return out
 
 
@@ -130,13 +131,13 @@ def is_multigroup(ms: MultiSpace) -> MultiGroupReport:
     bindings = group_bindings(ms)
     group_checks = []
     witness = None
-    for comp, op_name in bindings:
-        ok, w = is_group_on(ms.op(op_name), frozenset(comp.carrier))
-        group_checks.append((comp.name, op_name, ok, w))
+    for name, carrier, table in bindings:
+        ok, w = is_group_on(table, carrier)
+        group_checks.append((name, table.name, ok, w))
         if not ok and witness is None:
-            witness = {"component": comp.name, "op": op_name, **(w or {})}
+            witness = {"component": name, "op": table.name, **(w or {})}
     distribution = []
-    op_names = sorted({name for _, name in bindings})
+    op_names = sorted({table.name for _, _, table in bindings})
     for a, b in itertools.combinations(op_names, 2):
         fa, fb = ms.op(a), ms.op(b)
         first = _distributes_over(ms, fa, fb)
@@ -183,13 +184,16 @@ def _componentwise(sub: SubsetView, parts, test) -> Optional[dict]:
     return {"kind": "uncovered_element", "element": min(stray)} if stray else None
 
 
-def _group_parts(sub: SubsetView) -> list[tuple]:
-    """(component, carrier, table) for each group binding the subset keeps."""
-    return [
-        (comp.name, frozenset(comp.carrier), sub.parent.op(op_name))
-        for comp, op_name in group_bindings(sub.parent)
-        if op_name in sub.op_names
-    ]
+def _kept(sub: SubsetView, parts) -> list[tuple]:
+    """The parts ``(name, carrier, *tables)`` all of whose tables the subset keeps."""
+    return [part for part in parts if all(table.name in sub.op_names for table in part[2:])]
+
+
+def _op_carrier(parts, table: OpTable) -> frozenset[int]:
+    """The union of the carriers of the parts bound to ``table``.  It is
+    built from its sorted elements, as a component's carrier is, so that
+    iterating it (``is_normal``'s first witness) meets them in one order."""
+    return frozenset(sorted(set().union(*(carrier for _, carrier, t in parts if t is table))))
 
 
 def _subgroup_witness(table: OpTable, carrier, meet) -> Optional[dict]:
@@ -210,7 +214,7 @@ def is_submultigroup(sub: SubsetView) -> SubStructureReport:
     if not sub.elements:
         raise ContractError("the empty subset is not a sub-multi-group candidate")
 
-    witness_a = _componentwise(sub, _group_parts(sub), _subgroup_witness)
+    witness_a = _componentwise(sub, _kept(sub, group_bindings(ms)), _subgroup_witness)
     by_component = witness_a is None
 
     witness_b: Optional[dict] = None
@@ -455,20 +459,20 @@ def is_normal(sub: SubsetView) -> SubStructureReport:
     report = is_submultigroup(sub)
     if not report.verdict:
         raise ContractError("not a sub-multi-group", report.witness)
-    ms = sub.parent
+    ms, parts = sub.parent, group_bindings(sub.parent)
 
     witness = None
-    for op_name in sub.op_names:
-        table, carrier = ms.op(op_name), frozenset(ms.carriers_of_op(op_name))
+    for table in map(ms.op, sub.op_names):
+        carrier = _op_carrier(parts, table)
         if carrier:
             inverse, allowed = group_inverses_on(table, carrier), sub.elements | {UNDEFINED}
             bad = _conjugate_escape(table.grid, carrier, inverse, sub.elements, allowed)
             if bad is not None:
-                witness = {"op": op_name, "g": bad[0], "h": bad[1], "conjugate": bad[2]}
+                witness = {"op": table.name, "g": bad[0], "h": bad[1], "conjugate": bad[2]}
                 break
 
     componentwise = None is _componentwise(
-        sub, _group_parts(sub), lambda t, carrier, meet: None if is_normal_subgroup(t, carrier, meet) else {}
+        sub, _kept(sub, parts), lambda t, carrier, meet: None if is_normal_subgroup(t, carrier, meet) else {}
     )
     return _agree("normality", componentwise, None, "direct", witness is None, witness)
 
@@ -563,8 +567,8 @@ def _series_step(label: str, carrier: frozenset[int], table: OpTable, keep) -> t
 
 def _normal_steps(ms: MultiSpace, orientation: Sequence[str]) -> list[tuple]:
     """One series step per operation, on its carriers: maximal normal subgroups."""
-    tables = map(ms.op, orientation)
-    return [_series_step(t.name, frozenset(ms.carriers_of_op(t.name)), t, partial(_normal_in, t)) for t in tables]
+    parts = group_bindings(ms)
+    return [_series_step(t.name, _op_carrier(parts, t), t, partial(_normal_in, t)) for t in map(ms.op, orientation)]
 
 
 def _run_series(ms: MultiSpace, steps, kind: str) -> SeriesResult:
@@ -602,7 +606,7 @@ def series_length_profile(ms: MultiSpace, orientation: Sequence[str]) -> tuple[t
     multi-group prerequisite is the caller's, since checking it costs about
     as much as the profile itself.
     """
-    _check_orientation(orientation, {name for _, name in group_bindings(ms)}, "bound operation")
+    _check_orientation(orientation, {table.name for _, _, table in group_bindings(ms)}, "bound operation")
     _, _, lengths, count = _series_profile(ms, _normal_steps(ms, orientation))
     return lengths, count
 
@@ -614,7 +618,7 @@ def maximal_normal_series(ms: MultiSpace, orientation: Sequence[str]) -> SeriesR
     one length (the invariant the theory predicts).
     """
     _require(ms, is_multigroup, "multi-group")
-    _check_orientation(orientation, {name for _, name in group_bindings(ms)}, "bound operation")
+    _check_orientation(orientation, {table.name for _, _, table in group_bindings(ms)}, "bound operation")
     return _run_series(ms, _normal_steps(ms, orientation), NORMAL_SERIES)
 
 

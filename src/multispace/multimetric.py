@@ -26,12 +26,15 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, (tuple, list)) and len(x) == 2 and all(
-        isinstance(k, (int, Fraction)) and not isinstance(k, bool) for k in x
-    ):
-        return Fraction(x[0], x[1])
-    if isinstance(x, str):
-        return Fraction(x)
+    try:
+        if isinstance(x, (tuple, list)) and len(x) == 2 and all(
+            isinstance(k, (int, Fraction)) and not isinstance(k, bool) for k in x
+        ):
+            return Fraction(x[0], x[1])
+        if isinstance(x, str):
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError):  # an unreadable string or a zero denominator
+        pass
     raise InputError(f"cannot read {x!r} as an exact rational")
 
 

@@ -9,7 +9,6 @@ from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
-    Component,
     MultiSpace,
     OpTable,
     SubStructureReport,
@@ -29,6 +28,7 @@ from .multigroup import (
     SubsetView,
     _check_orientation,
     _componentwise,
+    _kept,
     _lattice,
     _maximal,
     _require,
@@ -38,11 +38,13 @@ from .multigroup import (
 )
 
 
-def double_components(ms: MultiSpace) -> list[Component]:
+def double_components(ms: MultiSpace) -> list[tuple[str, frozenset[int], OpTable, OpTable]]:
+    """(component name, carrier, add, mul) for each component, the parts of
+    a multi-ring; single-operation components are rejected here."""
     for comp in ms.components:
         if not comp.double:
             raise ContractError(f"component {comp.name!r} is single-operation; use the multigroup checks")
-    return list(ms.components)
+    return [(c.name, frozenset(c.carrier), ms.op(c.add_name), ms.op(c.mul_name)) for c in ms.components]
 
 
 def _ring_check(add: OpTable, mul: OpTable, carrier: frozenset[int]) -> Optional[dict]:
@@ -131,26 +133,24 @@ def is_multiring(ms: MultiSpace) -> MultiRingReport:
     fully-defined triple.  Completeness is reported, not required, so
     shared-zero unions pass.  Non-trivial zero divisors are metadata.
     """
-    comps = double_components(ms)
+    parts = double_components(ms)
     ring_checks, fields, divisors = [], [], []
     witness = None
-    for comp in comps:
-        add, mul, carrier = ms.op(comp.add_name), ms.op(comp.mul_name), frozenset(comp.carrier)
+    for name, carrier, add, mul in parts:
         w = _ring_check(add, mul, carrier)
-        ring_checks.append((comp.name, w))
+        ring_checks.append((name, w))
         if w is not None and witness is None:
-            witness = {"component": comp.name, **w}
+            witness = {"component": name, **w}
         field, zero_divisors = _field_and_divisors(mul, carrier, group_identity_on(add, carrier))
         fields.append(field)
-        divisors.append((comp.name, zero_divisors))
+        divisors.append((name, zero_divisors))
 
     union = ms.element_union()
     cross_witness = None
-    for ci, cj in itertools.permutations(comps, 2):
-        tables = [ms.op(name) for c in (ci, cj) for name in (c.add_name, c.mul_name)]
-        found = _cross_violation(*tables, union)
+    for (ni, _, *ri), (nj, _, *rj) in itertools.permutations(parts, 2):
+        found = _cross_violation(*ri, *rj, union)
         if found:
-            cross_witness = {"kind": found[0], "pair": (ci.name, cj.name), "triple": found[1]}
+            cross_witness = {"kind": found[0], "pair": (ni, nj), "triple": found[1]}
             break
     if cross_witness and witness is None:
         witness = cross_witness
@@ -202,13 +202,8 @@ def _cross_violation(ai, mi, aj, mj, union) -> Optional[tuple]:
 
 
 def _ring_parts(sub: SubsetView) -> list[tuple]:
-    """(component, carrier, add, mul) for each double component of the
-    parent whose both op names the subset keeps."""
-    out = [
-        (comp.name, frozenset(comp.carrier), sub.parent.op(comp.add_name), sub.parent.op(comp.mul_name))
-        for comp in double_components(sub.parent)
-        if comp.add_name in sub.op_names and comp.mul_name in sub.op_names
-    ]
+    """The parts of the parent whose both operations the subset keeps."""
+    out = _kept(sub, double_components(sub.parent))
     if not out:
         raise ContractError("the subset keeps no complete double operation")
     return out
@@ -319,16 +314,17 @@ def multiideal_chain(ms: MultiSpace, orientation: Sequence[str]) -> SeriesResult
     """All maximal multi-ideal chains under an oriented double-operation
     sequence; the orientation lists component names, one double op each."""
     _require(ms, is_multiring, "multi-ring")
-    _check_orientation(orientation, {c.name for c in double_components(ms)}, "double-operation component")
+    _check_orientation(orientation, {name for name, *_ in double_components(ms)}, "double-operation component")
     return _run_series(ms, _ideal_steps(ms, orientation), IDEAL_CHAIN)
 
 
 def _ideal_steps(ms: MultiSpace, names: Sequence[str]) -> list[tuple]:
     """One series step per double component: its carrier, descending
     through maximal ideals."""
+    parts = {part[0]: part for part in double_components(ms)}
     return [
-        _series_step(c.name, frozenset(c.carrier), ms.op(c.add_name), partial(_absorbs, ms.op(c.mul_name)))
-        for c in map(ms.component, names)
+        _series_step(name, carrier, add, partial(_absorbs, mul))
+        for name, carrier, add, mul in (parts[name] for name in names)
     ]
 
 
@@ -342,10 +338,8 @@ def is_artin(ms: MultiSpace) -> ArtinReport:
     """Finite multi-rings are always Artin; the report carries, per component,
     the longest maximal ideal chain found by the series programming."""
     _require(ms, is_multiring, "multi-ring")
-    per_component = tuple(
-        (comp.name, True, max(_series_profile(ms, _ideal_steps(ms, [comp.name]))[2]))
-        for comp in double_components(ms)
-    )
+    steps = _ideal_steps(ms, [comp.name for comp in ms.components])
+    per_component = tuple((step[0], True, max(_series_profile(ms, [step])[2])) for step in steps)
     return ArtinReport(True, per_component, max(d for _, _, d in per_component))
 
 
@@ -421,13 +415,12 @@ def decompose_artin(ms: MultiSpace) -> DecompositionReport:
     """
     _require(ms, is_multiring, "multi-ring")
     out = []
-    for comp in double_components(ms):
-        add, mul = ms.op(comp.add_name), ms.op(comp.mul_name)
-        A, M, carrier = add.grid, mul.grid, frozenset(comp.carrier)
-        report = idempotents(ms, comp.name)
+    for name, carrier, add, mul in double_components(ms):
+        A, M = add.grid, mul.grid
+        report = idempotents(ms, name)
         zero = report.zero
         if report.unit is None:
-            raise ContractError(f"component {comp.name!r} has no multiplicative unit")
+            raise ContractError(f"component {name!r} has no multiplicative unit")
         families = sorted(report.orthogonal_unit_families, key=lambda f: (-len(f), f))
         family = families[0] if families else (report.unit,)
 
@@ -444,7 +437,7 @@ def decompose_artin(ms: MultiSpace) -> DecompositionReport:
         ideal_pieces = all(_ideal_witness(add, mul, carrier, piece) is None for piece in pieces)
         out.append(
             ComponentDecomposition(
-                comp.name, family, pieces, intersections, reconstruction, unique, ideal_pieces, symmetric
+                name, family, pieces, intersections, reconstruction, unique, ideal_pieces, symmetric
             )
         )
     return DecompositionReport(tuple(out))

@@ -372,6 +372,27 @@ class TestNeutrosophic:
         with pytest.raises(ContractError):
             NeutrosophicComponent.constant([0], 1.5, 0, 0)
 
+    def test_default_universe_is_one_past_the_largest_element(self):
+        out = neutrosophic_union([NeutrosophicComponent.constant([0, 2], 0, 0, 1)])
+        assert out.case == 2
+        assert out.abstract_set == frozenset({1})
+
+
+class TestValueMessages:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: NeutrosophicComponent([0, 1], {0: 1}, {0: 0, 1: 0}, {0: 0, 1: 0}),
+             "T-value missing for carrier element 1"),
+            (lambda: neutrosophic_union([]), "union of zero neutrosophic components"),
+            (lambda: valuate_union([Fraction(1, 2)], []), "values and carriers must pair up"),
+            (lambda: valuate_union([2], [frozenset({0})]), "component value 2 out of [0,1]"),
+        ],
+        ids=["missing-value", "empty-union", "unpaired-values", "value-out-of-range"],
+    )
+    def test_message(self, call, message):
+        assert outcome(call) == (ContractError, message)
+
 
 class TestValuation:
     def test_two_overlapping_halves(self):

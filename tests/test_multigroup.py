@@ -284,6 +284,13 @@ class TestLagrange:
             subgroups_of(t, frozenset({1, 2}))
 
 
+def a3_and_s3():
+    """S3's ``*`` bound to two components: ``A`` = A3 = {012, 120, 201} and
+    ``S``, all six permutations."""
+    u, t = symmetric_table(3)
+    return MultiSpace(u, [Component("A", (0, 3, 4), ("*",)), Component("S", tuple(range(6)), ("*",))], [t])
+
+
 class TestNormality:
     def test_abelian_subgroups_normal(self):
         _, t = cyclic_group_table(8)
@@ -307,6 +314,12 @@ class TestNormality:
         report = is_normal(SubsetView(ms, frozenset({0}), ("+1", "+2")))
         assert report.verdict
 
+    def test_op_bound_to_two_components_conjugates_by_their_union(self):
+        ms = a3_and_s3()
+        report = is_normal(SubsetView.of_names(ms, ["012", "102"]))
+        assert not report.verdict
+        assert report.witness == {"op": "*", "g": 1, "h": 2, "conjugate": 5}
+
 
 class TestSeries:
     def test_z8_length_three(self):
@@ -322,6 +335,11 @@ class TestSeries:
         monkeypatch.setattr("multispace.multigroup.SERIES_CHAIN_BOUND", 314)
         with pytest.raises(SizeLimitError, match="315 chains exceed SERIES_CHAIN_BOUND = 314"):
             composition_series(table)
+
+    def test_op_bound_to_two_components_descends_from_their_union(self):
+        result = maximal_normal_series(a3_and_s3(), ["*"])
+        assert result.chain_count == 1
+        assert result.chains[0].levels == (frozenset(range(6)), frozenset({0, 3, 4}), frozenset({0}))
 
     def test_s3_series(self):
         _, t = symmetric_table(3)

@@ -198,11 +198,12 @@ class TestExactEntries:
         with pytest.raises(ContractError, match="not an exact rational"):
             MetricTable(("a", "b"), ((0, bad), (bad, 0)))
 
-    @pytest.mark.parametrize("bad", [True, (1.5, 2), (3, 2.0), [True, 2]])
+    @pytest.mark.parametrize("bad", [True, (1.5, 2), (3, 2.0), [True, 2], "x", "1/0", (1, 0), [2, 0]])
     def test_rows_read_exactly(self, bad):
         with pytest.raises(InputError, match="as an exact rational$"):
             MetricTable.from_rows(["a", "b"], [[0, bad], [bad, 0]])
         assert MetricTable.from_rows(["a", "b"], [[0, (3, 2)], [[3, 2], 0]]).d[0][1] == F(3, 2)
+        assert MetricTable.from_rows(["a", "b"], [[0, "3/2"], ["3/2", 0]]).d[0][1] == F(3, 2)
 
     @pytest.mark.parametrize("pair", [(F(3, 2), 1), [3, F(2)], (F(9, 4), F(3, 2)), (-3, -2)])
     def test_fraction_parts_read_exactly(self, pair):
@@ -293,12 +294,14 @@ class TestErrorMessages:
              "weighted_sum needs one positive weight per metric"),
             (lambda: CombinatorSpec("weighted_sum", weights=(1,)).function(2), InputError,
              "weighted_sum needs one positive weight per metric"),
+            (lambda: CombinatorSpec("weighted_sum", weights=("1/0", 1)).function(2), InputError,
+             "cannot read '1/0' as an exact rational"),
             (lambda: CombinatorSpec("custom").function(1), InputError, "custom combinator needs a callable"),
             (lambda: CombinatorSpec("median").function(1), InputError, "unknown combinator kind 'median'"),
             (lambda: SequenceSpec((), "periodic", ()), InputError, "tail must be non-empty"),
             (lambda: SequenceSpec((), "constant", ("a", "b")), InputError, "constant tails list exactly one point"),
         ],
-        ids=["no-components", "no-metrics", "no-weights", "one-weight-short", "no-callable",
+        ids=["no-components", "no-metrics", "no-weights", "one-weight-short", "zero-denominator-weight", "no-callable",
              "unknown-kind", "empty-tail", "long-constant-tail"],
     )
     def test_message(self, call, error, message):
@@ -309,6 +312,7 @@ class TestErrorMessages:
         for radius in (0, F(-1, 2)):
             assert outcome(r_disk, ms, "a", radius) == (ContractError, "disk radius must be positive")
         assert outcome(r_disk, ms, "z", 1) == (ContractError, "point 'z' is not in the space")
+        assert outcome(r_disk, ms, "a", "x") == (InputError, "cannot read 'x' as an exact rational")
 
     def test_image_outside_the_space(self):
         ms = MultiMetricSpace([self.LINE])
